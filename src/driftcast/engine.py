@@ -13,6 +13,11 @@ Every method predicts first and only then observes the delayed target, so
 the first m predictions never depend on how much stream follows. Learning
 reads go through a ring cache that logs (reader_step, read_step) pairs,
 which lets tests audit that updates only touch records at least k old.
+
+The adaptz window gradient is a sum of per-record shares. A share depends
+only on what its record holds (its tapes with their weight snapshots, its
+prediction and its target), so each record is backpropagated once, when
+its label is released, and every window just sums the stored shares.
 """
 
 from __future__ import annotations
@@ -81,12 +86,12 @@ class StepRecord:
     y: np.ndarray
     x: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
-    hisgrad_used: Optional[np.ndarray] = None
     delta: Optional[np.ndarray] = None
     yhat: Optional[np.ndarray] = None
     stats: Optional[NormStats] = None
     head_tape: Optional[HeadTape] = None
     adapter_tape: Optional[AdapterTape] = None
+    share: Optional[np.ndarray] = None  # flat window-gradient term (adaptz)
 
 
 class RingCache:
@@ -197,30 +202,59 @@ def compute_hisgrad(model: ForecastModel, cache: RingCache, t: int, k: int,
     return g_rows.reshape(b, C, d).mean(axis=0)
 
 
+def _record_share(model: ForecastModel, a: AdapterNet, rec: StepRecord,
+                  b: int, cfg: EngineConfig) -> np.ndarray:
+    """The record's term of the window-mean loss gradient as one flat vector:
+    head weight and bias (if lr_head > 0), then the adapter parameters in
+    named_params order (if lr_adapter > 0). Only the record's own tapes are
+    read, so the term is the same in every window the record enters."""
+    _, g_sample = mse_with_grad(rec.yhat, rec.y)
+    g_y = g_sample / b                                      # window-mean loss
+    parts: List[np.ndarray] = []
+    if cfg.lr_head > 0:
+        gw, gb = grad_wrt_last_layer(model, rec.head_tape, g_y)
+        parts += [gw.ravel(), gb]
+    if cfg.lr_adapter > 0:
+        g_z = grad_wrt_feature(model, rec.head_tape, g_y)
+        grads = adapter_backward_tape(rec.adapter_tape, g_z)
+        parts += [grads[name].ravel() for name, _ in a.named_params()]
+    return np.concatenate(parts)
+
+
 def _window_update(model: ForecastModel, a: AdapterNet, cache: RingCache,
                    s: int, k: int, b: int, cfg: EngineConfig) -> None:
-    """One delayed update from the b cached adjusted predictions: window MSE
-    backpropagated through each step's own tape (parameters as they were)."""
-    a_grads: Dict[str, np.ndarray] = {}
-    gw_head: Optional[np.ndarray] = None
-    gb_head: Optional[np.ndarray] = None
+    """One delayed update from the b cached adjusted predictions.
+
+    Each record is backpropagated once, through its own tape (parameters as
+    they were), the first time it enters a window, i.e. when its label is
+    released; its share is stored on the record and the tapes are dropped.
+    The window gradient is the left-to-right sum of the b stored shares.
+    """
+    acc: Optional[np.ndarray] = None
     for i in range(s - k - b + 1, s - k + 1):
         rec = cache.get(i, reader=s)
-        _, g_sample = mse_with_grad(rec.yhat, rec.y)
-        g_y = g_sample / b                                  # window-mean loss
-        if cfg.lr_head > 0:
-            gw, gb = grad_wrt_last_layer(model, rec.head_tape, g_y)
-            gw_head = gw if gw_head is None else gw_head + gw
-            gb_head = gb if gb_head is None else gb_head + gb
-        if cfg.lr_adapter > 0:
-            g_z = grad_wrt_feature(model, rec.head_tape, g_y)
-            for name, g in adapter_backward_tape(rec.adapter_tape, g_z).items():
-                a_grads[name] = g if name not in a_grads else a_grads[name] + g
-    if cfg.lr_adapter > 0:
-        sgd_step(a, a_grads, cfg.lr_adapter)
+        if rec.share is None:
+            rec.share = _record_share(model, a, rec, b, cfg)
+            rec.head_tape = rec.adapter_tape = None
+        if acc is None:
+            acc = rec.share.copy()
+        else:
+            acc += rec.share
+    off = 0
     if cfg.lr_head > 0:
-        model.head.weight = model.head.weight - cfg.lr_head * gw_head
-        model.head.bias = model.head.bias - cfg.lr_head * gb_head
+        head = model.head
+        n_w, n_b = head.weight.size, head.bias.size
+        gw = acc[:n_w].reshape(head.weight.shape)
+        gb = acc[n_w:n_w + n_b]
+        head.weight = head.weight - cfg.lr_head * gw
+        head.bias = head.bias - cfg.lr_head * gb
+        off = n_w + n_b
+    if cfg.lr_adapter > 0:
+        a_grads: Dict[str, np.ndarray] = {}
+        for name, p in a.named_params():
+            a_grads[name] = acc[off:off + p.size].reshape(p.shape)
+            off += p.size
+        sgd_step(a, a_grads, cfg.lr_adapter)
 
 
 def run_ori(model: ForecastModel, stream: Sequence[Sample],
@@ -276,9 +310,9 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
         steps.append(sample.origin)
         mses.append(loss)
         preds.append(yhat)
-        cache.put(s, StepRecord(t=s, y=sample.y, z=z, hisgrad_used=hisgrad,
-                                delta=delta, yhat=yhat, stats=stats,
-                                head_tape=h_tape, adapter_tape=a_tape))
+        cache.put(s, StepRecord(t=s, y=sample.y, z=z, delta=delta, yhat=yhat,
+                                stats=stats, head_tape=h_tape,
+                                adapter_tape=a_tape))
         # next step's hisgrad, evaluated before this step's parameter update
         hisgrad = compute_hisgrad(model, cache, s, k, b,
                                   adjusted=cfg.hisgrad_adjusted)

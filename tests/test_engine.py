@@ -5,6 +5,7 @@ from driftcast import (EngineConfig, RingCache, StepRecord, build_adapter,
                        build_model, compute_hisgrad, pretrain_adapter,
                        run_adaptz, run_fogd, run_method, run_ogd, run_ori,
                        write_trace_csv)
+from driftcast import engine
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
 from driftcast.forecaster import (Sample, apply_param_step, encode,
@@ -182,6 +183,106 @@ class TestSequencingOracles:
         np.testing.assert_array_equal(trace.step_mse, np.asarray(mses))
         for n, p in trace.final_model.named_params():
             np.testing.assert_array_equal(dict(m.named_params())[n], p, err_msg=n)
+
+
+def replay_adaptz(model, adapter_net, stream, cfg):
+    """Reference adaptz loop that backpropagates every record again in each
+    window it enters, summing the gradients per parameter name."""
+    m = model.clone()
+    a = adapter_net.clone()
+    a.use_feat, a.use_grad = cfg.use_feat, cfg.use_grad
+    k, b = m.k, cfg.hist_batch
+    cache = RingCache(k + b + 2)
+    hisgrad = None
+    mses = []
+    for s, sample in enumerate(stream):
+        z, stats, _ = encode(m, sample.x)
+        if hisgrad is None:
+            hisgrad = np.zeros_like(z)
+        delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
+        yhat, h_tape = head_forward_with_tape(m, z + delta, stats)
+        mses.append(mse_with_grad(yhat, sample.y)[0])
+        cache.put(s, StepRecord(t=s, y=sample.y, z=z, delta=delta, yhat=yhat,
+                                stats=stats, head_tape=h_tape,
+                                adapter_tape=a_tape))
+        hisgrad = compute_hisgrad(m, cache, s, k, b)
+        if s < k + b - 1:
+            continue
+        a_grads = {}
+        gw = gb = None
+        for i in range(s - k - b + 1, s - k + 1):
+            rec = cache.get(i)
+            g_y = mse_with_grad(rec.yhat, rec.y)[1] / b
+            if cfg.lr_head > 0:
+                w_, b_ = grad_wrt_last_layer(m, rec.head_tape, g_y)
+                gw = w_ if gw is None else gw + w_
+                gb = b_ if gb is None else gb + b_
+            if cfg.lr_adapter > 0:
+                g_z = grad_wrt_feature(m, rec.head_tape, g_y)
+                for name, g in adapter_backward_tape(rec.adapter_tape, g_z).items():
+                    a_grads[name] = g if name not in a_grads else a_grads[name] + g
+        if cfg.lr_adapter > 0:
+            sgd_step(a, a_grads, cfg.lr_adapter)
+        if cfg.lr_head > 0:
+            m.head.weight = m.head.weight - cfg.lr_head * gw
+            m.head.bias = m.head.bias - cfg.lr_head * gb
+    return np.asarray(mses), m, a
+
+
+def assert_same_bytes(ref_objs, objs):
+    for ref, obj in zip(ref_objs, objs):
+        for (n, p), (_, q) in zip(ref.named_params(), obj.named_params()):
+            assert p.tobytes() == q.tobytes(), n
+
+
+class TestStoredShares:
+    @pytest.mark.parametrize("k, n, kw", [
+        (K, 30, {}),
+        (K, 30, dict(lr_head=0.0)),
+        (K, 30, dict(lr_adapter=0.0)),
+        (K, 30, dict(use_feat=False)),
+        (K, 30, dict(use_grad=False)),
+        (K, 30, dict(hist_batch=1)),
+        (1, 30, {}),
+        (K, 3, {}),                          # shorter than k + b - 1
+    ], ids=["head+adapter", "lr_head0", "lr_adapter0", "no_feat", "no_grad",
+            "b1", "k1", "short"])
+    def test_bit_identical_to_rebackprop_replay(self, k, n, kw):
+        model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
+        a = live_adapter()
+        stream = make_stream(n, L, k, C, seed=90)
+        # b = 3 so that a changed summation order shows in the bytes
+        cfg = small_cfg(**{"horizon": k, "hist_batch": 3, **kw})
+        trace = run_adaptz(model, a, stream, cfg)
+        mses, m_ref, a_ref = replay_adaptz(model, a, stream, cfg)
+        assert trace.step_mse.tobytes() == mses.tobytes()
+        assert_same_bytes((m_ref, a_ref), (trace.final_model, trace.final_adapter))
+
+    def test_each_record_backpropagated_once(self, monkeypatch):
+        calls = []
+
+        def counted(tape, grad_delta):
+            calls.append(1)
+            return adapter_backward_tape(tape, grad_delta)
+
+        monkeypatch.setattr(engine, "adapter_backward_tape", counted)
+        k, b, n = K, 4, 25
+        model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
+        stream = make_stream(n, L, k, C, seed=91)
+        run_adaptz(model, live_adapter(), stream, small_cfg(hist_batch=b))
+        assert len(calls) == n - k
+
+    def test_pretrain_matches_rebackprop_replay(self, small_trained):
+        trained, _, val, _ = small_trained
+        a = build_adapter(trained.d, seed=8)
+        out = pretrain_adapter(trained, a, val, epochs=2, lr=0.001, hist_batch=4)
+        cfg = EngineConfig(method="adaptz", horizon=trained.k,
+                           lookback=trained.L, hist_batch=4, lr_adapter=0.001,
+                           lr_head=0.0, pretrain_epochs=0).validated()
+        ref = a
+        for _ in range(2):
+            _, _, ref = replay_adaptz(trained, ref, val, cfg)
+        assert_same_bytes((ref,), (out,))
 
 
 class TestCausality:
