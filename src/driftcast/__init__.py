@@ -9,17 +9,14 @@ direct persistent correction updated by delayed gradients. A separate lab
 checks a dynamic-regret bound for projected OCO with biased noisy gradients.
 """
 
-from .adapter import (AdapterNet, AdapterTape, adapter_backward,
-                      adapter_backward_tape, adapter_forward,
+from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
                       adapter_forward_with_tape, build_adapter, load_adapter,
                       save_adapter, sgd_step)
 from .datastream import (CONCEPT_A1, CONCEPT_A2, DRIFT_KINDS, DriftSpec,
                          SeriesFrame, SplitSpec, chrono_split,
                          concept_coefficients, gen_concept_drift,
                          gen_mean_shift, load_csv, write_csv)
-from .diffmath import (AffineLayer, affine_apply, affine_backward,
-                       affine_forward, affine_grads, mse_with_grad, relu,
-                       relu_backward)
+from .diffmath import AffineLayer, affine_apply, mse_with_grad
 from .engine import (EngineConfig, MetricsTrace, RingCache, StepRecord,
                      compute_hisgrad, pretrain_adapter, run_adaptz, run_fogd,
                      run_method, run_ogd, run_ori, write_trace_csv)
@@ -34,14 +31,13 @@ from .regret import (FAMILIES, REPORT_HEADER, BoundReport, OCOProblem, OCORun,
                      report_rows, run_oco, run_sweep)
 
 __all__ = [
-    "AdapterNet", "AdapterTape", "adapter_backward", "adapter_backward_tape",
-    "adapter_forward", "adapter_forward_with_tape", "build_adapter",
-    "load_adapter", "save_adapter", "sgd_step",
+    "AdapterNet", "AdapterTape", "adapter_backward_tape",
+    "adapter_forward_with_tape", "build_adapter", "load_adapter",
+    "save_adapter", "sgd_step",
     "CONCEPT_A1", "CONCEPT_A2", "DRIFT_KINDS", "DriftSpec", "SeriesFrame",
     "SplitSpec", "chrono_split", "concept_coefficients", "gen_concept_drift",
     "gen_mean_shift", "load_csv", "write_csv",
-    "AffineLayer", "affine_apply", "affine_backward", "affine_forward",
-    "affine_grads", "mse_with_grad", "relu", "relu_backward",
+    "AffineLayer", "affine_apply", "mse_with_grad",
     "EngineConfig", "MetricsTrace", "RingCache", "StepRecord",
     "compute_hisgrad", "pretrain_adapter", "run_adaptz", "run_fogd",
     "run_method", "run_ogd", "run_ori", "write_trace_csv",

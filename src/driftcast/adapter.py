@@ -38,7 +38,6 @@ class AdapterNet:
         self.out = out
         self.use_feat = bool(use_feat)
         self.use_grad = bool(use_grad)
-        self.cached_tape: Optional["AdapterTape"] = None
 
     @property
     def d(self) -> int:
@@ -123,13 +122,6 @@ def adapter_forward_with_tape(a: AdapterNet, z, hisgrad
     return delta, tape
 
 
-def adapter_forward(a: AdapterNet, z, hisgrad) -> np.ndarray:
-    """Correction delta (C x d); the forward cache is retained on `a`."""
-    delta, tape = adapter_forward_with_tape(a, z, hisgrad)
-    a.cached_tape = tape
-    return delta
-
-
 def adapter_backward_tape(tape: AdapterTape, grad_delta) -> Dict[str, np.ndarray]:
     """Parameter gradients for the pass recorded on `tape` (chain rule only;
     works after the live adapter has been updated, since weights are snapshots)."""
@@ -157,15 +149,6 @@ def adapter_backward_tape(tape: AdapterTape, grad_delta) -> Dict[str, np.ndarray
     else:
         grads["path_grad.weight"] = np.zeros((h, d))
         grads["path_grad.bias"] = np.zeros(h)
-    return grads
-
-
-def adapter_backward(a: AdapterNet, grad_delta) -> Dict[str, np.ndarray]:
-    """Backward for the pending adapter_forward; clears the cache."""
-    if a.cached_tape is None:
-        raise RuntimeError("adapter_backward without a cached forward pass")
-    grads = adapter_backward_tape(a.cached_tape, grad_delta)
-    a.cached_tape = None
     return grads
 
 

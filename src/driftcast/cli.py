@@ -15,7 +15,7 @@ import hashlib
 import os
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adapter import build_adapter
@@ -28,15 +28,16 @@ from .regret import FAMILIES, report_rows, run_oco, make_problem
 
 METHOD_TOKENS = ("ori", "fogd", "ogd", "adaptz", "adaptz-nograd", "adaptz-nofeat")
 
-# every key a run config may contain, with its scalar/list arity
+# every key a run config may contain, with its scalar/list arity; the
+# EngineConfig fields are keys too, with EngineConfig's defaults
+_ENGINE_DEFAULTS = EngineConfig()
 _LIST_KEYS = ("method", "horizon", "seed", "change_point", "magnitude")
-_SCALAR_KEYS = (
+_ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig)
+                     if f.name not in _LIST_KEYS)
+_SCALAR_KEYS = _ENGINE_KEYS + (
     "data", "dataset", "kind", "length", "channels", "ar_coeff", "noise_std",
-    "gen_seed", "lookback", "hist_batch", "lr_adapter", "lr_head", "lr_fogd",
-    "lr_ogd", "pretrain_epochs", "pretrain_lr", "use_feat", "use_grad",
-    "freeze_online", "hisgrad_adjusted", "width", "blocks", "tap_index",
-    "train_epochs", "train_lr", "train_batch", "train_frac", "val_frac",
-    "test_frac", "out_dir",
+    "gen_seed", "width", "blocks", "tap_index", "train_epochs", "train_lr",
+    "train_batch", "train_frac", "val_frac", "test_frac", "out_dir",
 )
 VALID_KEYS = tuple(sorted(_LIST_KEYS + _SCALAR_KEYS))
 _GEN_KEYS = ("kind", "length", "channels", "ar_coeff", "noise_std", "gen_seed",
@@ -154,15 +155,14 @@ def parse_config(path: Optional[str] = None,
                  overrides: Sequence[str] = ()) -> ExperimentPlan:
     """Resolve a config file plus --set overrides into an ExperimentPlan.
 
-    Defaults with an empty config match EngineConfig: hist_batch 24, the
-    four learning rates, pretraining lr 0.001 over 3 epochs, seed 2025,
-    lookback 96, split 60/10/30.
+    Engine keys default to EngineConfig's values and parse by the type of
+    that default; the split defaults to 60/10/30.
     """
     file_pairs = read_kv_file(path) if path is not None else []
     over_pairs = parse_overrides(overrides)
     conf = _merge_pairs(file_pairs, over_pairs, VALID_KEYS,
                         warn=lambda msg: print(msg, file=sys.stderr))
-    methods = _get_list(conf, "method", str, ["adaptz"])
+    methods = _get_list(conf, "method", str, [_ENGINE_DEFAULTS.method])
     for m in methods:
         if m not in METHOD_TOKENS:
             raise ValueError(f"unknown method {m!r}; valid: {', '.join(METHOD_TOKENS)}")
@@ -176,30 +176,22 @@ def parse_config(path: Optional[str] = None,
                        os.path.splitext(os.path.basename(data_path))[0])
     else:
         dataset = _get(conf, "dataset", str, drift.kind)
-    engine = EngineConfig(
-        method=_method_flags(methods[0])[0],
-        horizon=_get_list(conf, "horizon", int, [24])[0],
-        lookback=_get(conf, "lookback", int, 96),
-        hist_batch=_get(conf, "hist_batch", int, 24),
-        lr_adapter=_get(conf, "lr_adapter", float, 0.0003),
-        lr_head=_get(conf, "lr_head", float, 0.00003),
-        lr_fogd=_get(conf, "lr_fogd", float, 0.001),
-        lr_ogd=_get(conf, "lr_ogd", float, 0.000003),
-        pretrain_epochs=_get(conf, "pretrain_epochs", int, 3),
-        pretrain_lr=_get(conf, "pretrain_lr", float, 0.001),
-        use_feat=_get(conf, "use_feat", _bool, True),
-        use_grad=_get(conf, "use_grad", _bool, True),
-        freeze_online=_get(conf, "freeze_online", _bool, False),
-        hisgrad_adjusted=_get(conf, "hisgrad_adjusted", _bool, False),
-        seed=_get_list(conf, "seed", int, [2025])[0],
-    ).validated()
+    horizons = _get_list(conf, "horizon", int, [_ENGINE_DEFAULTS.horizon])
+    seeds = _get_list(conf, "seed", int, [_ENGINE_DEFAULTS.seed])
+    engine_values = {}
+    for name in _ENGINE_KEYS:
+        default = getattr(_ENGINE_DEFAULTS, name)
+        cast = _bool if type(default) is bool else type(default)
+        engine_values[name] = _get(conf, name, cast, default)
+    engine = EngineConfig(method=_method_flags(methods[0])[0],
+                          horizon=horizons[0], seed=seeds[0],
+                          **engine_values).validated()
     split = SplitSpec(train_frac=_get(conf, "train_frac", float, 0.60),
                       val_frac=_get(conf, "val_frac", float, 0.10),
                       test_frac=_get(conf, "test_frac", float, 0.30))
     return ExperimentPlan(
         dataset=dataset, data_path=data_path, drift=drift, methods=methods,
-        horizons=_get_list(conf, "horizon", int, [24]),
-        seeds=_get_list(conf, "seed", int, [2025]),
+        horizons=horizons, seeds=seeds,
         split=split, engine=engine,
         model_width=_get(conf, "width", int, 64),
         model_blocks=_get(conf, "blocks", int, 3),
@@ -246,9 +238,7 @@ def _resolved_parts(plan: ExperimentPlan, cfg: EngineConfig, token: str,
                       "noise_std": repr(d.noise_std), "gen_seed": str(d.seed),
                       "change_points": ",".join(map(str, d.change_points)),
                       "magnitudes": ",".join(map(repr, d.magnitudes))})
-    for name in ("lookback", "hist_batch", "lr_adapter", "lr_head", "lr_fogd",
-                 "lr_ogd", "pretrain_epochs", "pretrain_lr", "use_feat",
-                 "use_grad", "freeze_online", "hisgrad_adjusted"):
+    for name in _ENGINE_KEYS:
         parts[name] = repr(getattr(cfg, name))
     return parts
 
@@ -314,8 +304,7 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
                             adapter_net = pretrain_adapter(
                                 trained, adapter_net, val, cfg.pretrain_epochs,
                                 lr=cfg.pretrain_lr, seed=seed,
-                                hist_batch=cfg.hist_batch,
-                                hisgrad_adjusted=cfg.hisgrad_adjusted)
+                                hist_batch=cfg.hist_batch)
                     trace = run_method(method, trained, adapter_net, test, cfg)
                     results.append(RunResult(plan.dataset, token, horizon, seed,
                                              trace.mse, "ok", run_id, trace))

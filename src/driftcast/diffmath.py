@@ -1,8 +1,10 @@
-"""Dense affine/ReLU/MSE primitives with hand-derived backward passes.
+"""Dense primitives shared by the forecaster, adapter and online engine.
 
-Everything downstream (forecaster, adapter, online engine) builds its
-gradients from these four operations, so they are kept deliberately small:
-row-major float64 arrays, explicit shape checks, deterministic outputs.
+The affine layer (a parameter holder plus its cache-free map) and the MSE
+loss with its gradient. The backward passes through affine layers and
+ReLUs live on the forecaster and adapter tapes, which snapshot the weights
+at forward time. Everything here is small on purpose: row-major float64
+arrays, explicit shape checks, deterministic outputs.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 class AffineLayer:
-    """y = x @ weight.T + bias, with the forward input cached for backward.
+    """Parameters of y = x @ weight.T + bias; weight is (out x in), bias
+    is (out,). The layer holds no forward state: tapes record what a
+    backward pass needs."""
 
-    weight is (out x in), bias is (out,). The cache holds at most one
-    pending forward pass; a layer instance belongs to one logical worker.
-    """
-
-    __slots__ = ("weight", "bias", "cached_input")
+    __slots__ = ("weight", "bias")
 
     def __init__(self, weight, bias) -> None:
         weight = _as_matrix(weight, "weight")
@@ -37,7 +37,6 @@ class AffineLayer:
             )
         self.weight = weight
         self.bias = bias
-        self.cached_input: Optional[np.ndarray] = None
 
     @classmethod
     def seeded(cls, out_dim: int, in_dim: int, rng: np.random.Generator,
@@ -61,60 +60,8 @@ class AffineLayer:
 
 
 def affine_apply(weight: np.ndarray, bias: np.ndarray, inp: np.ndarray) -> np.ndarray:
-    """The affine map itself, cache-free: inp @ weight.T + bias."""
+    """The affine map itself: inp @ weight.T + bias."""
     return inp @ weight.T + bias
-
-
-def affine_forward(layer: AffineLayer, inp) -> np.ndarray:
-    """Apply the layer to a (batch x in) matrix; caches inp for backward."""
-    inp = _as_matrix(inp, "input")
-    if inp.shape[1] != layer.in_dim:
-        raise ValueError(
-            f"input cols {inp.shape[1]} != weight cols {layer.in_dim} "
-            f"(input {inp.shape}, weight {layer.weight.shape})"
-        )
-    layer.cached_input = inp
-    return affine_apply(layer.weight, layer.bias, inp)
-
-
-def affine_grads(weight: np.ndarray, cached_input: np.ndarray,
-                 upstream: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chain rule for y = x @ W.T + b given upstream = dL/dy.
-
-    Shared by the cache-based backward below and the explicit tapes kept
-    by the forecaster/adapter, so the math lives in exactly one place.
-    """
-    grad_input = upstream @ weight
-    grad_weight = upstream.T @ cached_input
-    grad_bias = upstream.sum(axis=0)
-    return grad_input, grad_weight, grad_bias
-
-
-def affine_backward(layer: AffineLayer, upstream) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward for the pending forward pass; clears the cache."""
-    if layer.cached_input is None:
-        raise RuntimeError("affine_backward without a cached forward pass")
-    upstream = _as_matrix(upstream, "upstream")
-    expected = (layer.cached_input.shape[0], layer.out_dim)
-    if upstream.shape != expected:
-        raise ValueError(f"upstream shape {upstream.shape} != {expected}")
-    grads = affine_grads(layer.weight, layer.cached_input, upstream)
-    layer.cached_input = None
-    return grads
-
-
-def relu(inp) -> np.ndarray:
-    inp = _as_matrix(inp, "input")
-    return np.maximum(inp, 0.0)
-
-
-def relu_backward(inp, upstream) -> np.ndarray:
-    """Pass upstream where inp > 0; subgradient at exactly 0 is 0."""
-    inp = _as_matrix(inp, "input")
-    upstream = _as_matrix(upstream, "upstream")
-    if inp.shape != upstream.shape:
-        raise ValueError(f"shape mismatch: input {inp.shape}, upstream {upstream.shape}")
-    return np.where(inp > 0.0, upstream, 0.0)
 
 
 def mse_with_grad(pred, target) -> Tuple[float, np.ndarray]:

@@ -1,6 +1,8 @@
-"""Streaming deployment loop under k-step delayed feedback.
+"""Streaming deployment under k-step delayed feedback.
 
-Four methods over the same strict-time-order sample stream:
+One stream loop (`_deploy`) drives four methods over the same
+strict-time-order sample stream; each method supplies only how it
+predicts a step and how it learns from its cache:
 
   ori     frozen pretrained model, no adaptation
   fogd    persistent feature-space correction, delayed single-sample step
@@ -9,10 +11,11 @@ Four methods over the same strict-time-order sample stream:
           feature and a batched historical feature-gradient; adapter and
           head are updated from a b-sample window of cached predictions
 
-Every method predicts first and only then observes the delayed target, so
-the first m predictions never depend on how much stream follows. Learning
-reads go through a ring cache that logs (reader_step, read_step) pairs,
-which lets tests audit that updates only touch records at least k old.
+The loop has every method predict first and only then learn from the
+delayed target, so the first m predictions never depend on how much stream
+follows. Learning reads go through a ring cache that logs (reader_step,
+read_step) pairs, which lets tests audit that updates only touch records
+at least k old.
 
 The adaptz window gradient is a sum of per-record shares. A share depends
 only on what its record holds (its tapes with their weight snapshots, its
@@ -23,7 +26,7 @@ its label is released, and every window just sums the stored shares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +57,6 @@ class EngineConfig:
     use_feat: bool = True
     use_grad: bool = True
     freeze_online: bool = False
-    hisgrad_adjusted: bool = False  # experimental: gradient at g(z+delta)
     seed: int = 2025
 
     def validated(self) -> "EngineConfig":
@@ -86,7 +88,6 @@ class StepRecord:
     y: np.ndarray
     x: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
-    delta: Optional[np.ndarray] = None
     yhat: Optional[np.ndarray] = None
     stats: Optional[NormStats] = None
     head_tape: Optional[HeadTape] = None
@@ -175,7 +176,7 @@ def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[in
 
 
 def compute_hisgrad(model: ForecastModel, cache: RingCache, t: int, k: int,
-                    b: int, adjusted: bool = False) -> np.ndarray:
+                    b: int) -> np.ndarray:
     """Average over the window [t-k-b+1, t-k] of the per-sample gradient of
     the squared forecast error with respect to the cached feature, evaluated
     under the model's current parameters. Zero matrix before warm-up.
@@ -189,10 +190,7 @@ def compute_hisgrad(model: ForecastModel, cache: RingCache, t: int, k: int,
         return np.zeros(cache.feature_shape)
     recs = [cache.get(i, reader=t) for i in range(t - k - b + 1, t - k + 1)]
     C, d = cache.feature_shape
-    if adjusted:
-        rows = np.vstack([rec.z + rec.delta for rec in recs])
-    else:
-        rows = np.vstack([rec.z for rec in recs])
+    rows = np.vstack([rec.z for rec in recs])
     stacked = NormStats(mean=np.concatenate([r.stats.mean for r in recs]),
                         std=np.concatenate([r.stats.std for r in recs]))
     y_stack = np.hstack([rec.y for rec in recs])            # k x (b*C)
@@ -257,138 +255,132 @@ def _window_update(model: ForecastModel, a: AdapterNet, cache: RingCache,
         sgd_step(a, a_grads, cfg.lr_adapter)
 
 
-def run_ori(model: ForecastModel, stream: Sequence[Sample],
-            cfg: EngineConfig) -> MetricsTrace:
-    """Frozen baseline: predict every sample, adapt nothing."""
+def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
+    """Validate the run settings and return the copy a method may update."""
     cfg.validated()
     _check_cfg_model(model, cfg)
-    model = model.clone()
+    return model.clone()
+
+
+def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
+            predict: Callable[[int, Sample, np.ndarray, NormStats], np.ndarray],
+            learn: Callable[[int], None], adapter_net: Optional[AdapterNet] = None,
+            cache: Optional[RingCache] = None) -> MetricsTrace:
+    """The one stream loop: at each step s, check the sample, encode it, let
+    the method predict, score the prediction, then let the method learn
+    from cached records at least k steps old."""
     steps: List[int] = []
     mses: List[float] = []
     preds: List[np.ndarray] = []
     prev = None
     channels = None
-    for sample in stream:
+    for s, sample in enumerate(stream):
         channels = _check_sample(model, sample, prev, channels)
         prev = sample.origin
         z, stats, _ = encode(model, sample.x)
-        yhat, _ = head_forward_with_tape(model, z, stats)
-        loss, _ = mse_with_grad(yhat, sample.y)
+        yhat = predict(s, sample, z, stats)
+        loss, _ = mse_with_grad(yhat, sample.y)             # metrics-only read
         steps.append(sample.origin)
         mses.append(loss)
         preds.append(yhat)
-    return MetricsTrace("ori", steps, np.asarray(mses), preds, final_model=model)
+        learn(s)
+    return MetricsTrace(method, steps, np.asarray(mses), preds,
+                        final_model=model, final_adapter=adapter_net,
+                        cache_reads=[] if cache is None else cache.read_log)
+
+
+def run_ori(model: ForecastModel, stream: Sequence[Sample],
+            cfg: EngineConfig) -> MetricsTrace:
+    """Frozen baseline: predict every sample, adapt nothing."""
+    model = _deployed_copy(model, cfg)
+
+    def predict(s, sample, z, stats):
+        yhat, _ = head_forward_with_tape(model, z, stats)
+        return yhat
+
+    return _deploy("ori", model, stream, predict, lambda s: None)
 
 
 def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                stream: Sequence[Sample], cfg: EngineConfig) -> MetricsTrace:
     """Adapter-corrected deployment with the delayed window update."""
-    cfg.validated()
-    _check_cfg_model(model, cfg)
-    model = model.clone()
+    model = _deployed_copy(model, cfg)
     a = adapter_net.clone()
     a.use_feat = cfg.use_feat
     a.use_grad = cfg.use_grad
     k, b = model.k, cfg.hist_batch
     cache = RingCache(k + b + 2)
     hisgrad: Optional[np.ndarray] = None
-    steps: List[int] = []
-    mses: List[float] = []
-    preds: List[np.ndarray] = []
-    prev = None
-    channels = None
     learning = (not cfg.freeze_online) and (cfg.lr_adapter > 0 or cfg.lr_head > 0)
-    for s, sample in enumerate(stream):
-        channels = _check_sample(model, sample, prev, channels)
-        prev = sample.origin
-        z, stats, _ = encode(model, sample.x)
+
+    def predict(s, sample, z, stats):
+        nonlocal hisgrad
         if hisgrad is None:
             hisgrad = np.zeros_like(z)
         delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
         yhat, h_tape = head_forward_with_tape(model, z + delta, stats)
-        loss, _ = mse_with_grad(yhat, sample.y)             # metrics-only read
-        steps.append(sample.origin)
-        mses.append(loss)
-        preds.append(yhat)
-        cache.put(s, StepRecord(t=s, y=sample.y, z=z, delta=delta, yhat=yhat,
-                                stats=stats, head_tape=h_tape,
-                                adapter_tape=a_tape))
+        cache.put(s, StepRecord(t=s, y=sample.y, z=z, yhat=yhat, stats=stats,
+                                head_tape=h_tape, adapter_tape=a_tape))
+        return yhat
+
+    def learn(s):
+        nonlocal hisgrad
         # next step's hisgrad, evaluated before this step's parameter update
-        hisgrad = compute_hisgrad(model, cache, s, k, b,
-                                  adjusted=cfg.hisgrad_adjusted)
+        hisgrad = compute_hisgrad(model, cache, s, k, b)
         if learning and s >= k + b - 1:
             _window_update(model, a, cache, s, k, b, cfg)
-    return MetricsTrace("adaptz", steps, np.asarray(mses), preds,
-                        final_model=model, final_adapter=a,
-                        cache_reads=cache.read_log)
+
+    return _deploy("adaptz", model, stream, predict, learn, adapter_net=a,
+                   cache=cache)
 
 
 def run_fogd(model: ForecastModel, stream: Sequence[Sample],
              cfg: EngineConfig) -> MetricsTrace:
     """Feature-space delayed gradient descent on a persistent correction."""
-    cfg.validated()
-    _check_cfg_model(model, cfg)
-    model = model.clone()
+    model = _deployed_copy(model, cfg)
     k = model.k
     cache = RingCache(k + 2)
     delta: Optional[np.ndarray] = None
-    steps: List[int] = []
-    mses: List[float] = []
-    preds: List[np.ndarray] = []
-    prev = None
-    channels = None
-    for s, sample in enumerate(stream):
-        channels = _check_sample(model, sample, prev, channels)
-        prev = sample.origin
-        z, stats, _ = encode(model, sample.x)
+
+    def predict(s, sample, z, stats):
+        nonlocal delta
         if delta is None:
             delta = np.zeros_like(z)
         yhat, h_tape = head_forward_with_tape(model, z + delta, stats)
-        loss, _ = mse_with_grad(yhat, sample.y)
-        steps.append(sample.origin)
-        mses.append(loss)
-        preds.append(yhat)
-        cache.put(s, StepRecord(t=s, y=sample.y, z=z, delta=delta, yhat=yhat,
-                                stats=stats, head_tape=h_tape))
+        cache.put(s, StepRecord(t=s, y=sample.y, yhat=yhat, head_tape=h_tape))
+        return yhat
+
+    def learn(s):
+        nonlocal delta
         if s >= k and cfg.lr_fogd > 0:
             rec = cache.get(s - k, reader=s)
             _, g_y = mse_with_grad(rec.yhat, rec.y)
             g_delta = grad_wrt_feature(model, rec.head_tape, g_y)
             delta = delta - cfg.lr_fogd * g_delta
-    return MetricsTrace("fogd", steps, np.asarray(mses), preds,
-                        final_model=model, cache_reads=cache.read_log)
+
+    return _deploy("fogd", model, stream, predict, learn, cache=cache)
 
 
 def run_ogd(model: ForecastModel, stream: Sequence[Sample],
             cfg: EngineConfig) -> MetricsTrace:
     """Delayed single-sample gradient step on all model parameters."""
-    cfg.validated()
-    _check_cfg_model(model, cfg)
-    model = model.clone()
+    model = _deployed_copy(model, cfg)
     k = model.k
     cache = RingCache(k + 2)
-    steps: List[int] = []
-    mses: List[float] = []
-    preds: List[np.ndarray] = []
-    prev = None
-    channels = None
-    for s, sample in enumerate(stream):
-        channels = _check_sample(model, sample, prev, channels)
-        prev = sample.origin
-        z, stats, _ = encode(model, sample.x)
+
+    def predict(s, sample, z, stats):
         yhat, _ = head_forward_with_tape(model, z, stats)
-        loss, _ = mse_with_grad(yhat, sample.y)
-        steps.append(sample.origin)
-        mses.append(loss)
-        preds.append(yhat)
-        cache.put(s, StepRecord(t=s, y=sample.y, x=sample.x, stats=stats))
+        cache.put(s, StepRecord(t=s, y=sample.y, x=sample.x))
+        return yhat
+
+    def learn(s):
         if s >= k and cfg.lr_ogd > 0:
             rec = cache.get(s - k, reader=s)
             yh_d, ftape = predict_with_tape(model, rec.x)
             _, g_y = mse_with_grad(yh_d, rec.y)
             apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
-    return MetricsTrace("ogd", steps, np.asarray(mses), preds,
-                        final_model=model, cache_reads=cache.read_log)
+
+    return _deploy("ogd", model, stream, predict, learn, cache=cache)
 
 
 def run_method(method: str, model: ForecastModel, adapter_net: Optional[AdapterNet],
@@ -409,8 +401,7 @@ def run_method(method: str, model: ForecastModel, adapter_net: Optional[AdapterN
 def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
                      val_samples: Sequence[Sample], epochs: int,
                      lr: float = 0.001, seed: int = 2025,
-                     hist_batch: int = 24,
-                     hisgrad_adjusted: bool = False) -> AdapterNet:
+                     hist_batch: int = 24) -> AdapterNet:
     """Calibrate the adapter by replaying the validation split.
 
     Runs the adaptz loop over the split once per epoch with caches reset,
@@ -425,8 +416,7 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
         return a
     cfg = EngineConfig(method="adaptz", horizon=model.k, lookback=model.L,
                        hist_batch=hist_batch, lr_adapter=lr, lr_head=0.0,
-                       use_feat=a.use_feat, use_grad=a.use_grad,
-                       hisgrad_adjusted=hisgrad_adjusted, seed=seed,
+                       use_feat=a.use_feat, use_grad=a.use_grad, seed=seed,
                        pretrain_epochs=0)
     for _ in range(epochs):
         trace = run_adaptz(model, a, val_samples, cfg)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from driftcast import (AdapterNet, adapter_backward, adapter_backward_tape,
-                       adapter_forward, adapter_forward_with_tape,
-                       build_adapter, load_adapter, save_adapter, sgd_step)
+from driftcast import (AdapterNet, AdapterTape, adapter_backward_tape,
+                       adapter_forward_with_tape, build_adapter, load_adapter,
+                       save_adapter, sgd_step)
 from driftcast.diffmath import AffineLayer
 from conftest import fd_grad, rel_err
 
@@ -31,7 +31,8 @@ class TestForward:
     def test_fresh_adapter_is_exact_noop(self):
         a = build_adapter(d=6, seed=1)
         z, g = rand_inputs(6, 3, 2)
-        np.testing.assert_array_equal(adapter_forward(a, z, g), np.zeros((3, 6)))
+        delta, _ = adapter_forward_with_tape(a, z, g)
+        np.testing.assert_array_equal(delta, np.zeros((3, 6)))
 
     def test_matches_loop_oracle_after_perturbation(self):
         a = build_adapter(d=4, h=5, seed=3)
@@ -72,9 +73,9 @@ class TestForward:
     def test_shape_validation(self):
         a = build_adapter(d=4, seed=0)
         with pytest.raises(ValueError, match="width"):
-            adapter_forward(a, np.ones((2, 3)), np.ones((2, 4)))
+            adapter_forward_with_tape(a, np.ones((2, 3)), np.ones((2, 4)))
         with pytest.raises(ValueError, match="row mismatch"):
-            adapter_forward(a, np.ones((2, 4)), np.ones((3, 4)))
+            adapter_forward_with_tape(a, np.ones((2, 4)), np.ones((3, 4)))
 
     def test_width_validation_at_construction(self):
         rng = np.random.default_rng(1)
@@ -133,14 +134,20 @@ class TestBackward:
         for name in expect:
             np.testing.assert_array_equal(expect[name], redo[name])
 
-    def test_cached_backward_protocol(self):
-        a = self._trained_adapter(50)
-        z, g = rand_inputs(4, 2, 51)
-        with pytest.raises(RuntimeError, match="cached forward"):
-            adapter_backward(a, np.ones((2, 4)))
-        adapter_forward(a, z, g)
-        adapter_backward(a, np.ones((2, 4)))
-        assert a.cached_tape is None
+    def test_zero_input_uses_zero_subgradient(self):
+        # ReLU inputs of exactly 0 pass no gradient: hh gates the hidden
+        # layer, s gates both input paths
+        tape = AdapterTape(z=np.ones((1, 1)), hisgrad=np.ones((1, 1)),
+                           s=np.array([[0.0, -1.0, 2.0]]),
+                           r1=np.array([[0.0, 0.0, 2.0]]),
+                           hh=np.array([[1.0, 0.0, 1.0]]),
+                           r2=np.array([[1.0, 0.0, 1.0]]),
+                           w_hidden=np.eye(3), w_out=np.ones((1, 3)),
+                           use_feat=True, use_grad=True)
+        grads = adapter_backward_tape(tape, np.ones((1, 1)))
+        np.testing.assert_array_equal(grads["hidden.bias"], [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(grads["path_feat.bias"], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(grads["path_grad.bias"], [0.0, 0.0, 1.0])
 
 
 class TestSgdStep:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import driftcast.cli as cli
-from driftcast import load_csv
+from driftcast import EngineConfig, load_csv
 from driftcast.cli import (ExperimentPlan, execute_plan, main, parse_config,
                            read_kv_file, results_rows, run_plan)
 
@@ -50,6 +50,7 @@ class TestParseConfig:
         assert plan.drift.change_points == [4800]
         assert plan.split.train_frac == pytest.approx(0.60)
         assert plan.out_dir == "runs"
+        assert plan.engine == EngineConfig()
 
     def test_repeated_keys_become_lists(self, tmp_path):
         cfg = write_cfg(tmp_path, "method=ori\nmethod=fogd\nhorizon=1\n"

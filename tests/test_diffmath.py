@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast.diffmath import (AffineLayer, affine_apply, affine_backward,
-                                affine_forward, affine_grads, mse_with_grad,
-                                relu, relu_backward)
+from driftcast.diffmath import AffineLayer, affine_apply, mse_with_grad
 from conftest import fd_grad, rel_err
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=64)
@@ -26,42 +24,6 @@ class TestAffine:
         expect = np.array([[x[r] @ w[o] + b[o] for o in range(3)] for r in range(2)])
         np.testing.assert_allclose(affine_apply(w, b, x), expect, rtol=1e-12)
 
-    def test_forward_caches_and_backward_clears(self):
-        layer = AffineLayer(np.ones((2, 3)), np.zeros(2))
-        x = np.arange(6.0).reshape(2, 3)
-        affine_forward(layer, x)
-        assert layer.cached_input is x
-        affine_backward(layer, np.ones((2, 2)))
-        assert layer.cached_input is None
-
-    def test_backward_without_forward_raises(self):
-        layer = AffineLayer(np.ones((2, 3)), np.zeros(2))
-        with pytest.raises(RuntimeError, match="cached forward"):
-            affine_backward(layer, np.ones((2, 2)))
-
-    def test_shape_mismatch_rejected(self):
-        layer = AffineLayer(np.ones((2, 3)), np.zeros(2))
-        with pytest.raises(ValueError):
-            affine_forward(layer, np.ones((2, 4)))
-        affine_forward(layer, np.ones((5, 3)))
-        with pytest.raises(ValueError):
-            affine_backward(layer, np.ones((5, 3)))
-
-    def test_grads_match_finite_differences(self):
-        rng = np.random.default_rng(1)
-        w = rng.standard_normal((3, 4))
-        b = rng.standard_normal(3)
-        x = rng.standard_normal((2, 4))
-        up = rng.standard_normal((2, 3))
-
-        def loss():
-            return float(np.sum(affine_apply(w, b, x) * up))
-
-        gx, gw, gb = affine_grads(w, x, up)
-        assert rel_err(gw, fd_grad(loss, w)) < 1e-6
-        assert rel_err(gb, fd_grad(loss, b)) < 1e-6
-        assert rel_err(gx, fd_grad(loss, x)) < 1e-6
-
     def test_seeded_init_deterministic_zero_bias(self):
         a = AffineLayer.seeded(4, 3, np.random.default_rng(9))
         b = AffineLayer.seeded(4, 3, np.random.default_rng(9))
@@ -73,28 +35,6 @@ class TestAffine:
         c = a.clone()
         c.weight[0, 0] += 1.0
         assert a.weight[0, 0] != c.weight[0, 0]
-
-
-class TestRelu:
-    @given(small_mats())
-    @settings(max_examples=50, deadline=None)
-    def test_nonnegative_and_identity_on_positive(self, x):
-        r = relu(x)
-        assert np.all(r >= 0.0)
-        np.testing.assert_array_equal(r[x > 0], x[x > 0])
-        assert np.all(r[x <= 0] == 0.0)
-
-    @given(small_mats())
-    @settings(max_examples=50, deadline=None)
-    def test_backward_masks_upstream(self, x):
-        up = np.ones_like(x)
-        g = relu_backward(x, up)
-        np.testing.assert_array_equal(g, (x > 0).astype(float))
-
-    def test_zero_input_uses_zero_subgradient(self):
-        x = np.array([[0.0, -1.0, 2.0]])
-        g = relu_backward(x, np.ones_like(x))
-        np.testing.assert_array_equal(g, [[0.0, 0.0, 1.0]])
 
 
 class TestMse:

@@ -202,9 +202,8 @@ def replay_adaptz(model, adapter_net, stream, cfg):
         delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
         yhat, h_tape = head_forward_with_tape(m, z + delta, stats)
         mses.append(mse_with_grad(yhat, sample.y)[0])
-        cache.put(s, StepRecord(t=s, y=sample.y, z=z, delta=delta, yhat=yhat,
-                                stats=stats, head_tape=h_tape,
-                                adapter_tape=a_tape))
+        cache.put(s, StepRecord(t=s, y=sample.y, z=z, yhat=yhat, stats=stats,
+                                head_tape=h_tape, adapter_tape=a_tape))
         hisgrad = compute_hisgrad(m, cache, s, k, b)
         if s < k + b - 1:
             continue
@@ -333,15 +332,12 @@ class TestDelayAudit:
 
 
 class TestHisgrad:
-    def _fill_cache(self, model, n, seed, with_delta=False):
+    def _fill_cache(self, model, n, seed):
         cache = RingCache(capacity=50)
         stream = make_stream(n, L, K, C, seed=seed)
-        rng = np.random.default_rng(seed + 1)
         for s, sample in enumerate(stream):
             z, stats, _ = encode(model, sample.x)
-            delta = 0.1 * rng.standard_normal(z.shape) if with_delta else np.zeros_like(z)
-            cache.put(s, StepRecord(t=s, y=sample.y, z=z, delta=delta,
-                                    stats=stats))
+            cache.put(s, StepRecord(t=s, y=sample.y, z=z, stats=stats))
         return cache
 
     def test_zero_before_warmup(self):
@@ -373,8 +369,7 @@ class TestHisgrad:
         cache = RingCache(20)
         one = self._fill_cache(model, 1, seed=52).get(0)
         for s in range(6):
-            cache.put(s, StepRecord(t=s, y=one.y, z=one.z, delta=one.delta,
-                                    stats=one.stats))
+            cache.put(s, StepRecord(t=s, y=one.y, z=one.z, stats=one.stats))
         b = 4
         single = compute_hisgrad(model, cache, K, K, 1)
         window = compute_hisgrad(model, cache, K + b - 1, K, b)
@@ -410,19 +405,6 @@ class TestHisgrad:
             return mse_with_grad(head_forward(moved, z, rec.stats), rec.y)[0]
 
         assert rel_err(after, fd_grad(loss, z)) < 1e-5
-
-    def test_adjusted_variant_differentiates_at_shifted_feature(self):
-        model = small_model()
-        cache = self._fill_cache(model, 6, seed=55, with_delta=True)
-        plain = compute_hisgrad(model, cache, K, K, 1, adjusted=False)
-        adj = compute_hisgrad(model, cache, K, K, 1, adjusted=True)
-        assert not np.array_equal(plain, adj)
-        shifted = RingCache(4)
-        rec = cache.get(0)
-        shifted.put(0, StepRecord(t=0, y=rec.y, z=rec.z + rec.delta,
-                                  delta=np.zeros_like(rec.z), stats=rec.stats))
-        np.testing.assert_array_equal(adj,
-                                      compute_hisgrad(model, shifted, K, K, 1))
 
 
 class TestParameterDiscipline:
