@@ -20,8 +20,8 @@ from .diffmath import AffineLayer, affine_apply, mse_with_grad
 from .engine import (EngineConfig, MetricsTrace, RingCache, StepRecord,
                      compute_hisgrad, pretrain_adapter, run_adaptz, run_fogd,
                      run_method, run_ogd, run_ori, write_trace_csv)
-from .forecaster import (STD_EPS, ForecastModel, FullTape, HeadTape, NormStats,
-                         Sample, build_model, denormalize, encode,
+from .forecaster import (STD_EPS, ForecastModel, NormStats, Sample, Tape,
+                         build_model, denormalize, encode,
                          grad_wrt_feature, grad_wrt_last_layer,
                          head_forward, head_forward_with_tape, load_model,
                          normalize, offline_train, param_grads, predict,
@@ -41,7 +41,7 @@ __all__ = [
     "EngineConfig", "MetricsTrace", "RingCache", "StepRecord",
     "compute_hisgrad", "pretrain_adapter", "run_adaptz", "run_fogd",
     "run_method", "run_ogd", "run_ori", "write_trace_csv",
-    "STD_EPS", "ForecastModel", "FullTape", "HeadTape", "NormStats", "Sample",
+    "STD_EPS", "ForecastModel", "NormStats", "Sample", "Tape",
     "build_model", "denormalize", "encode", "grad_wrt_feature",
     "grad_wrt_last_layer", "head_forward", "head_forward_with_tape",
     "load_model", "normalize", "offline_train", "param_grads", "predict",

@@ -16,7 +16,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .adapter import build_adapter
 from .datastream import (DriftSpec, SeriesFrame, SplitSpec, chrono_split,
@@ -24,7 +24,7 @@ from .datastream import (DriftSpec, SeriesFrame, SplitSpec, chrono_split,
 from .engine import (EngineConfig, MetricsTrace, pretrain_adapter, run_method,
                      write_trace_csv)
 from .forecaster import build_model, offline_train
-from .regret import FAMILIES, report_rows, run_oco, make_problem
+from .regret import FAMILIES, check_bound, report_rows, run_sweep
 
 METHOD_TOKENS = ("ori", "fogd", "ogd", "adaptz", "adaptz-nograd", "adaptz-nofeat")
 
@@ -34,14 +34,20 @@ _ENGINE_DEFAULTS = EngineConfig()
 _LIST_KEYS = ("method", "horizon", "seed", "change_point", "magnitude")
 _ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig)
                      if f.name not in _LIST_KEYS)
-_SCALAR_KEYS = _ENGINE_KEYS + (
-    "data", "dataset", "kind", "length", "channels", "ar_coeff", "noise_std",
-    "gen_seed", "width", "blocks", "tap_index", "train_epochs", "train_lr",
-    "train_batch", "train_frac", "val_frac", "test_frac", "out_dir",
-)
+# the other scalar keys as {key: (field, cast)} of the dataclass each fills;
+# keys a config leaves out take that dataclass's defaults
+_DRIFT_KEYS = {"kind": ("kind", str), "length": ("length", int),
+               "channels": ("channels", int), "ar_coeff": ("ar_coeff", float),
+               "noise_std": ("noise_std", float), "gen_seed": ("seed", int)}
+_SPLIT_KEYS = {key: (key, float) for key in ("train_frac", "val_frac", "test_frac")}
+_PLAN_KEYS = {"width": ("model_width", int), "blocks": ("model_blocks", int),
+              "tap_index": ("tap_index", int), "train_epochs": ("train_epochs", int),
+              "train_lr": ("train_lr", float), "train_batch": ("train_batch", int),
+              "out_dir": ("out_dir", str)}
+_SCALAR_KEYS = (_ENGINE_KEYS + ("data", "dataset") + tuple(_DRIFT_KEYS)
+                + tuple(_SPLIT_KEYS) + tuple(_PLAN_KEYS))
 VALID_KEYS = tuple(sorted(_LIST_KEYS + _SCALAR_KEYS))
-_GEN_KEYS = ("kind", "length", "channels", "ar_coeff", "noise_std", "gen_seed",
-             "change_point", "magnitude")
+_GEN_KEYS = tuple(_DRIFT_KEYS) + ("change_point", "magnitude")
 
 
 @dataclass
@@ -134,29 +140,30 @@ def parse_overrides(sets: Sequence[str]) -> List[Tuple[str, str]]:
     return pairs
 
 
-def _drift_from_conf(conf: Dict[str, List[str]], default_kind: str = "concept_drift"
-                     ) -> DriftSpec:
-    length = _get(conf, "length", int, 6000)
-    default_cp = [int(0.8 * length)]
-    return DriftSpec(
-        kind=_get(conf, "kind", str, default_kind),
-        change_points=_get_list(conf, "change_point", int, default_cp),
-        magnitudes=_get_list(conf, "magnitude", float,
-                             [1.0] * len(conf.get("change_point", default_cp))),
-        ar_coeff=_get(conf, "ar_coeff", float, 0.8),
-        noise_std=_get(conf, "noise_std", float, 0.1),
-        channels=_get(conf, "channels", int, 2),
-        length=length,
-        seed=_get(conf, "gen_seed", int, 7),
-    )
+def _given(conf: Dict[str, List[str]], keys: Dict[str, Tuple[str, Callable]]
+           ) -> Dict[str, object]:
+    """{field: cast value} for each of `keys` that the config sets."""
+    return {name: _get(conf, key, cast, None)
+            for key, (name, cast) in keys.items() if key in conf}
+
+
+def _drift_from_conf(conf: Dict[str, List[str]]) -> DriftSpec:
+    """DriftSpec from the generator keys; one change point at 0.8 * length
+    with magnitude 1.0 unless the config lists its own."""
+    values = _given(conf, _DRIFT_KEYS)
+    length = values.get("length", DriftSpec.length)
+    change_points = _get_list(conf, "change_point", int, [int(0.8 * length)])
+    magnitudes = _get_list(conf, "magnitude", float, [1.0] * len(change_points))
+    return DriftSpec(change_points=change_points, magnitudes=magnitudes, **values)
 
 
 def parse_config(path: Optional[str] = None,
                  overrides: Sequence[str] = ()) -> ExperimentPlan:
     """Resolve a config file plus --set overrides into an ExperimentPlan.
 
-    Engine keys default to EngineConfig's values and parse by the type of
-    that default; the split defaults to 60/10/30.
+    A key the config leaves out takes the default of the dataclass it fills
+    (EngineConfig, DriftSpec, SplitSpec or ExperimentPlan); engine keys
+    parse by the type of EngineConfig's default.
     """
     file_pairs = read_kv_file(path) if path is not None else []
     over_pairs = parse_overrides(overrides)
@@ -186,21 +193,11 @@ def parse_config(path: Optional[str] = None,
     engine = EngineConfig(method=_method_flags(methods[0])[0],
                           horizon=horizons[0], seed=seeds[0],
                           **engine_values).validated()
-    split = SplitSpec(train_frac=_get(conf, "train_frac", float, 0.60),
-                      val_frac=_get(conf, "val_frac", float, 0.10),
-                      test_frac=_get(conf, "test_frac", float, 0.30))
     return ExperimentPlan(
         dataset=dataset, data_path=data_path, drift=drift, methods=methods,
         horizons=horizons, seeds=seeds,
-        split=split, engine=engine,
-        model_width=_get(conf, "width", int, 64),
-        model_blocks=_get(conf, "blocks", int, 3),
-        tap_index=_get(conf, "tap_index", int, None),
-        train_epochs=_get(conf, "train_epochs", int, 5),
-        train_lr=_get(conf, "train_lr", float, 0.001),
-        train_batch=_get(conf, "train_batch", int, 32),
-        out_dir=_get(conf, "out_dir", str, "runs"),
-    )
+        split=SplitSpec(**_given(conf, _SPLIT_KEYS)), engine=engine,
+        **_given(conf, _PLAN_KEYS))
 
 
 def _method_flags(token: str) -> Tuple[str, bool, bool]:
@@ -376,15 +373,13 @@ def _cmd_regret(args) -> int:
     for fam in families:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; valid: {', '.join(FAMILIES)} or all")
-    runs = [run_oco(make_problem(fam, 2025 + i))
-            for fam in families for i in range(args.seeds)]
-    rows = report_rows(runs)
-    text = "\n".join(rows) + "\n"
+    runs = run_sweep(families, seeds=args.seeds, base_seed=2025)
+    text = "\n".join(report_rows(runs)) + "\n"
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    n_fail = sum(1 for row in rows[1:] if row.endswith(",0"))
+    n_fail = sum(1 for run in runs if not check_bound(run).passed)
     return 0 if n_fail == 0 else 1
 
 

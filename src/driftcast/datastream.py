@@ -96,7 +96,8 @@ class DriftSpec:
 
 def load_csv(path: str) -> SeriesFrame:
     """Header row; first column is a timestamp/index and is dropped; the
-    remaining columns must parse as reals. No reordering, no imputation."""
+    remaining columns must parse as finite reals (nan and inf are rejected
+    with their row and column). No reordering, no imputation."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -120,6 +121,12 @@ def load_csv(path: str) -> SeriesFrame:
                 raise ValueError(
                     f"{path}: unparsable cell at row {r + 2}, "
                     f"column {header[c]!r}: {row[c]!r}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(
+            f"{path}: non-finite cell at row {r + 2}, "
+            f"column {header[c + 1]!r}: {data_rows[r][c + 1]!r}")
     return SeriesFrame(values, header[1:])
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
                       adapter_forward_with_tape, sgd_step)
 from .diffmath import mse_with_grad
-from .forecaster import (ForecastModel, HeadTape, NormStats, Sample,
+from .forecaster import (ForecastModel, NormStats, Sample, Tape,
                          apply_param_step, encode, grad_wrt_feature,
                          grad_wrt_last_layer, head_forward_with_tape,
                          param_grads, predict_with_tape)
@@ -90,7 +90,7 @@ class StepRecord:
     z: Optional[np.ndarray] = None
     yhat: Optional[np.ndarray] = None
     stats: Optional[NormStats] = None
-    head_tape: Optional[HeadTape] = None
+    head_tape: Optional[Tape] = None
     adapter_tape: Optional[AdapterTape] = None
     share: Optional[np.ndarray] = None  # flat window-gradient term (adaptz)
 
@@ -352,7 +352,7 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
 
     def learn(s):
         nonlocal delta
-        if s >= k and cfg.lr_fogd > 0:
+        if s >= k and cfg.lr_fogd > 0 and not cfg.freeze_online:
             rec = cache.get(s - k, reader=s)
             _, g_y = mse_with_grad(rec.yhat, rec.y)
             g_delta = grad_wrt_feature(model, rec.head_tape, g_y)
@@ -374,7 +374,7 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
         return yhat
 
     def learn(s):
-        if s >= k and cfg.lr_ogd > 0:
+        if s >= k and cfg.lr_ogd > 0 and not cfg.freeze_online:
             rec = cache.get(s - k, reader=s)
             yh_d, ftape = predict_with_tape(model, rec.x)
             _, g_y = mse_with_grad(yh_d, rec.y)

@@ -6,9 +6,12 @@ blocks), maps the last block to the horizon with a linear head, and
 denormalizes. One block output is exposed as the feature z; corrections
 are added there and the remaining computation is resumed by head_forward.
 
-Every forward pass records a tape (inputs and weight snapshots) so that
-gradients can later be taken under the parameters that produced the
-prediction, even if the live model has moved on since.
+Every forward pass, full (encode) or resumed from the tap
+(head_forward_with_tape), records one kind of Tape: the inputs and outputs
+of the blocks it ran and weight snapshots, so that gradients can later be
+taken under the parameters that produced the prediction, even if the live
+model has moved on since. One backward pass serves the feature gradient
+and the parameter gradients.
 """
 
 from __future__ import annotations
@@ -61,44 +64,22 @@ def denormalize(y_norm, stats: NormStats) -> np.ndarray:
 
 
 @dataclass
-class HeadTape:
-    """Record of one pass from the feature tap to the denormalized output.
+class Tape:
+    """Record of one forward pass from block `start` to the prediction.
 
-    relu_srcs[j] is the array whose sign pattern gated the ReLU before the
-    j-th post-tap block; weights are snapshots taken at forward time.
+    encode records a pass from block 0; head_forward_with_tape records one
+    resumed at the block after the tap. Weights are snapshots taken at
+    forward time. stats is None for offline_train's stacked batches.
     """
 
-    tap_input: np.ndarray
-    relu_srcs: List[np.ndarray]
-    post_weights: List[np.ndarray]
-    head_in: np.ndarray
-    head_weight: np.ndarray
-    stats: NormStats
-
-
-@dataclass
-class FullTape:
-    """Record of a complete forward pass (normalized input to prediction)."""
-
-    ins: List[np.ndarray]            # input fed to each block
-    pre: List[np.ndarray]            # pre-activation output of each block
-    block_weights: List[np.ndarray]  # snapshots
+    start: int                       # first block the pass ran
+    ins: List[np.ndarray]            # input fed to each block it ran
+    pre: List[np.ndarray]            # pre-activation output of each block it ran
+    block_weights: List[np.ndarray]  # snapshots of those blocks' weights
     head_in: np.ndarray
     head_weight: np.ndarray
     y_norm: np.ndarray               # head output before denormalization
-    stats: NormStats
-    tap_index: int
-
-    def head_view(self) -> HeadTape:
-        t = self.tap_index
-        return HeadTape(
-            tap_input=self.pre[t],
-            relu_srcs=self.pre[t:-1],
-            post_weights=self.block_weights[t + 1:],
-            head_in=self.head_in,
-            head_weight=self.head_weight,
-            stats=self.stats,
-        )
+    stats: Optional[NormStats]
 
 
 class ForecastModel:
@@ -167,59 +148,51 @@ def build_model(L: int, k: int, d: int = 64, n_blocks: int = 3,
     return ForecastModel(blocks, head, L, k, tap_index)
 
 
-def _forward_rows(model: ForecastModel, rows: np.ndarray):
-    """Run (rows x L) through all blocks and the head; ReLU between blocks only."""
+def _forward(model: ForecastModel, rows: np.ndarray, start: int,
+             stats: Optional[NormStats]) -> Tape:
+    """Run rows through blocks start.. and the head; ReLU between blocks
+    only, so every block but block 0 gets a rectified input."""
     ins: List[np.ndarray] = []
     pre: List[np.ndarray] = []
     h = rows
-    for i, blk in enumerate(model.blocks):
+    for i in range(start, len(model.blocks)):
+        blk = model.blocks[i]
         if i > 0:
-            h = np.maximum(pre[i - 1], 0.0)
+            h = np.maximum(h, 0.0)
         ins.append(h)
-        pre.append(affine_apply(blk.weight, blk.bias, h))
-    y_norm = affine_apply(model.head.weight, model.head.bias, pre[-1])
-    return ins, pre, y_norm
+        h = affine_apply(blk.weight, blk.bias, h)
+        pre.append(h)
+    y_norm = affine_apply(model.head.weight, model.head.bias, h)
+    return Tape(start=start, ins=ins, pre=pre,
+                block_weights=[b.weight for b in model.blocks[start:]],
+                head_in=h, head_weight=model.head.weight, y_norm=y_norm,
+                stats=stats)
 
 
-def encode(model: ForecastModel, x) -> Tuple[np.ndarray, NormStats, FullTape]:
+def encode(model: ForecastModel, x) -> Tuple[np.ndarray, NormStats, Tape]:
     """Feature z (C x d) of one lookback window, plus stats and full tape."""
     x = _as_matrix(x, "x")
     if x.shape[0] != model.L:
         raise ValueError(f"x has {x.shape[0]} rows, model expects L={model.L}")
     x_norm, stats = normalize(x)
-    ins, pre, y_norm = _forward_rows(model, x_norm.T)
-    tape = FullTape(ins=ins, pre=pre,
-                    block_weights=[b.weight for b in model.blocks],
-                    head_in=pre[-1], head_weight=model.head.weight,
-                    y_norm=y_norm, stats=stats, tap_index=model.tap_index)
-    return pre[model.tap_index], stats, tape
+    tape = _forward(model, x_norm.T, 0, stats)
+    return tape.pre[model.tap_index], stats, tape
 
 
-def predict_with_tape(model: ForecastModel, x) -> Tuple[np.ndarray, FullTape]:
+def predict_with_tape(model: ForecastModel, x) -> Tuple[np.ndarray, Tape]:
     """Prediction plus the full tape of the same pass (for parameter grads)."""
     _, stats, tape = encode(model, x)
     return denormalize(tape.y_norm.T, stats), tape
 
 
 def head_forward_with_tape(model: ForecastModel, z_adj, stats: NormStats
-                           ) -> Tuple[np.ndarray, HeadTape]:
+                           ) -> Tuple[np.ndarray, Tape]:
     """Resume the forward pass from the tap with a (possibly adjusted) z."""
     z_adj = _as_matrix(z_adj, "z_adj")
     if z_adj.shape[1] != model.d:
         raise ValueError(f"z_adj width {z_adj.shape[1]} != feature width {model.d}")
-    relu_srcs: List[np.ndarray] = []
-    post_weights: List[np.ndarray] = []
-    h = z_adj
-    for i in range(model.tap_index + 1, len(model.blocks)):
-        blk = model.blocks[i]
-        relu_srcs.append(h)
-        post_weights.append(blk.weight)
-        h = affine_apply(blk.weight, blk.bias, np.maximum(h, 0.0))
-    y_norm = affine_apply(model.head.weight, model.head.bias, h)
-    y_hat = denormalize(y_norm.T, stats)
-    tape = HeadTape(tap_input=z_adj, relu_srcs=relu_srcs, post_weights=post_weights,
-                    head_in=h, head_weight=model.head.weight, stats=stats)
-    return y_hat, tape
+    tape = _forward(model, z_adj, model.tap_index + 1, stats)
+    return denormalize(tape.y_norm.T, stats), tape
 
 
 def head_forward(model: ForecastModel, z_adj, stats: NormStats) -> np.ndarray:
@@ -238,19 +211,33 @@ def _grad_into_norm(grad_yhat: np.ndarray, stats: NormStats) -> np.ndarray:
     return (np.asarray(grad_yhat, dtype=np.float64) * stats.std).T
 
 
-def _head_tape(tape) -> HeadTape:
-    return tape.head_view() if isinstance(tape, FullTape) else tape
+def _backward(tape: Tape, g_norm: np.ndarray, stop: int,
+              grads: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
+    """Backpropagate dL/d(y_norm rows) through the head and the taped blocks
+    down to block `stop`; returns the gradient at block stop-1's output.
+    With a grads dict, also fills in the head's and those blocks' gradients."""
+    if stop < tape.start:
+        raise ValueError(f"tape starts at block {tape.start}, cannot reach block {stop}")
+    if grads is not None:
+        grads["head.weight"] = g_norm.T @ tape.head_in
+        grads["head.bias"] = g_norm.sum(axis=0)
+    g = g_norm @ tape.head_weight
+    for j in range(len(tape.ins) - 1, stop - tape.start - 1, -1):
+        i = tape.start + j
+        if grads is not None:
+            grads[f"blocks.{i}.weight"] = g.T @ tape.ins[j]
+            grads[f"blocks.{i}.bias"] = g.sum(axis=0)
+        if i > 0:  # block 0's input is data, not a ReLU output
+            g = (g @ tape.block_weights[j]) * (tape.ins[j] > 0.0)
+    return g
 
 
 def grad_wrt_feature(model: ForecastModel, tape, grad_yhat) -> np.ndarray:
-    """Backpropagate dL/dy_hat to the tap input recorded on the tape."""
+    """Backpropagate dL/dy_hat to the tap feature of the pass on the tape."""
     if tape is None:
         raise ValueError("grad_wrt_feature needs a forward tape")
-    ht = _head_tape(tape)
-    g = _grad_into_norm(grad_yhat, ht.stats) @ ht.head_weight
-    for src, w in zip(reversed(ht.relu_srcs), reversed(ht.post_weights)):
-        g = (g @ w) * (src > 0.0)
-    return g
+    return _backward(tape, _grad_into_norm(grad_yhat, tape.stats),
+                     model.tap_index + 1)
 
 
 def grad_wrt_last_layer(model: ForecastModel, tape, grad_yhat
@@ -258,32 +245,17 @@ def grad_wrt_last_layer(model: ForecastModel, tape, grad_yhat
     """Head weight/bias gradients for the pass recorded on the tape."""
     if tape is None:
         raise ValueError("grad_wrt_last_layer needs a forward tape")
-    ht = _head_tape(tape)
-    g_norm = _grad_into_norm(grad_yhat, ht.stats)
-    return g_norm.T @ ht.head_in, g_norm.sum(axis=0)
-
-
-def _backward_all_params(block_weights: List[np.ndarray], ins: List[np.ndarray],
-                         pre: List[np.ndarray], head_weight: np.ndarray,
-                         head_in: np.ndarray, g_norm: np.ndarray
-                         ) -> Dict[str, np.ndarray]:
-    grads = {"head.weight": g_norm.T @ head_in, "head.bias": g_norm.sum(axis=0)}
-    g = g_norm @ head_weight
-    for i in range(len(block_weights) - 1, -1, -1):
-        grads[f"blocks.{i}.weight"] = g.T @ ins[i]
-        grads[f"blocks.{i}.bias"] = g.sum(axis=0)
-        if i > 0:
-            g = (g @ block_weights[i]) * (pre[i - 1] > 0.0)
-    return grads
-
-
-def param_grads(model: ForecastModel, tape: FullTape, grad_yhat) -> Dict[str, np.ndarray]:
-    """Gradients of every model parameter for the pass on a full tape."""
-    if not isinstance(tape, FullTape):
-        raise ValueError("param_grads needs a FullTape from encode")
     g_norm = _grad_into_norm(grad_yhat, tape.stats)
-    return _backward_all_params(tape.block_weights, tape.ins, tape.pre,
-                                tape.head_weight, tape.head_in, g_norm)
+    return g_norm.T @ tape.head_in, g_norm.sum(axis=0)
+
+
+def param_grads(model: ForecastModel, tape: Tape, grad_yhat) -> Dict[str, np.ndarray]:
+    """Gradients of every model parameter for a pass recorded by encode."""
+    if tape is None:
+        raise ValueError("param_grads needs a forward tape")
+    grads: Dict[str, np.ndarray] = {}
+    _backward(tape, _grad_into_norm(grad_yhat, tape.stats), 0, grads)
+    return grads
 
 
 def apply_param_step(model: ForecastModel, grads: Dict[str, np.ndarray], lr: float) -> None:
@@ -325,11 +297,11 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
             targ = np.vstack([y_rows[j] for j in idx])
             std_col = np.concatenate([stds[j] for j in idx])[:, None]
             mean_col = np.concatenate([means[j] for j in idx])[:, None]
-            ins, pre, y_norm = _forward_rows(out, rows)
-            diff = (y_norm * std_col + mean_col) - targ
+            tape = _forward(out, rows, 0, None)
+            diff = (tape.y_norm * std_col + mean_col) - targ
             g_norm = (2.0 * diff / diff.size) * std_col
-            grads = _backward_all_params([b.weight for b in out.blocks], ins, pre,
-                                         out.head.weight, pre[-1], g_norm)
+            grads: Dict[str, np.ndarray] = {}
+            _backward(tape, g_norm, 0, grads)
             apply_param_step(out, grads, lr)
     return out
 

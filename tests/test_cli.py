@@ -1,10 +1,11 @@
 import os
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 import driftcast.cli as cli
-from driftcast import EngineConfig, load_csv
+from driftcast import EngineConfig, SplitSpec, load_csv
 from driftcast.cli import (ExperimentPlan, execute_plan, main, parse_config,
                            read_kv_file, results_rows, run_plan)
 
@@ -51,6 +52,10 @@ class TestParseConfig:
         assert plan.split.train_frac == pytest.approx(0.60)
         assert plan.out_dir == "runs"
         assert plan.engine == EngineConfig()
+        assert plan.split == SplitSpec()
+        for f in fields(ExperimentPlan):
+            if f.default is not MISSING:
+                assert getattr(plan, f.name) == f.default, f.name
 
     def test_repeated_keys_become_lists(self, tmp_path):
         cfg = write_cfg(tmp_path, "method=ori\nmethod=fogd\nhorizon=1\n"

@@ -29,6 +29,8 @@ class TestCsvIO:
         ("timestamp,a\n", "header only"),
         ("timestamp,a,b\n0,1.0\n", "ragged row 2"),
         ("timestamp,a\n0,1.0\n1,oops\n", "row 3"),
+        ("timestamp,a,b\n0,1.0,2.0\n1,3.0,nan\n", "row 3, column 'b'"),
+        ("timestamp,a\n0,-inf\n", "row 2, column 'a'"),
     ])
     def test_malformed_files_rejected(self, tmp_path, text, msg):
         path = tmp_path / "bad.csv"

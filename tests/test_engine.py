@@ -66,9 +66,16 @@ class TestFrozenEquivalence:
         model = small_model()
         a = live_adapter()
         stream = make_stream(40, L, K, C, seed=11)
-        tr = run_adaptz(model, a, stream, small_cfg(freeze_online=True))
+        frozen = small_cfg(freeze_online=True)
+        tr = run_adaptz(model, a, stream, frozen)
         assert_params_equal(params_of(model), tr.final_model)
         assert_params_equal(params_of(a), tr.final_adapter)
+        # fogd's correction and ogd's parameters stay put, so both are ori
+        ori = run_ori(model, stream, frozen)
+        for run in (run_fogd, run_ogd):
+            tr = run(model, stream, frozen)
+            assert_params_equal(params_of(model), tr.final_model)
+            np.testing.assert_array_equal(tr.step_mse, ori.step_mse)
 
     def test_freeze_online_still_differs_from_ori_via_hisgrad(self):
         # a live grad path reacts to the incoming hisgrad even when no

@@ -185,6 +185,24 @@ class TestGradients:
         with pytest.raises(ValueError):
             param_grads(model, None, np.zeros((3, 2)))
 
+    def test_param_grads_reject_tape_resumed_from_tap(self):
+        # a resumed pass never ran the blocks up to the tap
+        model, x, y = self._setup(60)
+        z, stats, _ = encode(model, x)
+        y_hat, tape = head_forward_with_tape(model, z, stats)
+        _, g_yhat = mse_with_grad(y_hat, y)
+        with pytest.raises(ValueError, match="starts at block 2"):
+            param_grads(model, tape, g_yhat)
+
+    def test_feature_grad_same_from_full_and_resumed_tape(self):
+        for tap in (0, 1, 2):
+            model, x, y = self._setup(70 + tap, tap)
+            z, stats, full = encode(model, x)
+            y_hat, tape = head_forward_with_tape(model, z, stats)
+            _, g_yhat = mse_with_grad(y_hat, y)
+            np.testing.assert_array_equal(grad_wrt_feature(model, full, g_yhat),
+                                          grad_wrt_feature(model, tape, g_yhat))
+
 
 class TestParamStep:
     def test_zero_lr_is_identity(self):
