@@ -15,7 +15,7 @@ import hashlib
 import os
 import sys
 import traceback
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .adapter import build_adapter
@@ -27,15 +27,27 @@ from .forecaster import build_model, offline_train
 from .regret import FAMILIES, check_bound, report_rows, run_sweep
 
 METHOD_TOKENS = ("ori", "fogd", "ogd", "adaptz", "adaptz-nograd", "adaptz-nofeat")
+PRETRAIN_EPOCH_CHOICES = (0, 1, 3, 5, 10)
 
-# every key a run config may contain, with its scalar/list arity; the
-# EngineConfig fields are keys too, with EngineConfig's defaults
+
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+# every key a run config may contain, with its scalar/list arity; the scalar
+# keys as {key: (field, cast)} of the dataclass each fills, and keys a config
+# leaves out take that dataclass's defaults. The EngineConfig fields are keys
+# too, cast by the type of their default.
 _ENGINE_DEFAULTS = EngineConfig()
 _LIST_KEYS = ("method", "horizon", "seed", "change_point", "magnitude")
-_ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig)
-                     if f.name not in _LIST_KEYS)
-# the other scalar keys as {key: (field, cast)} of the dataclass each fills;
-# keys a config leaves out take that dataclass's defaults
+_ENGINE_KEYS = {name: (name, _bool if type(default) is bool else type(default))
+                for name, default in vars(_ENGINE_DEFAULTS).items()
+                if name not in _LIST_KEYS}
 _DRIFT_KEYS = {"kind": ("kind", str), "length": ("length", int),
                "channels": ("channels", int), "ar_coeff": ("ar_coeff", float),
                "noise_std": ("noise_std", float), "gen_seed": ("seed", int)}
@@ -43,8 +55,9 @@ _SPLIT_KEYS = {key: (key, float) for key in ("train_frac", "val_frac", "test_fra
 _PLAN_KEYS = {"width": ("model_width", int), "blocks": ("model_blocks", int),
               "tap_index": ("tap_index", int), "train_epochs": ("train_epochs", int),
               "train_lr": ("train_lr", float), "train_batch": ("train_batch", int),
-              "out_dir": ("out_dir", str)}
-_SCALAR_KEYS = (_ENGINE_KEYS + ("data", "dataset") + tuple(_DRIFT_KEYS)
+              "pretrain_epochs": ("pretrain_epochs", int),
+              "pretrain_lr": ("pretrain_lr", float), "out_dir": ("out_dir", str)}
+_SCALAR_KEYS = (tuple(_ENGINE_KEYS) + ("data", "dataset") + tuple(_DRIFT_KEYS)
                 + tuple(_SPLIT_KEYS) + tuple(_PLAN_KEYS))
 VALID_KEYS = tuple(sorted(_LIST_KEYS + _SCALAR_KEYS))
 _GEN_KEYS = tuple(_DRIFT_KEYS) + ("change_point", "magnitude")
@@ -66,6 +79,8 @@ class ExperimentPlan:
     train_epochs: int = 5
     train_lr: float = 0.001
     train_batch: int = 32
+    pretrain_epochs: int = 3
+    pretrain_lr: float = 0.001
     out_dir: str = "runs"
 
 
@@ -121,15 +136,6 @@ def _get_list(conf: Dict[str, List[str]], key: str, cast, default):
         raise ValueError(f"config key {key}: cannot parse {conf[key]!r}") from None
 
 
-def _bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(raw)
-
-
 def parse_overrides(sets: Sequence[str]) -> List[Tuple[str, str]]:
     pairs = []
     for item in sets:
@@ -162,8 +168,8 @@ def parse_config(path: Optional[str] = None,
     """Resolve a config file plus --set overrides into an ExperimentPlan.
 
     A key the config leaves out takes the default of the dataclass it fills
-    (EngineConfig, DriftSpec, SplitSpec or ExperimentPlan); engine keys
-    parse by the type of EngineConfig's default.
+    (EngineConfig, DriftSpec, SplitSpec or ExperimentPlan). Every horizon is
+    checked here, so a bad grid cell fails before any run trains.
     """
     file_pairs = read_kv_file(path) if path is not None else []
     over_pairs = parse_overrides(overrides)
@@ -185,23 +191,27 @@ def parse_config(path: Optional[str] = None,
         dataset = _get(conf, "dataset", str, drift.kind)
     horizons = _get_list(conf, "horizon", int, [_ENGINE_DEFAULTS.horizon])
     seeds = _get_list(conf, "seed", int, [_ENGINE_DEFAULTS.seed])
-    engine_values = {}
-    for name in _ENGINE_KEYS:
-        default = getattr(_ENGINE_DEFAULTS, name)
-        cast = _bool if type(default) is bool else type(default)
-        engine_values[name] = _get(conf, name, cast, default)
     engine = EngineConfig(method=_method_flags(methods[0])[0],
                           horizon=horizons[0], seed=seeds[0],
-                          **engine_values).validated()
-    return ExperimentPlan(
+                          **_given(conf, _ENGINE_KEYS))
+    for horizon in horizons:
+        replace(engine, horizon=horizon).validated()
+    plan = ExperimentPlan(
         dataset=dataset, data_path=data_path, drift=drift, methods=methods,
         horizons=horizons, seeds=seeds,
         split=SplitSpec(**_given(conf, _SPLIT_KEYS)), engine=engine,
         **_given(conf, _PLAN_KEYS))
+    if plan.pretrain_epochs not in PRETRAIN_EPOCH_CHOICES:
+        raise ValueError(
+            f"pretrain_epochs must be one of {PRETRAIN_EPOCH_CHOICES}")
+    if plan.pretrain_lr <= 0:
+        raise ValueError("pretrain_lr must be > 0")
+    return plan
 
 
 def _method_flags(token: str) -> Tuple[str, bool, bool]:
-    """Map a method token to (engine method, use_feat, use_grad)."""
+    """Map a method token to (engine method, use_feat, use_grad); the flags
+    are the adaptz adapter's own."""
     if token == "adaptz-nograd":
         return "adaptz", True, False
     if token == "adaptz-nofeat":
@@ -214,29 +224,27 @@ def _run_id(parts: Dict[str, str]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def _resolved_parts(plan: ExperimentPlan, cfg: EngineConfig, token: str,
-                    horizon: int, seed: int) -> Dict[str, str]:
-    parts = {
-        "dataset": plan.dataset, "method": token, "horizon": str(horizon),
-        "seed": str(seed), "width": str(plan.model_width),
-        "blocks": str(plan.model_blocks), "tap_index": str(plan.tap_index),
-        "train_epochs": str(plan.train_epochs), "train_lr": repr(plan.train_lr),
-        "train_batch": str(plan.train_batch),
-        "train_frac": repr(plan.split.train_frac),
-        "val_frac": repr(plan.split.val_frac),
-        "test_frac": repr(plan.split.test_frac),
-    }
+def _resolved_parts(plan: ExperimentPlan, cfg: EngineConfig,
+                    token: str) -> Dict[str, str]:
+    """{key: value} of every setting of one grid cell: each key of the key
+    maps, read back from the dataclass it fills (a string as it is, any other
+    value as its repr), plus the token's adapter flags."""
+    _, use_feat, use_grad = _method_flags(token)
+    parts = {"dataset": plan.dataset, "method": token,
+             "horizon": str(cfg.horizon), "seed": str(cfg.seed),
+             "use_feat": repr(use_feat), "use_grad": repr(use_grad)}
+    sources = [(plan, _PLAN_KEYS), (plan.split, _SPLIT_KEYS), (cfg, _ENGINE_KEYS)]
     if plan.data_path is not None:
         parts["data"] = plan.data_path
     else:
-        d = plan.drift
-        parts.update({"kind": d.kind, "length": str(d.length),
-                      "channels": str(d.channels), "ar_coeff": repr(d.ar_coeff),
-                      "noise_std": repr(d.noise_std), "gen_seed": str(d.seed),
-                      "change_points": ",".join(map(str, d.change_points)),
-                      "magnitudes": ",".join(map(repr, d.magnitudes))})
-    for name in _ENGINE_KEYS:
-        parts[name] = repr(getattr(cfg, name))
+        sources.append((plan.drift, _DRIFT_KEYS))
+        parts["change_points"] = ",".join(map(str, plan.drift.change_points))
+        parts["magnitudes"] = ",".join(map(repr, plan.drift.magnitudes))
+    for obj, keys in sources:
+        for key, (name, _) in keys.items():
+            value = getattr(obj, name)
+            parts[key] = value if isinstance(value, str) else repr(value)
+    del parts["out_dir"]                    # where results go, not what runs
     return parts
 
 
@@ -272,11 +280,8 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
             base_cfg = replace(plan.engine, horizon=horizon, seed=seed)
             for token in plan.methods:
                 method, use_feat, use_grad = _method_flags(token)
-                cfg = replace(base_cfg, method=method,
-                              use_feat=use_feat and base_cfg.use_feat,
-                              use_grad=use_grad and base_cfg.use_grad)
-                parts = _resolved_parts(plan, cfg, token, horizon, seed)
-                run_id = _run_id(parts)
+                cfg = replace(base_cfg, method=method)
+                run_id = _run_id(_resolved_parts(plan, cfg, token))
                 try:
                     if horizon not in splits:
                         splits[horizon] = chrono_split(frame, plan.split,
@@ -294,13 +299,13 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
                     adapter_net = None
                     if method == "adaptz":
                         adapter_net = build_adapter(trained.d,
-                                                    use_feat=cfg.use_feat,
-                                                    use_grad=cfg.use_grad,
+                                                    use_feat=use_feat,
+                                                    use_grad=use_grad,
                                                     seed=seed + 2)
-                        if cfg.pretrain_epochs > 0:
+                        if plan.pretrain_epochs > 0:
                             adapter_net = pretrain_adapter(
-                                trained, adapter_net, val, cfg.pretrain_epochs,
-                                lr=cfg.pretrain_lr, seed=seed,
+                                trained, adapter_net, val, plan.pretrain_epochs,
+                                lr=plan.pretrain_lr, seed=seed,
                                 hist_batch=cfg.hist_batch)
                     trace = run_method(method, trained, adapter_net, test, cfg)
                     results.append(RunResult(plan.dataset, token, horizon, seed,
@@ -373,6 +378,8 @@ def _cmd_regret(args) -> int:
     for fam in families:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; valid: {', '.join(FAMILIES)} or all")
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     runs = run_sweep(families, seeds=args.seeds, base_seed=2025)
     text = "\n".join(report_rows(runs)) + "\n"
     sys.stdout.write(text)

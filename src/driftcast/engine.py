@@ -39,7 +39,6 @@ from .forecaster import (ForecastModel, NormStats, Sample, Tape,
                          param_grads, predict_with_tape)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
-PRETRAIN_EPOCH_CHOICES = (0, 1, 3, 5, 10)
 
 
 @dataclass
@@ -52,10 +51,6 @@ class EngineConfig:
     lr_head: float = 0.00003
     lr_fogd: float = 0.001
     lr_ogd: float = 0.000003
-    pretrain_epochs: int = 3
-    pretrain_lr: float = 0.001
-    use_feat: bool = True
-    use_grad: bool = True
     freeze_online: bool = False
     seed: int = 2025
 
@@ -72,11 +67,6 @@ class EngineConfig:
         for name in ("lr_adapter", "lr_head", "lr_fogd", "lr_ogd"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.pretrain_epochs not in PRETRAIN_EPOCH_CHOICES:
-            raise ValueError(
-                f"pretrain_epochs must be one of {PRETRAIN_EPOCH_CHOICES}")
-        if self.pretrain_lr <= 0:
-            raise ValueError("pretrain_lr must be > 0")
         return self
 
 
@@ -303,11 +293,10 @@ def run_ori(model: ForecastModel, stream: Sequence[Sample],
 
 def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                stream: Sequence[Sample], cfg: EngineConfig) -> MetricsTrace:
-    """Adapter-corrected deployment with the delayed window update."""
+    """Adapter-corrected deployment with the delayed window update; the
+    adapter's own use_feat/use_grad flags choose its input paths."""
     model = _deployed_copy(model, cfg)
     a = adapter_net.clone()
-    a.use_feat = cfg.use_feat
-    a.use_grad = cfg.use_grad
     k, b = model.k, cfg.hist_batch
     cache = RingCache(k + b + 2)
     hisgrad: Optional[np.ndarray] = None
@@ -416,8 +405,7 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
         return a
     cfg = EngineConfig(method="adaptz", horizon=model.k, lookback=model.L,
                        hist_batch=hist_batch, lr_adapter=lr, lr_head=0.0,
-                       use_feat=a.use_feat, use_grad=a.use_grad, seed=seed,
-                       pretrain_epochs=0)
+                       seed=seed)
     for _ in range(epochs):
         trace = run_adaptz(model, a, val_samples, cfg)
         a = trace.final_adapter

@@ -79,14 +79,6 @@ class OCORun:
 @dataclass
 class BoundReport:
     passed: bool
-    R_d: float
-    bound: float
-    r: float
-    gamma: float
-    V: float
-    b_hat: float
-    lambda_hat: float
-    G_hat: float
 
 
 def project_ball(theta: np.ndarray, r: float) -> np.ndarray:
@@ -162,10 +154,7 @@ def run_oco(problem: OCOProblem) -> OCORun:
 
 def check_bound(run: OCORun) -> BoundReport:
     """Pass iff the measured dynamic regret sits below the bound value."""
-    return BoundReport(passed=bool(run.R_d <= run.bound), R_d=run.R_d,
-                       bound=run.bound, r=run.r, gamma=run.gamma, V=run.V,
-                       b_hat=run.b_hat, lambda_hat=run.lambda_hat,
-                       G_hat=run.G_hat)
+    return BoundReport(passed=bool(run.R_d <= run.bound))
 
 
 def make_problem(family: str, seed: int, T: Optional[int] = None,

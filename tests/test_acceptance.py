@@ -73,8 +73,7 @@ def drift_lab():
             a = build_adapter(trained.d, seed=seed + 2, **flags)
             a = pretrain_adapter(trained, a, val, epochs=3, lr=1e-3,
                                  seed=seed, hist_batch=24)
-            mses[tag] = run_adaptz(trained, a, test, deploy_cfg(seed=seed,
-                                                                **flags)).mse
+            mses[tag] = run_adaptz(trained, a, test, deploy_cfg(seed=seed)).mse
         lab["mse"][seed] = mses
         if seed == 2025:
             lab["trained"] = trained

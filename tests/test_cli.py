@@ -110,9 +110,24 @@ class TestParseConfig:
 
     def test_bool_parsing(self):
         assert parse_config(None, ["freeze_online=true"]).engine.freeze_online
-        assert not parse_config(None, ["use_grad=0"]).engine.use_grad
+        assert not parse_config(None, ["freeze_online=0"]).engine.freeze_online
         with pytest.raises(ValueError, match="freeze_online"):
             parse_config(None, ["freeze_online=maybe"])
+
+    def test_ablation_flags_are_chosen_by_token_only(self):
+        for key in ("use_feat", "use_grad"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config(None, [f"{key}=0"])
+
+    def test_pretrain_settings_checked(self):
+        with pytest.raises(ValueError, match="pretrain_epochs"):
+            parse_config(None, ["pretrain_epochs=4"])
+        with pytest.raises(ValueError, match="pretrain_lr"):
+            parse_config(None, ["pretrain_lr=0"])
+
+    def test_every_horizon_checked_before_any_run(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            parse_config(None, ["horizon=24", "horizon=0"])
 
     def test_malformed_line_reports_position(self, tmp_path):
         cfg = write_cfg(tmp_path, "method=ori\njust words\n")
@@ -191,7 +206,7 @@ class TestPlumbing:
         real = cli.run_method
 
         def spy(method, model, adapter_net, stream, cfg):
-            seen.append((method, cfg.use_feat, cfg.use_grad))
+            seen.append((method, adapter_net.use_feat, adapter_net.use_grad))
             return real(method, model, adapter_net, stream, cfg)
 
         monkeypatch.setattr(cli, "run_method", spy)
@@ -298,6 +313,11 @@ class TestMainEntry:
         assert printed.startswith("family,seed,T,gamma,R_d,V,")
         assert printed == open(out).read()
         assert len(printed.splitlines()) == 3
+
+    def test_regret_without_seeds_exit_two(self, capsys):
+        assert main(["regret", "--family", "all", "--seeds", "0"]) == 2
+        err = capsys.readouterr()
+        assert "--seeds" in err.err and err.out == ""
 
     def test_regret_unknown_family_exit_two(self, capsys):
         assert main(["regret", "--family", "concave", "--seeds", "1"]) == 2

@@ -20,7 +20,7 @@ L, K, C, D = 6, 2, 2, 3
 def small_cfg(**kw):
     base = dict(method="adaptz", horizon=K, lookback=L, hist_batch=2,
                 lr_adapter=0.01, lr_head=0.001, lr_fogd=0.05, lr_ogd=0.001,
-                pretrain_epochs=0, seed=1)
+                seed=1)
     base.update(kw)
     return EngineConfig(**base).validated()
 
@@ -29,8 +29,8 @@ def small_model(seed=3):
     return build_model(L=L, k=K, d=D, n_blocks=3, seed=seed)
 
 
-def live_adapter(seed=4):
-    a = build_adapter(D, seed=seed)
+def live_adapter(seed=4, **flags):
+    a = build_adapter(D, seed=seed, **flags)
     rng = np.random.default_rng(seed + 50)
     a.out.weight = 0.3 * rng.standard_normal(a.out.weight.shape)
     a.out.bias = 0.05 * rng.standard_normal(a.out.bias.shape)
@@ -197,7 +197,6 @@ def replay_adaptz(model, adapter_net, stream, cfg):
     window it enters, summing the gradients per parameter name."""
     m = model.clone()
     a = adapter_net.clone()
-    a.use_feat, a.use_grad = cfg.use_feat, cfg.use_grad
     k, b = m.k, cfg.hist_batch
     cache = RingCache(k + b + 2)
     hisgrad = None
@@ -242,20 +241,20 @@ def assert_same_bytes(ref_objs, objs):
 
 
 class TestStoredShares:
-    @pytest.mark.parametrize("k, n, kw", [
-        (K, 30, {}),
-        (K, 30, dict(lr_head=0.0)),
-        (K, 30, dict(lr_adapter=0.0)),
-        (K, 30, dict(use_feat=False)),
-        (K, 30, dict(use_grad=False)),
-        (K, 30, dict(hist_batch=1)),
-        (1, 30, {}),
-        (K, 3, {}),                          # shorter than k + b - 1
+    @pytest.mark.parametrize("k, n, kw, flags", [
+        (K, 30, {}, {}),
+        (K, 30, dict(lr_head=0.0), {}),
+        (K, 30, dict(lr_adapter=0.0), {}),
+        (K, 30, {}, dict(use_feat=False)),
+        (K, 30, {}, dict(use_grad=False)),
+        (K, 30, dict(hist_batch=1), {}),
+        (1, 30, {}, {}),
+        (K, 3, {}, {}),                      # shorter than k + b - 1
     ], ids=["head+adapter", "lr_head0", "lr_adapter0", "no_feat", "no_grad",
             "b1", "k1", "short"])
-    def test_bit_identical_to_rebackprop_replay(self, k, n, kw):
+    def test_bit_identical_to_rebackprop_replay(self, k, n, kw, flags):
         model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
-        a = live_adapter()
+        a = live_adapter(**flags)
         stream = make_stream(n, L, k, C, seed=90)
         # b = 3 so that a changed summation order shows in the bytes
         cfg = small_cfg(**{"horizon": k, "hist_batch": 3, **kw})
@@ -284,11 +283,25 @@ class TestStoredShares:
         out = pretrain_adapter(trained, a, val, epochs=2, lr=0.001, hist_batch=4)
         cfg = EngineConfig(method="adaptz", horizon=trained.k,
                            lookback=trained.L, hist_batch=4, lr_adapter=0.001,
-                           lr_head=0.0, pretrain_epochs=0).validated()
+                           lr_head=0.0).validated()
         ref = a
         for _ in range(2):
             _, _, ref = replay_adaptz(trained, ref, val, cfg)
         assert_same_bytes((ref,), (out,))
+
+
+class TestAdapterFlags:
+    @pytest.mark.parametrize("flag", ["use_feat", "use_grad"])
+    def test_flags_the_adapter_was_built_with_choose_its_paths(self, flag):
+        model = small_model()
+        stream = make_stream(30, L, K, C, seed=95)
+        cfg = small_cfg()
+        # build_adapter draws every weight whatever the flags, so both
+        # adapters hold the same weights
+        off = run_adaptz(model, live_adapter(**{flag: False}), stream, cfg)
+        both = run_adaptz(model, live_adapter(), stream, cfg)
+        assert getattr(off.final_adapter, flag) is False
+        assert off.step_mse.tobytes() != both.step_mse.tobytes()
 
 
 class TestCausality:
@@ -525,8 +538,6 @@ class TestValidation:
             small_cfg(horizon=0)
         with pytest.raises(ValueError, match="lr_fogd"):
             small_cfg(lr_fogd=-0.1)
-        with pytest.raises(ValueError, match="pretrain_epochs"):
-            small_cfg(pretrain_epochs=4)
 
     def test_dispatch(self):
         model = small_model()
