@@ -2,10 +2,10 @@
 
 Config files are flat `key=value` text; blank lines and `#` comments are
 ignored and repeating a key appends to a list (change_point, magnitude,
-method, horizon, seed). `--set key=value` wins over the file with a
-warning. Every run is summarized as one row of results.csv and emits a
-trace_<run-id>.csv, where the run id is a content hash of the resolved
-per-run configuration.
+method, horizon, seed; the last three must not repeat a value). `--set
+key=value` wins over the file with a warning. Every run is summarized as
+one row of results.csv and emits a trace_<run-id>.csv, where the run id is
+a content hash of the resolved per-run configuration.
 """
 
 from __future__ import annotations
@@ -191,6 +191,10 @@ def parse_config(path: Optional[str] = None,
         dataset = _get(conf, "dataset", str, drift.kind)
     horizons = _get_list(conf, "horizon", int, [_ENGINE_DEFAULTS.horizon])
     seeds = _get_list(conf, "seed", int, [_ENGINE_DEFAULTS.seed])
+    for key, values in (("method", methods), ("horizon", horizons), ("seed", seeds)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"config key {key}: value {repeated[0]!r} repeated")
     engine = EngineConfig(method=_method_flags(methods[0])[0],
                           horizon=horizons[0], seed=seeds[0],
                           **_given(conf, _ENGINE_KEYS))
@@ -201,11 +205,18 @@ def parse_config(path: Optional[str] = None,
         horizons=horizons, seeds=seeds,
         split=SplitSpec(**_given(conf, _SPLIT_KEYS)), engine=engine,
         **_given(conf, _PLAN_KEYS))
-    if plan.pretrain_epochs not in PRETRAIN_EPOCH_CHOICES:
-        raise ValueError(
-            f"pretrain_epochs must be one of {PRETRAIN_EPOCH_CHOICES}")
-    if plan.pretrain_lr <= 0:
-        raise ValueError("pretrain_lr must be > 0")
+    blocks, tap, inf = plan.model_blocks, plan.tap_index, float("inf")
+    for ok, msg in ((plan.model_width >= 1, "width must be >= 1"),
+                    (blocks >= 1, "blocks must be >= 1"),
+                    (tap is None or 0 <= tap < blocks, "tap_index must be in [0, blocks)"),
+                    (plan.train_epochs >= 0, "train_epochs must be >= 0"),
+                    (0 < plan.train_lr < inf, "train_lr must be > 0 and finite"),
+                    (plan.train_batch >= 1, "train_batch must be >= 1"),
+                    (plan.pretrain_epochs in PRETRAIN_EPOCH_CHOICES,
+                     f"pretrain_epochs must be one of {PRETRAIN_EPOCH_CHOICES}"),
+                    (0 < plan.pretrain_lr < inf, "pretrain_lr must be > 0 and finite")):
+        if not ok:
+            raise ValueError(msg)
     return plan
 
 
@@ -287,6 +298,8 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
                         splits[horizon] = chrono_split(frame, plan.split,
                                                        cfg.lookback, horizon)
                     train, val, test = splits[horizon]
+                    if not test:
+                        raise ValueError("test split is empty")
                     if (horizon, seed) not in trained_models:
                         model = build_model(cfg.lookback, horizon,
                                             d=plan.model_width,

@@ -11,11 +11,11 @@ predicts a step and how it learns from its cache:
           feature and a batched historical feature-gradient; adapter and
           head are updated from a b-sample window of cached predictions
 
-The loop has every method predict first and only then learn from the
-delayed target, so the first m predictions never depend on how much stream
-follows. Learning reads go through a ring cache that logs (reader_step,
-read_step) pairs, which lets tests audit that updates only touch records
-at least k old.
+Only the loop handles the delay: predict sees features alone, the loop
+stores each target in one ring cache sized to the method's window, and
+learn runs once the window [s-k-window+1, s-k] of released targets exists.
+So the first m predictions never depend on how much stream follows, and
+the cache logs every (reader_step, read_step) pair for the delay audit.
 
 The adaptz window gradient is a sum of per-record shares. A share depends
 only on what its record holds (its tapes with their weight snapshots, its
@@ -65,8 +65,8 @@ class EngineConfig:
             raise ValueError("lookback must be >= 2")
         # zero is allowed so frozen-equivalence runs can switch learning off
         for name in ("lr_adapter", "lr_head", "lr_fogd", "lr_ogd"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         return self
 
 
@@ -74,8 +74,7 @@ class EngineConfig:
 class StepRecord:
     """Per-step cache entry; fields unused by a method stay None."""
 
-    t: int
-    y: np.ndarray
+    y: Optional[np.ndarray] = None
     x: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
     yhat: Optional[np.ndarray] = None
@@ -94,12 +93,9 @@ class RingCache:
         self.capacity = capacity
         self._data: Dict[int, StepRecord] = {}
         self.read_log: List[Tuple[int, int]] = []
-        self.feature_shape: Optional[Tuple[int, int]] = None
 
     def put(self, t: int, rec: StepRecord) -> None:
         self._data[t] = rec
-        if rec.z is not None:
-            self.feature_shape = rec.z.shape
         for key in [key for key in self._data if key <= t - self.capacity]:
             del self._data[key]
 
@@ -130,8 +126,7 @@ class MetricsTrace:
         return float(np.mean(self.step_mse)) if len(self.step_mse) else float("nan")
 
     def cum_mse(self) -> np.ndarray:
-        n = len(self.step_mse)
-        return np.cumsum(self.step_mse) / np.arange(1, n + 1)
+        return np.cumsum(self.step_mse) / np.arange(1, len(self.step_mse) + 1)
 
 
 def write_trace_csv(trace: MetricsTrace, path: str) -> None:
@@ -142,17 +137,9 @@ def write_trace_csv(trace: MetricsTrace, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _check_cfg_model(model: ForecastModel, cfg: EngineConfig) -> None:
-    if cfg.horizon != model.k:
-        raise ValueError(f"cfg.horizon {cfg.horizon} != model horizon {model.k}")
-    if cfg.lookback != model.L:
-        raise ValueError(f"cfg.lookback {cfg.lookback} != model lookback {model.L}")
-
-
 def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[int],
                   channels: Optional[int]) -> int:
-    x = sample.x
-    y = sample.y
+    x, y = sample.x, sample.y
     if x.shape[0] != model.L:
         raise ValueError(f"sample x rows {x.shape[0]} != lookback {model.L}")
     if channels is not None and x.shape[1] != channels:
@@ -169,17 +156,14 @@ def compute_hisgrad(model: ForecastModel, cache: RingCache, t: int, k: int,
                     b: int) -> np.ndarray:
     """Average over the window [t-k-b+1, t-k] of the per-sample gradient of
     the squared forecast error with respect to the cached feature, evaluated
-    under the model's current parameters. Zero matrix before warm-up.
+    under the model's current parameters. A window that reaches before
+    step 0 is a cache miss.
 
     The window is stacked into one (b*C)-row pass: the model is channel
     independent, so b*C rows behave like one sample with b*C channels.
     """
-    if cache.feature_shape is None:
-        raise RuntimeError("compute_hisgrad: cache holds no feature records")
-    if t < k + b - 1:
-        return np.zeros(cache.feature_shape)
     recs = [cache.get(i, reader=t) for i in range(t - k - b + 1, t - k + 1)]
-    C, d = cache.feature_shape
+    C, d = recs[0].z.shape
     rows = np.vstack([rec.z for rec in recs])
     stacked = NormStats(mean=np.concatenate([r.stats.mean for r in recs]),
                         std=np.concatenate([r.stats.std for r in recs]))
@@ -248,35 +232,46 @@ def _window_update(model: ForecastModel, a: AdapterNet, cache: RingCache,
 def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
     """Validate the run settings and return the copy a method may update."""
     cfg.validated()
-    _check_cfg_model(model, cfg)
+    if cfg.horizon != model.k:
+        raise ValueError(f"cfg.horizon {cfg.horizon} != model horizon {model.k}")
+    if cfg.lookback != model.L:
+        raise ValueError(f"cfg.lookback {cfg.lookback} != model lookback {model.L}")
     return model.clone()
 
 
 def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
-            predict: Callable[[int, Sample, np.ndarray, NormStats], np.ndarray],
-            learn: Callable[[int], None], adapter_net: Optional[AdapterNet] = None,
-            cache: Optional[RingCache] = None) -> MetricsTrace:
-    """The one stream loop: at each step s, check the sample, encode it, let
-    the method predict, score the prediction, then let the method learn
-    from cached records at least k steps old."""
+            predict: Callable[[np.ndarray, NormStats],
+                              Tuple[np.ndarray, Optional[StepRecord]]],
+            learn: Optional[Callable[[int, RingCache], None]], window: int,
+            adapter_net: Optional[AdapterNet] = None) -> MetricsTrace:
+    """The one stream loop, sole owner of the k-step delay: at each step s,
+    check and encode the sample, let the method predict from (z, stats),
+    score the prediction, then store the record it returned, with the
+    sample's x and y, in a RingCache of capacity k + window (the least that
+    holds the window [s-k-window+1, s-k]) and, once that window is complete,
+    call learn(s, cache). With learn=None nothing is stored or read."""
+    cache = RingCache(model.k + window)
     steps: List[int] = []
     mses: List[float] = []
     preds: List[np.ndarray] = []
-    prev = None
-    channels = None
+    prev = channels = None
     for s, sample in enumerate(stream):
         channels = _check_sample(model, sample, prev, channels)
         prev = sample.origin
         z, stats, _ = encode(model, sample.x)
-        yhat = predict(s, sample, z, stats)
+        yhat, rec = predict(z, stats)
         loss, _ = mse_with_grad(yhat, sample.y)             # metrics-only read
         steps.append(sample.origin)
         mses.append(loss)
         preds.append(yhat)
-        learn(s)
+        if learn is not None:
+            rec.x, rec.y = sample.x, sample.y               # views, no copy
+            cache.put(s, rec)
+            if s >= model.k + window - 1:
+                learn(s, cache)
     return MetricsTrace(method, steps, np.asarray(mses), preds,
                         final_model=model, final_adapter=adapter_net,
-                        cache_reads=[] if cache is None else cache.read_log)
+                        cache_reads=cache.read_log)
 
 
 def run_ori(model: ForecastModel, stream: Sequence[Sample],
@@ -284,107 +279,96 @@ def run_ori(model: ForecastModel, stream: Sequence[Sample],
     """Frozen baseline: predict every sample, adapt nothing."""
     model = _deployed_copy(model, cfg)
 
-    def predict(s, sample, z, stats):
+    def predict(z, stats):
         yhat, _ = head_forward_with_tape(model, z, stats)
-        return yhat
+        return yhat, None
 
-    return _deploy("ori", model, stream, predict, lambda s: None)
+    return _deploy("ori", model, stream, predict, None, 1)
 
 
 def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                stream: Sequence[Sample], cfg: EngineConfig) -> MetricsTrace:
     """Adapter-corrected deployment with the delayed window update; the
-    adapter's own use_feat/use_grad flags choose its input paths."""
+    adapter's own use_feat/use_grad flags choose its input paths. A frozen
+    run still learns, since the next hisgrad needs the window."""
     model = _deployed_copy(model, cfg)
     a = adapter_net.clone()
     k, b = model.k, cfg.hist_batch
-    cache = RingCache(k + b + 2)
     hisgrad: Optional[np.ndarray] = None
     learning = (not cfg.freeze_online) and (cfg.lr_adapter > 0 or cfg.lr_head > 0)
 
-    def predict(s, sample, z, stats):
+    def predict(z, stats):
         nonlocal hisgrad
         if hisgrad is None:
             hisgrad = np.zeros_like(z)
         delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
         yhat, h_tape = head_forward_with_tape(model, z + delta, stats)
-        cache.put(s, StepRecord(t=s, y=sample.y, z=z, yhat=yhat, stats=stats,
-                                head_tape=h_tape, adapter_tape=a_tape))
-        return yhat
+        return yhat, StepRecord(z=z, yhat=yhat, stats=stats, head_tape=h_tape,
+                                adapter_tape=a_tape)
 
-    def learn(s):
+    def learn(s, cache):
         nonlocal hisgrad
         # next step's hisgrad, evaluated before this step's parameter update
         hisgrad = compute_hisgrad(model, cache, s, k, b)
-        if learning and s >= k + b - 1:
+        if learning:
             _window_update(model, a, cache, s, k, b, cfg)
 
-    return _deploy("adaptz", model, stream, predict, learn, adapter_net=a,
-                   cache=cache)
+    return _deploy("adaptz", model, stream, predict, learn, b, adapter_net=a)
 
 
 def run_fogd(model: ForecastModel, stream: Sequence[Sample],
              cfg: EngineConfig) -> MetricsTrace:
     """Feature-space delayed gradient descent on a persistent correction."""
     model = _deployed_copy(model, cfg)
-    k = model.k
-    cache = RingCache(k + 2)
     delta: Optional[np.ndarray] = None
 
-    def predict(s, sample, z, stats):
+    def predict(z, stats):
         nonlocal delta
         if delta is None:
             delta = np.zeros_like(z)
         yhat, h_tape = head_forward_with_tape(model, z + delta, stats)
-        cache.put(s, StepRecord(t=s, y=sample.y, yhat=yhat, head_tape=h_tape))
-        return yhat
+        return yhat, StepRecord(yhat=yhat, head_tape=h_tape)
 
-    def learn(s):
+    def learn(s, cache):
         nonlocal delta
-        if s >= k and cfg.lr_fogd > 0 and not cfg.freeze_online:
-            rec = cache.get(s - k, reader=s)
-            _, g_y = mse_with_grad(rec.yhat, rec.y)
-            g_delta = grad_wrt_feature(model, rec.head_tape, g_y)
-            delta = delta - cfg.lr_fogd * g_delta
+        rec = cache.get(s - model.k, reader=s)
+        _, g_y = mse_with_grad(rec.yhat, rec.y)
+        g_delta = grad_wrt_feature(model, rec.head_tape, g_y)
+        delta = delta - cfg.lr_fogd * g_delta
 
-    return _deploy("fogd", model, stream, predict, learn, cache=cache)
+    live = cfg.lr_fogd > 0 and not cfg.freeze_online
+    return _deploy("fogd", model, stream, predict, learn if live else None, 1)
 
 
 def run_ogd(model: ForecastModel, stream: Sequence[Sample],
             cfg: EngineConfig) -> MetricsTrace:
     """Delayed single-sample gradient step on all model parameters."""
     model = _deployed_copy(model, cfg)
-    k = model.k
-    cache = RingCache(k + 2)
 
-    def predict(s, sample, z, stats):
+    def predict(z, stats):
         yhat, _ = head_forward_with_tape(model, z, stats)
-        cache.put(s, StepRecord(t=s, y=sample.y, x=sample.x))
-        return yhat
+        return yhat, StepRecord()
 
-    def learn(s):
-        if s >= k and cfg.lr_ogd > 0 and not cfg.freeze_online:
-            rec = cache.get(s - k, reader=s)
-            yh_d, ftape = predict_with_tape(model, rec.x)
-            _, g_y = mse_with_grad(yh_d, rec.y)
-            apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
+    def learn(s, cache):
+        rec = cache.get(s - model.k, reader=s)
+        yh_d, ftape = predict_with_tape(model, rec.x)
+        _, g_y = mse_with_grad(yh_d, rec.y)
+        apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 
-    return _deploy("ogd", model, stream, predict, learn, cache=cache)
+    live = cfg.lr_ogd > 0 and not cfg.freeze_online
+    return _deploy("ogd", model, stream, predict, learn if live else None, 1)
 
 
 def run_method(method: str, model: ForecastModel, adapter_net: Optional[AdapterNet],
                stream: Sequence[Sample], cfg: EngineConfig) -> MetricsTrace:
-    if method == "ori":
-        return run_ori(model, stream, cfg)
-    if method == "fogd":
-        return run_fogd(model, stream, cfg)
-    if method == "ogd":
-        return run_ogd(model, stream, cfg)
-    if method == "adaptz":
-        if adapter_net is None:
-            raise ValueError("adaptz needs an adapter")
-        return run_adaptz(model, adapter_net, stream, cfg)
-    raise ValueError(f"unknown method {method!r}")
+    runs = {"ori": run_ori, "fogd": run_fogd, "ogd": run_ogd}
+    if method in runs:
+        return runs[method](model, stream, cfg)
+    if method != "adaptz":
+        raise ValueError(f"unknown method {method!r}")
+    if adapter_net is None:
+        raise ValueError("adaptz needs an adapter")
+    return run_adaptz(model, adapter_net, stream, cfg)
 
 
 def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,

@@ -279,6 +279,8 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
     """
     if not train_samples:
         raise ValueError("train_samples is empty")
+    if epochs < 0 or batch < 1:
+        raise ValueError(f"epochs must be >= 0 and batch >= 1, got {epochs}, {batch}")
     out = model.clone()
     if epochs == 0:
         return out

@@ -1,11 +1,13 @@
 import os
+import re
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import driftcast.cli as cli
-from driftcast import EngineConfig, SplitSpec, load_csv
+from driftcast import DriftSpec, EngineConfig, SplitSpec, load_csv
 from driftcast.cli import (ExperimentPlan, execute_plan, main, parse_config,
                            read_kv_file, results_rows, run_plan)
 
@@ -129,6 +131,43 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             parse_config(None, ["horizon=24", "horizon=0"])
 
+    @pytest.mark.parametrize("setting, message", [
+        ("width=0", "width must be >= 1"),
+        ("blocks=0", "blocks must be >= 1"),
+        ("tap_index=5", "tap_index must be in"),
+        ("train_epochs=-1", "train_epochs must be >= 0"),
+        ("train_lr=-1", "train_lr must be > 0"),
+        ("train_lr=inf", "train_lr must be > 0 and finite"),
+        ("pretrain_lr=inf", "pretrain_lr must be > 0 and finite"),
+        ("lr_head=inf", "lr_head must be >= 0 and finite"),
+        ("lr_adapter=nan", "lr_adapter must be >= 0 and finite"),
+        ("train_batch=0", "train_batch must be >= 1"),
+    ])
+    def test_bad_plan_value_exits_two_before_data_loads(self, setting, message,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+        def no_load(plan):
+            raise AssertionError("data loaded for a bad plan")
+
+        monkeypatch.setattr(cli, "load_plan_frame", no_load)
+        assert main(["run", "--set", setting, "--set",
+                     f"out_dir={tmp_path}"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("method=ori", "method: value 'ori' repeated"),
+        ("horizon=4", "horizon: value 4 repeated"),
+        ("seed=1", "seed: value 1 repeated"),
+    ])
+    def test_repeated_grid_value_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(None, [setting, "seed=7", setting])
+
+    def test_repeated_magnitude_allowed(self):
+        plan = parse_config(None, ["change_point=100", "change_point=200",
+                                   "magnitude=1.0", "magnitude=1.0"])
+        assert plan.drift.magnitudes == [1.0, 1.0]
+
     def test_malformed_line_reports_position(self, tmp_path):
         cfg = write_cfg(tmp_path, "method=ori\njust words\n")
         with pytest.raises(ValueError, match=":2"):
@@ -147,6 +186,30 @@ def small_results(tmp_path_factory):
     plan = parse_config(cfg, [f"out_dir={out}"])
     results, results_path = run_plan(plan)
     return plan, results, results_path
+
+
+class TestReadmeDefaults:
+    def test_key_table_defaults_match_the_dataclasses(self):
+        # each README key row names keys and their defaults in the same order;
+        # a key's default is that of the dataclass field its key map fills
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        table = readme.read_text().split("Selected keys", 1)[1].split("\n\n")[1]
+        rows = [line.split("|")[1:3] for line in table.splitlines()
+                if line.startswith("| `")]
+        sources = [(EngineConfig, {**cli._ENGINE_KEYS, "horizon": ("horizon", int)}),
+                   (ExperimentPlan, cli._PLAN_KEYS), (SplitSpec, cli._SPLIT_KEYS),
+                   (DriftSpec, cli._DRIFT_KEYS)]
+        assert rows
+        for keys_cell, defaults_cell in rows:
+            keys = re.findall(r"`(\w+)`", keys_cell)
+            shown = [d.strip().strip("`") for d in defaults_cell.split(",")]
+            assert len(keys) == len(shown), keys_cell
+            for key, text in zip(keys, shown):
+                cls, (name, cast) = next((cls, keymap[key])
+                                         for cls, keymap in sources if key in keymap)
+                default = {f.name: f.default for f in fields(cls)}[name]
+                want = None if text == "second-last" else cast(text)
+                assert default == want, (key, text, default)
 
 
 class TestRunPlan:
@@ -251,6 +314,17 @@ class TestPlumbing:
         assert by_h[400].mse is None
         line = [l for l in open(path).read().splitlines() if ",400," in l][0]
         assert line.endswith(",error,")
+
+    def test_empty_test_split_is_an_error(self, tmp_path):
+        plan = parse_config(None, [
+            "length=420", "change_point=320", "magnitude=1.0", "lookback=16",
+            "hist_batch=4", "horizon=4", "width=8", "blocks=2",
+            "train_epochs=1", "pretrain_epochs=0", "method=ori",
+            "train_frac=0.9", "val_frac=0.1", "test_frac=0",
+            f"out_dir={tmp_path}"])
+        results, path = run_plan(plan)
+        assert [(r.status, r.mse) for r in results] == [("error", None)]
+        assert open(path).read().splitlines()[1].endswith(",error,")
 
     def test_results_rows_blank_mse_on_error(self):
         from driftcast.cli import RunResult

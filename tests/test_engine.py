@@ -208,11 +208,11 @@ def replay_adaptz(model, adapter_net, stream, cfg):
         delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
         yhat, h_tape = head_forward_with_tape(m, z + delta, stats)
         mses.append(mse_with_grad(yhat, sample.y)[0])
-        cache.put(s, StepRecord(t=s, y=sample.y, z=z, yhat=yhat, stats=stats,
+        cache.put(s, StepRecord(y=sample.y, z=z, yhat=yhat, stats=stats,
                                 head_tape=h_tape, adapter_tape=a_tape))
-        hisgrad = compute_hisgrad(m, cache, s, k, b)
-        if s < k + b - 1:
+        if s < k + b - 1:                   # hisgrad stays zero until then
             continue
+        hisgrad = compute_hisgrad(m, cache, s, k, b)
         a_grads = {}
         gw = gb = None
         for i in range(s - k - b + 1, s - k + 1):
@@ -351,24 +351,62 @@ class TestDelayAudit:
                 assert sorted(by_reader[s]) == sorted(window * 2)
 
 
+class TestDelayOwnedByLoop:
+    def test_hisgrad_computed_from_first_full_window_on(self, monkeypatch):
+        steps = []
+
+        def spy(model, cache, t, k, b):
+            steps.append(t)
+            return compute_hisgrad(model, cache, t, k, b)
+
+        monkeypatch.setattr(engine, "compute_hisgrad", spy)
+        k, b, n = 2, 3, 20
+        model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
+        stream = make_stream(n, L, k, C, seed=42)
+        run_adaptz(model, live_adapter(), stream, small_cfg(hist_batch=b))
+        assert steps == list(range(k + b - 1, n))
+
+    @pytest.mark.parametrize("frozen", [dict(freeze_online=True),
+                                        dict(lr_fogd=0.0, lr_ogd=0.0)],
+                             ids=["freeze_online", "zero_rate"])
+    def test_frozen_fogd_and_ogd_store_no_record(self, monkeypatch, frozen):
+        puts = []
+
+        class CountingCache(RingCache):
+            def put(self, t, rec):
+                puts.append(t)
+                super().put(t, rec)
+
+        monkeypatch.setattr(engine, "RingCache", CountingCache)
+        model = small_model()
+        stream = make_stream(12, L, K, C, seed=43)
+        run_fogd(model, stream, small_cfg())
+        assert puts, "the counting cache is not in use"
+        puts.clear()
+        for run in (run_fogd, run_ogd):
+            trace = run(model, stream, small_cfg(**frozen))
+            assert puts == [] and trace.cache_reads == [], trace.method
+
+
 class TestHisgrad:
     def _fill_cache(self, model, n, seed):
         cache = RingCache(capacity=50)
         stream = make_stream(n, L, K, C, seed=seed)
         for s, sample in enumerate(stream):
             z, stats, _ = encode(model, sample.x)
-            cache.put(s, StepRecord(t=s, y=sample.y, z=z, stats=stats))
+            cache.put(s, StepRecord(y=sample.y, z=z, stats=stats))
         return cache
 
-    def test_zero_before_warmup(self):
+    def test_window_before_step_zero_is_a_cache_miss(self):
+        # the loop keeps hisgrad at zero until the first full window
         model = small_model()
         cache = self._fill_cache(model, 6, seed=50)
         for b in (1, 3):
-            out = compute_hisgrad(model, cache, K + b - 2, K, b)
-            np.testing.assert_array_equal(out, np.zeros((C, D)))
+            with pytest.raises(RuntimeError, match="cache miss for step -1"):
+                compute_hisgrad(model, cache, K + b - 2, K, b)
 
     def test_empty_cache_rejected(self):
-        with pytest.raises(RuntimeError, match="no feature"):
+        with pytest.raises(RuntimeError, match="cache miss"):
             compute_hisgrad(small_model(), RingCache(4), 0, K, 1)
 
     def test_single_record_matches_fd(self):
@@ -389,7 +427,7 @@ class TestHisgrad:
         cache = RingCache(20)
         one = self._fill_cache(model, 1, seed=52).get(0)
         for s in range(6):
-            cache.put(s, StepRecord(t=s, y=one.y, z=one.z, stats=one.stats))
+            cache.put(s, StepRecord(y=one.y, z=one.z, stats=one.stats))
         b = 4
         single = compute_hisgrad(model, cache, K, K, 1)
         window = compute_hisgrad(model, cache, K + b - 1, K, b)
@@ -552,7 +590,7 @@ class TestCacheAndTrace:
     def test_ring_cache_evicts_and_reports_misses(self):
         cache = RingCache(3)
         for t in range(6):
-            cache.put(t, StepRecord(t=t, y=np.zeros((1, 1))))
+            cache.put(t, StepRecord(y=np.zeros((1, 1))))
         assert 2 not in cache and 3 in cache
         with pytest.raises(RuntimeError, match="cache miss for step 1"):
             cache.get(1)

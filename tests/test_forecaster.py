@@ -299,6 +299,16 @@ class TestOfflineTrain:
         with pytest.raises(ValueError, match="empty"):
             offline_train(build_model(L=5, k=2, d=3, seed=4), [], epochs=1)
 
+    def test_negative_epochs_rejected(self):
+        model = build_model(L=5, k=2, d=3, seed=4)
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            offline_train(model, [self._one_sample(81)], epochs=-1)
+
+    def test_empty_batch_rejected(self):
+        model = build_model(L=5, k=2, d=3, seed=4)
+        with pytest.raises(ValueError, match="batch >= 1, got 1, 0"):
+            offline_train(model, [self._one_sample(82)], epochs=1, batch=0)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
