@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import traceback
@@ -26,7 +27,12 @@ from .engine import (EngineConfig, MetricsTrace, pretrain_adapter, run_method,
 from .forecaster import build_model, offline_train
 from .regret import FAMILIES, check_bound, report_rows, run_sweep
 
-METHOD_TOKENS = ("ori", "fogd", "ogd", "adaptz", "adaptz-nograd", "adaptz-nofeat")
+# method token: (engine method, use_feat, use_grad); the flags are the adaptz
+# adapter's own
+METHOD_TOKENS = {"ori": ("ori", True, True), "fogd": ("fogd", True, True),
+                 "ogd": ("ogd", True, True), "adaptz": ("adaptz", True, True),
+                 "adaptz-nograd": ("adaptz", True, False),
+                 "adaptz-nofeat": ("adaptz", False, True)}
 PRETRAIN_EPOCH_CHOICES = (0, 1, 3, 5, 10)
 
 
@@ -195,7 +201,7 @@ def parse_config(path: Optional[str] = None,
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"config key {key}: value {repeated[0]!r} repeated")
-    engine = EngineConfig(method=_method_flags(methods[0])[0],
+    engine = EngineConfig(method=METHOD_TOKENS[methods[0]][0],
                           horizon=horizons[0], seed=seeds[0],
                           **_given(conf, _ENGINE_KEYS))
     for horizon in horizons:
@@ -220,16 +226,6 @@ def parse_config(path: Optional[str] = None,
     return plan
 
 
-def _method_flags(token: str) -> Tuple[str, bool, bool]:
-    """Map a method token to (engine method, use_feat, use_grad); the flags
-    are the adaptz adapter's own."""
-    if token == "adaptz-nograd":
-        return "adaptz", True, False
-    if token == "adaptz-nofeat":
-        return "adaptz", False, True
-    return token, True, True
-
-
 def _run_id(parts: Dict[str, str]) -> str:
     blob = "\n".join(f"{k}={parts[k]}" for k in sorted(parts))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
@@ -240,7 +236,7 @@ def _resolved_parts(plan: ExperimentPlan, cfg: EngineConfig,
     """{key: value} of every setting of one grid cell: each key of the key
     maps, read back from the dataclass it fills (a string as it is, any other
     value as its repr), plus the token's adapter flags."""
-    _, use_feat, use_grad = _method_flags(token)
+    _, use_feat, use_grad = METHOD_TOKENS[token]
     parts = {"dataset": plan.dataset, "method": token,
              "horizon": str(cfg.horizon), "seed": str(cfg.seed),
              "use_feat": repr(use_feat), "use_grad": repr(use_grad)}
@@ -259,12 +255,15 @@ def _resolved_parts(plan: ExperimentPlan, cfg: EngineConfig,
     return parts
 
 
+def _generate(spec: DriftSpec) -> SeriesFrame:
+    gen = gen_mean_shift if spec.kind == "mean_shift" else gen_concept_drift
+    return gen(spec)
+
+
 def load_plan_frame(plan: ExperimentPlan) -> SeriesFrame:
     if plan.data_path is not None:
         return load_csv(plan.data_path)
-    if plan.drift.kind == "mean_shift":
-        return gen_mean_shift(plan.drift)
-    return gen_concept_drift(plan.drift)
+    return _generate(plan.drift)
 
 
 @dataclass
@@ -290,7 +289,7 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
         for seed in plan.seeds:
             base_cfg = replace(plan.engine, horizon=horizon, seed=seed)
             for token in plan.methods:
-                method, use_feat, use_grad = _method_flags(token)
+                method, use_feat, use_grad = METHOD_TOKENS[token]
                 cfg = replace(base_cfg, method=method)
                 run_id = _run_id(_resolved_parts(plan, cfg, token))
                 try:
@@ -321,6 +320,8 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
                                 lr=plan.pretrain_lr, seed=seed,
                                 hist_batch=cfg.hist_batch)
                     trace = run_method(method, trained, adapter_net, test, cfg)
+                    if not math.isfinite(trace.mse):
+                        raise ValueError(f"non-finite mse {trace.mse!r}")
                     results.append(RunResult(plan.dataset, token, horizon, seed,
                                              trace.mse, "ok", run_id, trace))
                 except Exception:
@@ -379,8 +380,7 @@ def _cmd_run(args) -> int:
 def _cmd_gen(args) -> int:
     pairs = read_kv_file(args.drift)
     conf = _merge_pairs(pairs, [], _GEN_KEYS)
-    spec = _drift_from_conf(conf)
-    frame = gen_mean_shift(spec) if spec.kind == "mean_shift" else gen_concept_drift(spec)
+    frame = _generate(_drift_from_conf(conf))
     write_csv(frame, args.out)
     print(f"wrote {args.out} ({frame.T} rows, {frame.C} channels)")
     return 0

@@ -77,14 +77,17 @@ class DriftSpec:
             raise ValueError(f"kind {self.kind!r} not in {DRIFT_KINDS}")
         if not -1.0 < self.ar_coeff < 1.0:
             raise ValueError("ar_coeff must lie in (-1, 1)")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be >= 0 and finite")
         if self.channels < 1 or (self.kind == "concept_drift" and self.channels < 2):
             raise ValueError("concept_drift needs >= 2 channels (driver + target)")
         if self.length < 1:
             raise ValueError("length must be >= 1")
         if len(self.change_points) != len(self.magnitudes):
             raise ValueError("change_points and magnitudes lengths differ")
+        for mag in self.magnitudes:
+            if not np.isfinite(mag):
+                raise ValueError(f"magnitude {mag!r} is not finite")
         prev = -1
         for cp in self.change_points:
             if not 0 <= cp < self.length:

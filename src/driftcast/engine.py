@@ -1,8 +1,10 @@
 """Streaming deployment under k-step delayed feedback.
 
 One stream loop (`_deploy`) drives four methods over the same
-strict-time-order sample stream; each method supplies only how it
-predicts a step and how it learns from its cache:
+strict-time-order sample stream. It owns every prediction: each step the
+head runs once on the feature z plus the method's feature-space correction
+(ori and ogd add none). A method supplies only that correction and how it
+learns from its cache:
 
   ori     frozen pretrained model, no adaptation
   fogd    persistent feature-space correction, delayed single-sample step
@@ -11,11 +13,11 @@ predicts a step and how it learns from its cache:
           feature and a batched historical feature-gradient; adapter and
           head are updated from a b-sample window of cached predictions
 
-Only the loop handles the delay: predict sees features alone, the loop
-stores each target in one ring cache sized to the method's window, and
-learn runs once the window [s-k-window+1, s-k] of released targets exists.
-So the first m predictions never depend on how much stream follows, and
-the cache logs every (reader_step, read_step) pair for the delay audit.
+The loop also owns the delay: correct never sees the step's target; the
+loop adds it to the record only to store it in one ring cache sized to the
+method's window, and learn runs once [s-k-window+1, s-k] is released. So
+the first m predictions never depend on how much stream follows, and the
+cache logs every (reader_step, read_step) pair for the delay audit.
 
 The adaptz window gradient is a sum of per-record shares. A share depends
 only on what its record holds (its tapes with their weight snapshots, its
@@ -72,7 +74,7 @@ class EngineConfig:
 
 @dataclass
 class StepRecord:
-    """Per-step cache entry; fields unused by a method stay None."""
+    """Per-step cache entry; only adaptz writes adapter_tape and share."""
 
     y: Optional[np.ndarray] = None
     x: Optional[np.ndarray] = None
@@ -240,16 +242,15 @@ def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
 
 
 def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
-            predict: Callable[[np.ndarray, NormStats],
-                              Tuple[np.ndarray, Optional[StepRecord]]],
+            correct: Optional[Callable[[np.ndarray, StepRecord], np.ndarray]],
             learn: Optional[Callable[[int, RingCache], None]], window: int,
             adapter_net: Optional[AdapterNet] = None) -> MetricsTrace:
-    """The one stream loop, sole owner of the k-step delay: at each step s,
-    check and encode the sample, let the method predict from (z, stats),
-    score the prediction, then store the record it returned, with the
-    sample's x and y, in a RingCache of capacity k + window (the least that
-    holds the window [s-k-window+1, s-k]) and, once that window is complete,
-    call learn(s, cache). With learn=None nothing is stored or read."""
+    """The one stream loop, owner of the prediction and the k-step delay: at
+    step s it runs the head on z + correct(z, rec) (on z if correct is None)
+    for a record rec of the sample's x, z and stats and writes yhat and
+    head_tape to rec. Unless learn is None, it then adds the target y, stores
+    rec in a RingCache(k + window) and calls learn(s, cache) once the window
+    [s-k-window+1, s-k] is complete."""
     cache = RingCache(model.k + window)
     steps: List[int] = []
     mses: List[float] = []
@@ -259,13 +260,15 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
         channels = _check_sample(model, sample, prev, channels)
         prev = sample.origin
         z, stats, _ = encode(model, sample.x)
-        yhat, rec = predict(z, stats)
-        loss, _ = mse_with_grad(yhat, sample.y)             # metrics-only read
+        rec = StepRecord(x=sample.x, z=z, stats=stats)      # views, no copy
+        z_in = z if correct is None else z + correct(z, rec)
+        rec.yhat, rec.head_tape = head_forward_with_tape(model, z_in, stats)
+        loss, _ = mse_with_grad(rec.yhat, sample.y)         # metrics-only read
         steps.append(sample.origin)
         mses.append(loss)
-        preds.append(yhat)
+        preds.append(rec.yhat)
         if learn is not None:
-            rec.x, rec.y = sample.x, sample.y               # views, no copy
+            rec.y = sample.y                        # read from step s + k on
             cache.put(s, rec)
             if s >= model.k + window - 1:
                 learn(s, cache)
@@ -277,13 +280,7 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
 def run_ori(model: ForecastModel, stream: Sequence[Sample],
             cfg: EngineConfig) -> MetricsTrace:
     """Frozen baseline: predict every sample, adapt nothing."""
-    model = _deployed_copy(model, cfg)
-
-    def predict(z, stats):
-        yhat, _ = head_forward_with_tape(model, z, stats)
-        return yhat, None
-
-    return _deploy("ori", model, stream, predict, None, 1)
+    return _deploy("ori", _deployed_copy(model, cfg), stream, None, None, 1)
 
 
 def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
@@ -297,14 +294,12 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     hisgrad: Optional[np.ndarray] = None
     learning = (not cfg.freeze_online) and (cfg.lr_adapter > 0 or cfg.lr_head > 0)
 
-    def predict(z, stats):
+    def correct(z, rec):
         nonlocal hisgrad
         if hisgrad is None:
             hisgrad = np.zeros_like(z)
-        delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
-        yhat, h_tape = head_forward_with_tape(model, z + delta, stats)
-        return yhat, StepRecord(z=z, yhat=yhat, stats=stats, head_tape=h_tape,
-                                adapter_tape=a_tape)
+        delta, rec.adapter_tape = adapter_forward_with_tape(a, z, hisgrad)
+        return delta
 
     def learn(s, cache):
         nonlocal hisgrad
@@ -313,7 +308,7 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
         if learning:
             _window_update(model, a, cache, s, k, b, cfg)
 
-    return _deploy("adaptz", model, stream, predict, learn, b, adapter_net=a)
+    return _deploy("adaptz", model, stream, correct, learn, b, adapter_net=a)
 
 
 def run_fogd(model: ForecastModel, stream: Sequence[Sample],
@@ -322,12 +317,11 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
     model = _deployed_copy(model, cfg)
     delta: Optional[np.ndarray] = None
 
-    def predict(z, stats):
+    def correct(z, rec):
         nonlocal delta
         if delta is None:
             delta = np.zeros_like(z)
-        yhat, h_tape = head_forward_with_tape(model, z + delta, stats)
-        return yhat, StepRecord(yhat=yhat, head_tape=h_tape)
+        return delta
 
     def learn(s, cache):
         nonlocal delta
@@ -337,17 +331,13 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
         delta = delta - cfg.lr_fogd * g_delta
 
     live = cfg.lr_fogd > 0 and not cfg.freeze_online
-    return _deploy("fogd", model, stream, predict, learn if live else None, 1)
+    return _deploy("fogd", model, stream, correct, learn if live else None, 1)
 
 
 def run_ogd(model: ForecastModel, stream: Sequence[Sample],
             cfg: EngineConfig) -> MetricsTrace:
     """Delayed single-sample gradient step on all model parameters."""
     model = _deployed_copy(model, cfg)
-
-    def predict(z, stats):
-        yhat, _ = head_forward_with_tape(model, z, stats)
-        return yhat, StepRecord()
 
     def learn(s, cache):
         rec = cache.get(s - model.k, reader=s)
@@ -356,7 +346,7 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 
     live = cfg.lr_ogd > 0 and not cfg.freeze_online
-    return _deploy("ogd", model, stream, predict, learn if live else None, 1)
+    return _deploy("ogd", model, stream, None, learn if live else None, 1)
 
 
 def run_method(method: str, model: ForecastModel, adapter_net: Optional[AdapterNet],

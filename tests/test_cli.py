@@ -142,6 +142,8 @@ class TestParseConfig:
         ("lr_head=inf", "lr_head must be >= 0 and finite"),
         ("lr_adapter=nan", "lr_adapter must be >= 0 and finite"),
         ("train_batch=0", "train_batch must be >= 1"),
+        ("magnitude=nan", "magnitude nan is not finite"),
+        ("noise_std=inf", "noise_std must be >= 0 and finite"),
     ])
     def test_bad_plan_value_exits_two_before_data_loads(self, setting, message,
                                                         tmp_path, monkeypatch,
@@ -326,6 +328,20 @@ class TestPlumbing:
         assert [(r.status, r.mse) for r in results] == [("error", None)]
         assert open(path).read().splitlines()[1].endswith(",error,")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mse_is_an_error(self, tmp_path):
+        # a head rate this large diverges; the ori sibling still runs
+        plan = parse_config(None, [
+            "length=420", "change_point=320", "magnitude=1.0", "lookback=16",
+            "hist_batch=4", "horizon=4", "width=8", "blocks=2",
+            "train_epochs=1", "pretrain_epochs=0", "lr_head=1e6",
+            "method=adaptz", "method=ori", f"out_dir={tmp_path}"])
+        results, path = run_plan(plan)
+        assert [(r.method, r.status) for r in results] == [
+            ("adaptz", "error"), ("ori", "ok")]
+        assert results[0].mse is None and results[0].trace is None
+        assert open(path).read().splitlines()[1].endswith(",error,")
+
     def test_results_rows_blank_mse_on_error(self):
         from driftcast.cli import RunResult
         rows = results_rows([RunResult("d", "ori", 1, 0, None, "error", "abc")])
@@ -369,6 +385,14 @@ class TestMainEntry:
         assert main(["gen", "--drift", spec, "--out",
                      str(tmp_path / "x.csv")]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_gen_rejects_non_finite_magnitude(self, tmp_path, capsys):
+        spec = write_cfg(tmp_path, "length=80\nchange_point=40\nmagnitude=nan\n",
+                         name="drift.cfg")
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--drift", spec, "--out", str(out)]) == 2
+        assert "magnitude nan is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_deterministic_bytes(self, tmp_path):
         spec = write_cfg(tmp_path, "length=80\nchannels=2\ngen_seed=9\n",

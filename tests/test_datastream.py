@@ -107,6 +107,17 @@ class TestDriftSpecValidation:
         with pytest.raises(ValueError):
             DriftSpec(noise_std=-0.1)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(noise_std=float("nan")), "noise_std must be >= 0 and finite"),
+        (dict(noise_std=float("inf")), "noise_std must be >= 0 and finite"),
+        (dict(magnitudes=[float("inf")]), "magnitude inf is not finite"),
+        (dict(magnitudes=[float("nan")]), "magnitude nan is not finite"),
+    ])
+    def test_rejects_non_finite_parameters(self, kw, message):
+        kw.setdefault("magnitudes", [1.0])
+        with pytest.raises(ValueError, match=message):
+            DriftSpec(change_points=[10], length=100, **kw)
+
     def test_concept_needs_a_driver_channel(self):
         with pytest.raises(ValueError, match="channels"):
             DriftSpec(kind="concept_drift", channels=1)

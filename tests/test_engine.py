@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcast import (EngineConfig, RingCache, StepRecord, build_adapter,
                        build_model, compute_hisgrad, pretrain_adapter,
@@ -321,6 +323,50 @@ class TestCausality:
                 np.testing.assert_array_equal(p, q)
 
 
+@st.composite
+def stream_shapes(draw):
+    """(L, k, b, C, n) with n on both sides of the first full window k+b-1."""
+    L, k = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    b, C = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return L, k, b, C, draw(st.integers(1, k + b + 2))
+
+
+def run_all(L, k, b, C, stream, adapter_net, **rates):
+    model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
+    cfg = small_cfg(horizon=k, lookback=L, hist_batch=b, **rates)
+    return {m: run_method(m, model, adapter_net, stream, cfg)
+            for m in ("ori", "fogd", "ogd", "adaptz")}
+
+
+class TestStreamShapeProperties:
+    @given(stream_shapes())
+    @settings(max_examples=50, deadline=None)
+    def test_learning_off_reproduces_ori(self, shape):
+        L, k, b, C, n = shape
+        stream = make_stream(n, L, k, C, seed=n)
+        runs = run_all(L, k, b, C, stream, build_adapter(D, seed=9),
+                       lr_adapter=0.0, lr_head=0.0, lr_fogd=0.0, lr_ogd=0.0)
+        ori = runs.pop("ori")
+        for method, tr in runs.items():
+            assert tr.step_mse.tobytes() == ori.step_mse.tobytes(), method
+            assert [p.tobytes() for p in tr.preds] == \
+                [p.tobytes() for p in ori.preds], method
+
+    @given(stream_shapes(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_prefix_run_is_prefix_of_longer_run(self, shape, data):
+        L, k, b, C, n = shape
+        m_cut = data.draw(st.integers(1, n))
+        stream = make_stream(n, L, k, C, seed=n + 1)
+        full = run_all(L, k, b, C, stream, live_adapter())
+        short = run_all(L, k, b, C, stream[:m_cut], live_adapter())
+        for method, tr in short.items():
+            assert tr.step_mse.tobytes() == \
+                full[method].step_mse[:m_cut].tobytes(), method
+            assert [p.tobytes() for p in tr.preds] == \
+                [p.tobytes() for p in full[method].preds[:m_cut]], method
+
+
 class TestDelayAudit:
     def test_no_read_fresher_than_k_old(self):
         model = build_model(L=L, k=3, d=D, n_blocks=3, seed=3)
@@ -386,6 +432,27 @@ class TestDelayOwnedByLoop:
         for run in (run_fogd, run_ogd):
             trace = run(model, stream, small_cfg(**frozen))
             assert puts == [] and trace.cache_reads == [], trace.method
+
+    def test_correct_sees_no_target_and_head_runs_once_per_step(self,
+                                                                monkeypatch):
+        seen, calls = [], []
+
+        def correct(z, rec):
+            seen.append(rec.y)
+            return np.zeros_like(z)
+
+        def counted(model, z_adj, stats):
+            calls.append(1)
+            return head_forward_with_tape(model, z_adj, stats)
+
+        model = small_model()
+        stream = make_stream(12, L, K, C, seed=44)
+        ori = run_ori(model, stream, small_cfg())
+        monkeypatch.setattr(engine, "head_forward_with_tape", counted)
+        trace = engine._deploy("probe", model.clone(), stream, correct,
+                               lambda s, cache: None, 1)
+        assert seen == [None] * len(stream) and len(calls) == len(stream)
+        assert trace.step_mse.tobytes() == ori.step_mse.tobytes()
 
 
 class TestHisgrad:
