@@ -17,9 +17,9 @@ from .datastream import (CONCEPT_A1, CONCEPT_A2, DRIFT_KINDS, DriftSpec,
                          concept_coefficients, gen_concept_drift,
                          gen_mean_shift, load_csv, write_csv)
 from .diffmath import AffineLayer, affine_apply, mse_with_grad
-from .engine import (EngineConfig, MetricsTrace, RingCache, StepRecord,
-                     compute_hisgrad, pretrain_adapter, run_adaptz, run_fogd,
-                     run_method, run_ogd, run_ori, write_trace_csv)
+from .engine import (EngineConfig, MetricsTrace, StepRecord, compute_hisgrad,
+                     pretrain_adapter, run_adaptz, run_fogd, run_method,
+                     run_ogd, run_ori, write_trace_csv)
 from .forecaster import (STD_EPS, ForecastModel, NormStats, Sample, Tape,
                          build_model, denormalize, encode,
                          grad_wrt_feature, grad_wrt_last_layer,
@@ -38,7 +38,7 @@ __all__ = [
     "SplitSpec", "chrono_split", "concept_coefficients", "gen_concept_drift",
     "gen_mean_shift", "load_csv", "write_csv",
     "AffineLayer", "affine_apply", "mse_with_grad",
-    "EngineConfig", "MetricsTrace", "RingCache", "StepRecord",
+    "EngineConfig", "MetricsTrace", "StepRecord",
     "compute_hisgrad", "pretrain_adapter", "run_adaptz", "run_fogd",
     "run_method", "run_ogd", "run_ori", "write_trace_csv",
     "STD_EPS", "ForecastModel", "NormStats", "Sample", "Tape",

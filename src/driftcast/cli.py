@@ -163,6 +163,8 @@ def _drift_from_conf(conf: Dict[str, List[str]]) -> DriftSpec:
     """DriftSpec from the generator keys; one change point at 0.8 * length
     with magnitude 1.0 unless the config lists its own."""
     values = _given(conf, _DRIFT_KEYS)
+    if values.get("seed", 0) < 0:
+        raise ValueError("gen_seed must be >= 0")
     length = values.get("length", DriftSpec.length)
     change_points = _get_list(conf, "change_point", int, [int(0.8 * length)])
     magnitudes = _get_list(conf, "magnitude", float, [1.0] * len(change_points))
@@ -212,7 +214,8 @@ def parse_config(path: Optional[str] = None,
         split=SplitSpec(**_given(conf, _SPLIT_KEYS)), engine=engine,
         **_given(conf, _PLAN_KEYS))
     blocks, tap, inf = plan.model_blocks, plan.tap_index, float("inf")
-    for ok, msg in ((plan.model_width >= 1, "width must be >= 1"),
+    for ok, msg in ((min(plan.seeds) >= 0, "seed must be >= 0"),
+                    (plan.model_width >= 1, "width must be >= 1"),
                     (blocks >= 1, "blocks must be >= 1"),
                     (tap is None or 0 <= tap < blocks, "tap_index must be in [0, blocks)"),
                     (plan.train_epochs >= 0, "train_epochs must be >= 0"),

@@ -55,8 +55,8 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         for f in (self.train_frac, self.val_frac, self.test_frac):
-            if f < 0:
-                raise ValueError("split fractions must be >= 0")
+            if not 0 <= f:                  # false for nan too
+                raise ValueError(f"split fraction {f!r} must be >= 0")
         if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
 
@@ -83,6 +83,8 @@ class DriftSpec:
             raise ValueError("concept_drift needs >= 2 channels (driver + target)")
         if self.length < 1:
             raise ValueError("length must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
         if len(self.change_points) != len(self.magnitudes):
             raise ValueError("change_points and magnitudes lengths differ")
         for mag in self.magnitudes:

@@ -4,20 +4,20 @@ One stream loop (`_deploy`) drives four methods over the same
 strict-time-order sample stream. It owns every prediction: each step the
 head runs once on the feature z plus the method's feature-space correction
 (ori and ogd add none). A method supplies only that correction and how it
-learns from its cache:
+learns from a released window of records:
 
   ori     frozen pretrained model, no adaptation
   fogd    persistent feature-space correction, delayed single-sample step
   ogd     delayed single-sample step on all model parameters
   adaptz  dual-path adapter producing the correction from the current
           feature and a batched historical feature-gradient; adapter and
-          head are updated from a b-sample window of cached predictions
+          head are updated from a b-sample window of released predictions
 
-The loop also owns the delay: correct never sees the step's target; the
-loop adds it to the record only to store it in one ring cache sized to the
-method's window, and learn runs once [s-k-window+1, s-k] is released. So
-the first m predictions never depend on how much stream follows, and the
-cache logs every (reader_step, read_step) pair for the delay audit.
+The loop also owns the delay: correct never sees the step's target, and
+at step s learn is handed the records of [s-k-window+1, s-k] and nothing
+else. There is no cache to query, so no method can read a record newer
+than s-k, and the first m predictions never depend on how much stream
+follows. The loop logs each (reader_step, read_step) pair it hands out.
 
 The adaptz window gradient is a sum of per-record shares. A share depends
 only on what its record holds (its tapes with their weight snapshots, its
@@ -27,8 +27,10 @@ its label is released, and every window just sums the stored shares.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +76,8 @@ class EngineConfig:
 
 @dataclass
 class StepRecord:
-    """Per-step cache entry; only adaptz writes adapter_tape and share."""
+    """One step's record as the loop keeps it until its window is released;
+    only adaptz writes adapter_tape and share."""
 
     y: Optional[np.ndarray] = None
     x: Optional[np.ndarray] = None
@@ -84,33 +87,6 @@ class StepRecord:
     head_tape: Optional[Tape] = None
     adapter_tape: Optional[AdapterTape] = None
     share: Optional[np.ndarray] = None  # flat window-gradient term (adaptz)
-
-
-class RingCache:
-    """Bounded step-keyed store with an instrumented read log."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._data: Dict[int, StepRecord] = {}
-        self.read_log: List[Tuple[int, int]] = []
-
-    def put(self, t: int, rec: StepRecord) -> None:
-        self._data[t] = rec
-        for key in [key for key in self._data if key <= t - self.capacity]:
-            del self._data[key]
-
-    def get(self, t: int, reader: Optional[int] = None) -> StepRecord:
-        if t not in self._data:
-            raise RuntimeError(
-                f"cache miss for step {t}: evicted or never stored")
-        if reader is not None:
-            self.read_log.append((reader, t))
-        return self._data[t]
-
-    def __contains__(self, t: int) -> bool:
-        return t in self._data
 
 
 @dataclass
@@ -154,17 +130,16 @@ def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[in
     return x.shape[1]
 
 
-def compute_hisgrad(model: ForecastModel, cache: RingCache, t: int, k: int,
-                    b: int) -> np.ndarray:
-    """Average over the window [t-k-b+1, t-k] of the per-sample gradient of
-    the squared forecast error with respect to the cached feature, evaluated
-    under the model's current parameters. A window that reaches before
-    step 0 is a cache miss.
+def compute_hisgrad(model: ForecastModel,
+                    recs: Sequence[StepRecord]) -> np.ndarray:
+    """Average over the released records of the per-sample gradient of the
+    squared forecast error with respect to the record's feature, evaluated
+    under the model's current parameters.
 
-    The window is stacked into one (b*C)-row pass: the model is channel
+    The b records are stacked into one (b*C)-row pass: the model is channel
     independent, so b*C rows behave like one sample with b*C channels.
     """
-    recs = [cache.get(i, reader=t) for i in range(t - k - b + 1, t - k + 1)]
+    b = len(recs)
     C, d = recs[0].z.shape
     rows = np.vstack([rec.z for rec in recs])
     stacked = NormStats(mean=np.concatenate([r.stats.mean for r in recs]),
@@ -195,18 +170,18 @@ def _record_share(model: ForecastModel, a: AdapterNet, rec: StepRecord,
     return np.concatenate(parts)
 
 
-def _window_update(model: ForecastModel, a: AdapterNet, cache: RingCache,
-                   s: int, k: int, b: int, cfg: EngineConfig) -> None:
-    """One delayed update from the b cached adjusted predictions.
+def _window_update(model: ForecastModel, a: AdapterNet,
+                   recs: Sequence[StepRecord], cfg: EngineConfig) -> None:
+    """One delayed update from the b released adjusted predictions.
 
     Each record is backpropagated once, through its own tape (parameters as
     they were), the first time it enters a window, i.e. when its label is
     released; its share is stored on the record and the tapes are dropped.
     The window gradient is the left-to-right sum of the b stored shares.
     """
+    b = len(recs)
     acc: Optional[np.ndarray] = None
-    for i in range(s - k - b + 1, s - k + 1):
-        rec = cache.get(i, reader=s)
+    for rec in recs:
         if rec.share is None:
             rec.share = _record_share(model, a, rec, b, cfg)
             rec.head_tape = rec.adapter_tape = None
@@ -243,15 +218,16 @@ def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
 
 def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
             correct: Optional[Callable[[np.ndarray, StepRecord], np.ndarray]],
-            learn: Optional[Callable[[int, RingCache], None]], window: int,
+            learn: Optional[Callable[[List[StepRecord]], None]], window: int,
             adapter_net: Optional[AdapterNet] = None) -> MetricsTrace:
     """The one stream loop, owner of the prediction and the k-step delay: at
     step s it runs the head on z + correct(z, rec) (on z if correct is None)
     for a record rec of the sample's x, z and stats and writes yhat and
-    head_tape to rec. Unless learn is None, it then adds the target y, stores
-    rec in a RingCache(k + window) and calls learn(s, cache) once the window
-    [s-k-window+1, s-k] is complete."""
-    cache = RingCache(model.k + window)
+    head_tape to rec. Unless learn is None, it then adds the target y, keeps
+    rec in a ring of the last k + window records and, once the ring is full,
+    calls learn with the records of [s-k-window+1, s-k], oldest first."""
+    ring: Deque[Tuple[int, StepRecord]] = deque(maxlen=model.k + window)
+    reads: List[Tuple[int, int]] = []
     steps: List[int] = []
     mses: List[float] = []
     preds: List[np.ndarray] = []
@@ -268,13 +244,15 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
         mses.append(loss)
         preds.append(rec.yhat)
         if learn is not None:
-            rec.y = sample.y                        # read from step s + k on
-            cache.put(s, rec)
-            if s >= model.k + window - 1:
-                learn(s, cache)
+            rec.y = sample.y                        # released at step s + k
+            ring.append((s, rec))
+            if len(ring) == ring.maxlen:
+                released = list(islice(ring, window))
+                reads += [(s, t) for t, _ in released]
+                learn([r for _, r in released])
     return MetricsTrace(method, steps, np.asarray(mses), preds,
                         final_model=model, final_adapter=adapter_net,
-                        cache_reads=cache.read_log)
+                        cache_reads=reads)
 
 
 def run_ori(model: ForecastModel, stream: Sequence[Sample],
@@ -290,7 +268,6 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     run still learns, since the next hisgrad needs the window."""
     model = _deployed_copy(model, cfg)
     a = adapter_net.clone()
-    k, b = model.k, cfg.hist_batch
     hisgrad: Optional[np.ndarray] = None
     learning = (not cfg.freeze_online) and (cfg.lr_adapter > 0 or cfg.lr_head > 0)
 
@@ -301,14 +278,15 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
         delta, rec.adapter_tape = adapter_forward_with_tape(a, z, hisgrad)
         return delta
 
-    def learn(s, cache):
+    def learn(window):
         nonlocal hisgrad
         # next step's hisgrad, evaluated before this step's parameter update
-        hisgrad = compute_hisgrad(model, cache, s, k, b)
+        hisgrad = compute_hisgrad(model, window)
         if learning:
-            _window_update(model, a, cache, s, k, b, cfg)
+            _window_update(model, a, window, cfg)
 
-    return _deploy("adaptz", model, stream, correct, learn, b, adapter_net=a)
+    return _deploy("adaptz", model, stream, correct, learn, cfg.hist_batch,
+                   adapter_net=a)
 
 
 def run_fogd(model: ForecastModel, stream: Sequence[Sample],
@@ -323,9 +301,9 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
             delta = np.zeros_like(z)
         return delta
 
-    def learn(s, cache):
+    def learn(window):
         nonlocal delta
-        rec = cache.get(s - model.k, reader=s)
+        (rec,) = window
         _, g_y = mse_with_grad(rec.yhat, rec.y)
         g_delta = grad_wrt_feature(model, rec.head_tape, g_y)
         delta = delta - cfg.lr_fogd * g_delta
@@ -339,8 +317,8 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
     """Delayed single-sample gradient step on all model parameters."""
     model = _deployed_copy(model, cfg)
 
-    def learn(s, cache):
-        rec = cache.get(s - model.k, reader=s)
+    def learn(window):
+        (rec,) = window
         yh_d, ftape = predict_with_tape(model, rec.x)
         _, g_y = mse_with_grad(yh_d, rec.y)
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
@@ -367,7 +345,7 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
                      hist_batch: int = 24) -> AdapterNet:
     """Calibrate the adapter by replaying the validation split.
 
-    Runs the adaptz loop over the split once per epoch with caches reset,
+    Runs the adaptz loop over the split once per epoch from an empty ring,
     carrying the adapter across epochs; the head stays frozen (it only
     moves during deployment). The replay is chronological and fully
     deterministic, so `seed` is accepted for interface parity only.

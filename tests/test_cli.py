@@ -144,6 +144,9 @@ class TestParseConfig:
         ("train_batch=0", "train_batch must be >= 1"),
         ("magnitude=nan", "magnitude nan is not finite"),
         ("noise_std=inf", "noise_std must be >= 0 and finite"),
+        ("train_frac=nan", "split fraction nan must be >= 0"),
+        ("seed=-1", "seed must be >= 0"),
+        ("gen_seed=-1", "gen_seed must be >= 0"),
     ])
     def test_bad_plan_value_exits_two_before_data_loads(self, setting, message,
                                                         tmp_path, monkeypatch,

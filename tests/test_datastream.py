@@ -95,6 +95,11 @@ class TestChronoSplit:
         with pytest.raises(ValueError):
             SplitSpec(-0.1, 0.6, 0.5)
 
+    @pytest.mark.parametrize("field", ["train_frac", "val_frac", "test_frac"])
+    def test_nan_fraction_rejected(self, field):
+        with pytest.raises(ValueError, match="split fraction nan must be >= 0"):
+            SplitSpec(**{field: float("nan")})
+
 
 class TestDriftSpecValidation:
     def test_rejects_unknown_kind(self):
@@ -117,6 +122,10 @@ class TestDriftSpecValidation:
         kw.setdefault("magnitudes", [1.0])
         with pytest.raises(ValueError, match=message):
             DriftSpec(change_points=[10], length=100, **kw)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed -1 must be >= 0"):
+            DriftSpec(seed=-1)
 
     def test_concept_needs_a_driver_channel(self):
         with pytest.raises(ValueError, match="channels"):

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcast import (EngineConfig, RingCache, StepRecord, build_adapter,
-                       build_model, compute_hisgrad, pretrain_adapter,
-                       run_adaptz, run_fogd, run_method, run_ogd, run_ori,
-                       write_trace_csv)
+from driftcast import (EngineConfig, StepRecord, build_adapter, build_model,
+                       compute_hisgrad, pretrain_adapter, run_adaptz, run_fogd,
+                       run_method, run_ogd, run_ori, write_trace_csv)
 from driftcast import engine
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
@@ -200,7 +199,7 @@ def replay_adaptz(model, adapter_net, stream, cfg):
     m = model.clone()
     a = adapter_net.clone()
     k, b = m.k, cfg.hist_batch
-    cache = RingCache(k + b + 2)
+    recs = {}
     hisgrad = None
     mses = []
     for s, sample in enumerate(stream):
@@ -210,15 +209,15 @@ def replay_adaptz(model, adapter_net, stream, cfg):
         delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
         yhat, h_tape = head_forward_with_tape(m, z + delta, stats)
         mses.append(mse_with_grad(yhat, sample.y)[0])
-        cache.put(s, StepRecord(y=sample.y, z=z, yhat=yhat, stats=stats,
-                                head_tape=h_tape, adapter_tape=a_tape))
+        recs[s] = StepRecord(y=sample.y, z=z, yhat=yhat, stats=stats,
+                             head_tape=h_tape, adapter_tape=a_tape)
         if s < k + b - 1:                   # hisgrad stays zero until then
             continue
-        hisgrad = compute_hisgrad(m, cache, s, k, b)
+        window = [recs[i] for i in range(s - k - b + 1, s - k + 1)]
+        hisgrad = compute_hisgrad(m, window)
         a_grads = {}
         gw = gb = None
-        for i in range(s - k - b + 1, s - k + 1):
-            rec = cache.get(i)
+        for rec in window:
             g_y = mse_with_grad(rec.yhat, rec.y)[1] / b
             if cfg.lr_head > 0:
                 w_, b_ = grad_wrt_last_layer(m, rec.head_tape, g_y)
@@ -341,6 +340,22 @@ def run_all(L, k, b, C, stream, adapter_net, **rates):
 class TestStreamShapeProperties:
     @given(stream_shapes())
     @settings(max_examples=50, deadline=None)
+    def test_release_schedule(self, shape):
+        L, k, b, C, n = shape
+        stream = make_stream(n, L, k, C, seed=n + 2)
+        runs = run_all(L, k, b, C, stream, live_adapter())
+        assert runs.pop("ori").cache_reads == []
+        for method, tr in runs.items():
+            w = b if method == "adaptz" else 1
+            by_reader = {}
+            for reader, read in tr.cache_reads:
+                by_reader.setdefault(reader, []).append(read)
+            # empty when n < k + w: no window is released before the first
+            assert by_reader == {s: list(range(s - k - w + 1, s - k + 1))
+                                 for s in range(k + w - 1, n)}, method
+
+    @given(stream_shapes())
+    @settings(max_examples=50, deadline=None)
     def test_learning_off_reproduces_ori(self, shape):
         L, k, b, C, n = shape
         stream = make_stream(n, L, k, C, seed=n)
@@ -380,7 +395,7 @@ class TestDelayAudit:
             for reader, read in trace.cache_reads:
                 assert read <= reader - 3, (trace.method, reader, read)
 
-    def test_adaptz_reads_cover_window_exactly_twice(self):
+    def test_adaptz_reads_cover_window_exactly_once(self):
         k, b = 2, 3
         model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
         stream = make_stream(20, L, k, C, seed=41)
@@ -394,44 +409,44 @@ class TestDelayAudit:
             if s < k + b - 1:
                 assert s not in by_reader
             else:
-                assert sorted(by_reader[s]) == sorted(window * 2)
+                assert by_reader[s] == window
 
 
 class TestDelayOwnedByLoop:
     def test_hisgrad_computed_from_first_full_window_on(self, monkeypatch):
-        steps = []
+        sizes = []
 
-        def spy(model, cache, t, k, b):
-            steps.append(t)
-            return compute_hisgrad(model, cache, t, k, b)
+        def spy(model, recs):
+            sizes.append(len(recs))
+            return compute_hisgrad(model, recs)
 
         monkeypatch.setattr(engine, "compute_hisgrad", spy)
         k, b, n = 2, 3, 20
         model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
         stream = make_stream(n, L, k, C, seed=42)
         run_adaptz(model, live_adapter(), stream, small_cfg(hist_batch=b))
-        assert steps == list(range(k + b - 1, n))
+        assert sizes == [b] * (n - (k + b - 1))
 
     @pytest.mark.parametrize("frozen", [dict(freeze_online=True),
                                         dict(lr_fogd=0.0, lr_ogd=0.0)],
                              ids=["freeze_online", "zero_rate"])
     def test_frozen_fogd_and_ogd_store_no_record(self, monkeypatch, frozen):
-        puts = []
+        learns = []
+        deploy = engine._deploy
 
-        class CountingCache(RingCache):
-            def put(self, t, rec):
-                puts.append(t)
-                super().put(t, rec)
+        def spy(method, model, stream, correct, learn, *args, **kw):
+            learns.append(learn)
+            return deploy(method, model, stream, correct, learn, *args, **kw)
 
-        monkeypatch.setattr(engine, "RingCache", CountingCache)
+        monkeypatch.setattr(engine, "_deploy", spy)
         model = small_model()
         stream = make_stream(12, L, K, C, seed=43)
         run_fogd(model, stream, small_cfg())
-        assert puts, "the counting cache is not in use"
-        puts.clear()
+        assert learns[0] is not None, "the live run hands the loop no learn"
         for run in (run_fogd, run_ogd):
+            learns.clear()
             trace = run(model, stream, small_cfg(**frozen))
-            assert puts == [] and trace.cache_reads == [], trace.method
+            assert learns == [None] and trace.cache_reads == [], trace.method
 
     def test_correct_sees_no_target_and_head_runs_once_per_step(self,
                                                                 monkeypatch):
@@ -450,38 +465,24 @@ class TestDelayOwnedByLoop:
         ori = run_ori(model, stream, small_cfg())
         monkeypatch.setattr(engine, "head_forward_with_tape", counted)
         trace = engine._deploy("probe", model.clone(), stream, correct,
-                               lambda s, cache: None, 1)
+                               lambda window: None, 1)
         assert seen == [None] * len(stream) and len(calls) == len(stream)
         assert trace.step_mse.tobytes() == ori.step_mse.tobytes()
 
 
 class TestHisgrad:
-    def _fill_cache(self, model, n, seed):
-        cache = RingCache(capacity=50)
+    def _records(self, model, n, seed):
         stream = make_stream(n, L, K, C, seed=seed)
-        for s, sample in enumerate(stream):
+        recs = []
+        for sample in stream:
             z, stats, _ = encode(model, sample.x)
-            cache.put(s, StepRecord(y=sample.y, z=z, stats=stats))
-        return cache
-
-    def test_window_before_step_zero_is_a_cache_miss(self):
-        # the loop keeps hisgrad at zero until the first full window
-        model = small_model()
-        cache = self._fill_cache(model, 6, seed=50)
-        for b in (1, 3):
-            with pytest.raises(RuntimeError, match="cache miss for step -1"):
-                compute_hisgrad(model, cache, K + b - 2, K, b)
-
-    def test_empty_cache_rejected(self):
-        with pytest.raises(RuntimeError, match="cache miss"):
-            compute_hisgrad(small_model(), RingCache(4), 0, K, 1)
+            recs.append(StepRecord(y=sample.y, z=z, stats=stats))
+        return recs
 
     def test_single_record_matches_fd(self):
         model = small_model()
-        cache = self._fill_cache(model, 6, seed=51)
-        t = K  # window is exactly record 0
-        out = compute_hisgrad(model, cache, t, K, 1)
-        rec = cache.get(0)
+        rec = self._records(model, 1, seed=51)[0]
+        out = compute_hisgrad(model, [rec])
         z = rec.z.copy()
 
         def loss():
@@ -491,39 +492,29 @@ class TestHisgrad:
 
     def test_window_average_of_identical_records(self):
         model = small_model()
-        cache = RingCache(20)
-        one = self._fill_cache(model, 1, seed=52).get(0)
-        for s in range(6):
-            cache.put(s, StepRecord(y=one.y, z=one.z, stats=one.stats))
+        one = self._records(model, 1, seed=52)[0]
         b = 4
-        single = compute_hisgrad(model, cache, K, K, 1)
-        window = compute_hisgrad(model, cache, K + b - 1, K, b)
+        single = compute_hisgrad(model, [one])
+        window = compute_hisgrad(model, [StepRecord(y=one.y, z=one.z,
+                                                    stats=one.stats)] * b)
         np.testing.assert_allclose(window, single, atol=1e-12)
 
     def test_general_window_is_mean_of_per_record_grads(self):
         model = small_model()
-        cache = self._fill_cache(model, 8, seed=53)
-        b = 3
-        t = K + b - 1
-        out = compute_hisgrad(model, cache, t, K, b)
-        # recompute each record separately through a fresh single-record cache
-        per = []
-        for i in range(t - K - b + 1, t - K + 1):
-            solo = RingCache(4)
-            solo.put(0, cache.get(i))
-            per.append(compute_hisgrad(model, solo, K, K, 1))
+        recs = self._records(model, 3, seed=53)
+        out = compute_hisgrad(model, recs)
+        per = [compute_hisgrad(model, [rec]) for rec in recs]
         np.testing.assert_allclose(out, np.mean(per, axis=0), atol=1e-12)
 
     def test_evaluated_under_current_parameters(self):
         model = small_model()
-        cache = self._fill_cache(model, 6, seed=54)
-        before = compute_hisgrad(model, cache, K, K, 1)
+        rec = self._records(model, 1, seed=54)[0]
+        before = compute_hisgrad(model, [rec])
         moved = model.clone()
         apply_param_step(moved, {n: np.ones_like(p) * 0.05
                                  for n, p in moved.named_params()}, 1.0)
-        after = compute_hisgrad(moved, cache, K, K, 1)
+        after = compute_hisgrad(moved, [rec])
         assert not np.array_equal(before, after)
-        rec = cache.get(0)
         z = rec.z.copy()
 
         def loss():
@@ -654,14 +645,6 @@ class TestValidation:
 
 
 class TestCacheAndTrace:
-    def test_ring_cache_evicts_and_reports_misses(self):
-        cache = RingCache(3)
-        for t in range(6):
-            cache.put(t, StepRecord(y=np.zeros((1, 1))))
-        assert 2 not in cache and 3 in cache
-        with pytest.raises(RuntimeError, match="cache miss for step 1"):
-            cache.get(1)
-
     def test_trace_csv_layout_and_running_mean(self, tmp_path):
         model = small_model()
         stream = make_stream(8, L, K, C, seed=80)
