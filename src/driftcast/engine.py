@@ -22,7 +22,11 @@ follows. The loop logs each (reader_step, read_step) pair it hands out.
 The adaptz window gradient is a sum of per-record shares. A share depends
 only on what its record holds (its tapes with their weight snapshots, its
 prediction and its target), so each record is backpropagated once, when
-its label is released, and every window just sums the stored shares.
+its label is released. The window sum slides: each window adds its newest
+share and subtracts the one that left, and it is re-summed exactly on the
+first window and on every b-th one after it. The hisgrad window is read as
+one slice of a ring that holds each released record's z, stats and target
+twice, so neither per-step cost grows with b.
 """
 
 from __future__ import annotations
@@ -130,25 +134,55 @@ def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[in
     return x.shape[1]
 
 
-def compute_hisgrad(model: ForecastModel,
-                    recs: Sequence[StepRecord]) -> np.ndarray:
-    """Average over the released records of the per-sample gradient of the
+def compute_hisgrad(model: ForecastModel, z: np.ndarray, stats: NormStats,
+                    y: np.ndarray) -> np.ndarray:
+    """Average over b released records of the per-sample gradient of the
     squared forecast error with respect to the record's feature, evaluated
     under the model's current parameters.
 
-    The b records are stacked into one (b*C)-row pass: the model is channel
-    independent, so b*C rows behave like one sample with b*C channels.
+    The records come stacked on a leading axis: z is (b, C, d), stats holds
+    (b, C) means and stds and y is (b, k, C). They run as one (b*C)-row
+    pass: the model is channel independent, so b*C rows behave like one
+    sample with b*C channels.
     """
-    b = len(recs)
-    C, d = recs[0].z.shape
-    rows = np.vstack([rec.z for rec in recs])
-    stacked = NormStats(mean=np.concatenate([r.stats.mean for r in recs]),
-                        std=np.concatenate([r.stats.std for r in recs]))
-    y_stack = np.hstack([rec.y for rec in recs])            # k x (b*C)
-    yhat, tape = head_forward_with_tape(model, rows, stacked)
-    g_yhat = 2.0 * (yhat - y_stack) / (model.k * C)         # per-sample MSE grad
+    b, C, d = z.shape
+    flat = NormStats(mean=stats.mean.reshape(b * C), std=stats.std.reshape(b * C))
+    yhat, tape = head_forward_with_tape(model, z.reshape(b * C, d), flat)
+    err = yhat.reshape(model.k, b, C) - y.transpose(1, 0, 2)
+    # per-sample MSE grad, in the k x (b*C) layout of yhat
+    g_yhat = (2.0 * err / (model.k * C)).reshape(model.k, b * C)
     g_rows = grad_wrt_feature(model, tape, g_yhat)
     return g_rows.reshape(b, C, d).mean(axis=0)
+
+
+def _stacked_fields(rec: StepRecord) -> Tuple[np.ndarray, ...]:
+    return rec.z, rec.stats.mean, rec.stats.std, rec.y
+
+
+class _StackedWindow:
+    """The last b released records' z, stats and targets, stacked as
+    compute_hisgrad takes them. Record i is written to slots i % b and
+    i % b + b of a 2b-slot ring, so the last b records always fill the
+    contiguous slots [n % b, n % b + b), oldest first, and a window costs
+    one record's copy however large b is."""
+
+    def __init__(self, window: Sequence[StepRecord]) -> None:
+        self.b, self.n = len(window), 0
+        self.rings = [np.empty((2 * self.b,) + f.shape)
+                      for f in _stacked_fields(window[0])]
+        for rec in window:
+            self.push(rec)
+
+    def push(self, rec: StepRecord) -> None:
+        j = self.n % self.b
+        for ring, value in zip(self.rings, _stacked_fields(rec)):
+            ring[j] = ring[j + self.b] = value
+        self.n += 1
+
+    def window(self) -> Tuple[np.ndarray, NormStats, np.ndarray]:
+        j = self.n % self.b
+        z, mean, std, y = (ring[j:j + self.b] for ring in self.rings)
+        return z, NormStats(mean=mean, std=std), y
 
 
 def _record_share(model: ForecastModel, a: AdapterNet, rec: StepRecord,
@@ -170,25 +204,45 @@ def _record_share(model: ForecastModel, a: AdapterNet, rec: StepRecord,
     return np.concatenate(parts)
 
 
+@dataclass
+class _ShareSum:
+    """The window gradient carried from one adaptz window to the next."""
+
+    acc: Optional[np.ndarray] = None
+    oldest: Optional[StepRecord] = None     # first record of the summed window
+    windows: int = 0                        # windows summed so far
+
+
 def _window_update(model: ForecastModel, a: AdapterNet,
-                   recs: Sequence[StepRecord], cfg: EngineConfig) -> None:
+                   recs: Sequence[StepRecord], cfg: EngineConfig,
+                   total: _ShareSum) -> None:
     """One delayed update from the b released adjusted predictions.
 
     Each record is backpropagated once, through its own tape (parameters as
     they were), the first time it enters a window, i.e. when its label is
     released; its share is stored on the record and the tapes are dropped.
-    The window gradient is the left-to-right sum of the b stored shares.
+    The window gradient is the left-to-right sum of the b stored shares on
+    the first window and every b-th one after it. In between the window
+    slid by one record, so the previous sum gains the newest share and
+    loses the share of the record that left; float addition is not
+    associative, so the periodic exact sum bounds the drift.
     """
     b = len(recs)
-    acc: Optional[np.ndarray] = None
     for rec in recs:
         if rec.share is None:
             rec.share = _record_share(model, a, rec, b, cfg)
             rec.head_tape = rec.adapter_tape = None
-        if acc is None:
-            acc = rec.share.copy()
-        else:
-            acc += rec.share
+    if total.windows % b == 0:
+        total.acc = recs[0].share.copy()
+        for rec in recs[1:]:
+            total.acc += rec.share
+    else:
+        total.acc += recs[-1].share
+        total.acc -= total.oldest.share
+    total.oldest = recs[0]
+    total.windows += 1
+    # the steps below allocate new parameters, so the sum can move in place
+    acc = total.acc
     off = 0
     if cfg.lr_head > 0:
         head = model.head
@@ -265,10 +319,13 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                stream: Sequence[Sample], cfg: EngineConfig) -> MetricsTrace:
     """Adapter-corrected deployment with the delayed window update; the
     adapter's own use_feat/use_grad flags choose its input paths. A frozen
-    run still learns, since the next hisgrad needs the window."""
+    run still learns, since the next hisgrad needs the window. With the
+    grad path off, hisgrad feeds nothing and stays zero."""
     model = _deployed_copy(model, cfg)
     a = adapter_net.clone()
     hisgrad: Optional[np.ndarray] = None
+    stacked: Optional[_StackedWindow] = None
+    total = _ShareSum()
     learning = (not cfg.freeze_online) and (cfg.lr_adapter > 0 or cfg.lr_head > 0)
 
     def correct(z, rec):
@@ -279,11 +336,16 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
         return delta
 
     def learn(window):
-        nonlocal hisgrad
-        # next step's hisgrad, evaluated before this step's parameter update
-        hisgrad = compute_hisgrad(model, window)
+        nonlocal hisgrad, stacked
+        if a.use_grad:
+            if stacked is None:
+                stacked = _StackedWindow(window)
+            else:
+                stacked.push(window[-1])
+            # next step's hisgrad, evaluated before this step's parameter update
+            hisgrad = compute_hisgrad(model, *stacked.window())
         if learning:
-            _window_update(model, a, window, cfg)
+            _window_update(model, a, window, cfg, total)
 
     return _deploy("adaptz", model, stream, correct, learn, cfg.hist_batch,
                    adapter_net=a)

@@ -165,8 +165,12 @@ def make_problem(family: str, seed: int, T: Optional[int] = None,
       each step, so R_d is an exact geometric series.
     static: dim 2, Gaussian inputs, observation noise, constant theta* (V=0).
     piecewise: dim 2, Gaussian inputs, theta* jumps between two points three
-      times, so V counts exactly J * jump_size.
+      times, so V counts exactly J * jump_size; it needs T >= 4 for its four
+      segments.
     """
+    min_T = 4 if family == "piecewise" else 1
+    if family in FAMILIES and T is not None and T < min_T:
+        raise ValueError(f"family {family!r} needs T >= {min_T}, got T={T}")
     if family == "geometric":
         T = 40 if T is None else T
         return OCOProblem(family=family, dim=1, T=T, r=1.0, gamma=0.25,

@@ -9,8 +9,8 @@ from driftcast import (EngineConfig, StepRecord, build_adapter, build_model,
 from driftcast import engine
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
-from driftcast.forecaster import (Sample, apply_param_step, encode,
-                                  grad_wrt_feature, grad_wrt_last_layer,
+from driftcast.forecaster import (NormStats, Sample, apply_param_step,
+                                  encode, grad_wrt_feature, grad_wrt_last_layer,
                                   head_forward, head_forward_with_tape,
                                   param_grads, predict_with_tape)
 from conftest import fd_grad, make_stream, rel_err
@@ -193,15 +193,27 @@ class TestSequencingOracles:
             np.testing.assert_array_equal(dict(m.named_params())[n], p, err_msg=n)
 
 
-def replay_adaptz(model, adapter_net, stream, cfg):
+def stack(recs):
+    """The records' z, stats and targets stacked as compute_hisgrad takes them."""
+    return (np.stack([r.z for r in recs]),
+            NormStats(mean=np.stack([r.stats.mean for r in recs]),
+                      std=np.stack([r.stats.std for r in recs])),
+            np.stack([r.y for r in recs]))
+
+
+def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
     """Reference adaptz loop that backpropagates every record again in each
-    window it enters, summing the gradients per parameter name."""
+    window it enters. It sums the gradients per parameter name by the
+    engine's schedule: left to right on window 0 and every b-th window, and
+    otherwise the previous sum plus the newest record's gradient minus that
+    of the record that left. exact=True re-sums every window."""
     m = model.clone()
     a = adapter_net.clone()
     k, b = m.k, cfg.hist_batch
     recs = {}
     hisgrad = None
     mses = []
+    acc = {}
     for s, sample in enumerate(stream):
         z, stats, _ = encode(m, sample.x)
         if hisgrad is None:
@@ -214,24 +226,32 @@ def replay_adaptz(model, adapter_net, stream, cfg):
         if s < k + b - 1:                   # hisgrad stays zero until then
             continue
         window = [recs[i] for i in range(s - k - b + 1, s - k + 1)]
-        hisgrad = compute_hisgrad(m, window)
-        a_grads = {}
-        gw = gb = None
-        for rec in window:
+        hisgrad = compute_hisgrad(m, *stack(window))
+
+        def grads(rec):
             g_y = mse_with_grad(rec.yhat, rec.y)[1] / b
+            out = {}
             if cfg.lr_head > 0:
-                w_, b_ = grad_wrt_last_layer(m, rec.head_tape, g_y)
-                gw = w_ if gw is None else gw + w_
-                gb = b_ if gb is None else gb + b_
+                out["head.weight"], out["head.bias"] = \
+                    grad_wrt_last_layer(m, rec.head_tape, g_y)
             if cfg.lr_adapter > 0:
                 g_z = grad_wrt_feature(m, rec.head_tape, g_y)
-                for name, g in adapter_backward_tape(rec.adapter_tape, g_z).items():
-                    a_grads[name] = g if name not in a_grads else a_grads[name] + g
+                out.update(adapter_backward_tape(rec.adapter_tape, g_z))
+            return out
+
+        if exact or (s - k - b + 1) % b == 0:
+            acc = {}
+            for rec in window:
+                for name, g in grads(rec).items():
+                    acc[name] = g if name not in acc else acc[name] + g
+        else:
+            new, old = grads(window[-1]), grads(recs[s - k - b])
+            acc = {name: acc[name] + new[name] - old[name] for name in acc}
         if cfg.lr_adapter > 0:
-            sgd_step(a, a_grads, cfg.lr_adapter)
+            sgd_step(a, acc, cfg.lr_adapter)     # reads the adapter's names only
         if cfg.lr_head > 0:
-            m.head.weight = m.head.weight - cfg.lr_head * gw
-            m.head.bias = m.head.bias - cfg.lr_head * gb
+            m.head.weight = m.head.weight - cfg.lr_head * acc["head.weight"]
+            m.head.bias = m.head.bias - cfg.lr_head * acc["head.bias"]
     return np.asarray(mses), m, a
 
 
@@ -278,6 +298,25 @@ class TestStoredShares:
         run_adaptz(model, live_adapter(), stream, small_cfg(hist_batch=b))
         assert len(calls) == n - k
 
+    def test_grad_path_off_skips_hisgrad(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return compute_hisgrad(*args)
+
+        monkeypatch.setattr(engine, "compute_hisgrad", spy)
+        model = small_model()
+        a = live_adapter(use_grad=False)
+        stream = make_stream(30, L, K, C, seed=92)
+        cfg = small_cfg(hist_batch=3)
+        trace = run_adaptz(model, a, stream, cfg)
+        assert calls == []
+        # the reference replay still computes every hisgrad
+        mses, m_ref, a_ref = replay_adaptz(model, a, stream, cfg)
+        assert trace.step_mse.tobytes() == mses.tobytes()
+        assert_same_bytes((m_ref, a_ref), (trace.final_model, trace.final_adapter))
+
     def test_pretrain_matches_rebackprop_replay(self, small_trained):
         trained, _, val, _ = small_trained
         a = build_adapter(trained.d, seed=8)
@@ -323,11 +362,12 @@ class TestCausality:
 
 
 @st.composite
-def stream_shapes(draw):
-    """(L, k, b, C, n) with n on both sides of the first full window k+b-1."""
+def stream_shapes(draw, windows=0):
+    """(L, k, b, C, n) with n on both sides of the first full window k+b-1,
+    reaching up to `windows` more windows of b steps past it."""
     L, k = draw(st.integers(2, 8)), draw(st.integers(1, 4))
     b, C = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    return L, k, b, C, draw(st.integers(1, k + b + 2))
+    return L, k, b, C, draw(st.integers(1, k + b + 2 + windows * b))
 
 
 def run_all(L, k, b, C, stream, adapter_net, **rates):
@@ -382,6 +422,62 @@ class TestStreamShapeProperties:
                 [p.tobytes() for p in full[method].preds[:m_cut]], method
 
 
+def assert_within_drift(ref_objs, objs, rel=1e-12):
+    for ref, obj in zip(ref_objs, objs):
+        for (name, p), (_, q) in zip(ref.named_params(), obj.named_params()):
+            assert np.linalg.norm(q - p) <= rel * np.linalg.norm(p), name
+
+
+class TestSlidingSumProperties:
+    # streams long enough that the window sum passes several exact re-sums
+    # and the hisgrad ring wraps around more than once
+    @given(stream_shapes(windows=4))
+    @settings(max_examples=50, deadline=None)
+    def test_sliding_sum_within_drift_of_exact_resum(self, shape):
+        L, k, b, C, n = shape
+        model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
+        a = live_adapter()
+        stream = make_stream(n, L, k, C, seed=n + 3)
+        cfg = small_cfg(horizon=k, lookback=L, hist_batch=b)
+        trace = run_adaptz(model, a, stream, cfg)
+        mses, m_ref, a_ref = replay_adaptz(model, a, stream, cfg, exact=True)
+        np.testing.assert_allclose(trace.step_mse, mses, rtol=1e-12, atol=0)
+        assert_within_drift((m_ref, a_ref),
+                            (trace.final_model, trace.final_adapter))
+
+    @given(stream_shapes(windows=4))
+    @settings(max_examples=25, deadline=None)
+    def test_reruns_are_byte_identical(self, shape):
+        L, k, b, C, n = shape
+        model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
+        stream = make_stream(n, L, k, C, seed=n + 4)
+        cfg = small_cfg(horizon=k, lookback=L, hist_batch=b)
+        one, two = (run_adaptz(model, live_adapter(), stream, cfg)
+                    for _ in range(2))
+        assert one.step_mse.tobytes() == two.step_mse.tobytes()
+        assert_same_bytes((one.final_model, one.final_adapter),
+                          (two.final_model, two.final_adapter))
+
+    @given(stream_shapes(windows=4))
+    @settings(max_examples=50, deadline=None)
+    def test_ring_window_hisgrad_equals_fresh_stack(self, shape):
+        L, k, b, C, n = shape
+        model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
+        recs = []
+        for sample in make_stream(n, L, k, C, seed=n + 5):
+            z, stats, _ = encode(model, sample.x)
+            recs.append(StepRecord(y=sample.y, z=z, stats=stats))
+        if n < b:
+            return
+        ring = engine._StackedWindow(recs[:b])
+        for end in range(b, n + 1):          # every ring offset, wrap included
+            if end > b:
+                ring.push(recs[end - 1])
+            fresh = compute_hisgrad(model, *stack(recs[end - b:end]))
+            assert compute_hisgrad(model, *ring.window()).tobytes() == \
+                fresh.tobytes(), end
+
+
 class TestDelayAudit:
     def test_no_read_fresher_than_k_old(self):
         model = build_model(L=L, k=3, d=D, n_blocks=3, seed=3)
@@ -416,9 +512,9 @@ class TestDelayOwnedByLoop:
     def test_hisgrad_computed_from_first_full_window_on(self, monkeypatch):
         sizes = []
 
-        def spy(model, recs):
-            sizes.append(len(recs))
-            return compute_hisgrad(model, recs)
+        def spy(model, z, stats, y):
+            sizes.append(len(z))
+            return compute_hisgrad(model, z, stats, y)
 
         monkeypatch.setattr(engine, "compute_hisgrad", spy)
         k, b, n = 2, 3, 20
@@ -482,7 +578,7 @@ class TestHisgrad:
     def test_single_record_matches_fd(self):
         model = small_model()
         rec = self._records(model, 1, seed=51)[0]
-        out = compute_hisgrad(model, [rec])
+        out = compute_hisgrad(model, *stack([rec]))
         z = rec.z.copy()
 
         def loss():
@@ -494,26 +590,26 @@ class TestHisgrad:
         model = small_model()
         one = self._records(model, 1, seed=52)[0]
         b = 4
-        single = compute_hisgrad(model, [one])
-        window = compute_hisgrad(model, [StepRecord(y=one.y, z=one.z,
-                                                    stats=one.stats)] * b)
+        single = compute_hisgrad(model, *stack([one]))
+        window = compute_hisgrad(model, *stack([StepRecord(y=one.y, z=one.z,
+                                                           stats=one.stats)] * b))
         np.testing.assert_allclose(window, single, atol=1e-12)
 
     def test_general_window_is_mean_of_per_record_grads(self):
         model = small_model()
         recs = self._records(model, 3, seed=53)
-        out = compute_hisgrad(model, recs)
-        per = [compute_hisgrad(model, [rec]) for rec in recs]
+        out = compute_hisgrad(model, *stack(recs))
+        per = [compute_hisgrad(model, *stack([rec])) for rec in recs]
         np.testing.assert_allclose(out, np.mean(per, axis=0), atol=1e-12)
 
     def test_evaluated_under_current_parameters(self):
         model = small_model()
         rec = self._records(model, 1, seed=54)[0]
-        before = compute_hisgrad(model, [rec])
+        before = compute_hisgrad(model, *stack([rec]))
         moved = model.clone()
         apply_param_step(moved, {n: np.ones_like(p) * 0.05
                                  for n, p in moved.named_params()}, 1.0)
-        after = compute_hisgrad(moved, [rec])
+        after = compute_hisgrad(moved, *stack([rec]))
         assert not np.array_equal(before, after)
         z = rec.z.copy()
 

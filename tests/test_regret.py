@@ -120,6 +120,21 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="unknown family"):
             make_problem("convexish", 0)
 
+    @pytest.mark.parametrize("family, T", [(f, 0) for f in FAMILIES] + [
+        ("geometric", -1), ("piecewise", 1), ("piecewise", 2), ("piecewise", 3)])
+    def test_horizon_too_short_rejected(self, family, T):
+        # T=0 gave a run whose bound of 0 passes trivially; piecewise with
+        # T < 4 divided by a zero segment length
+        with pytest.raises(ValueError, match=f"{family}.*T={T}"):
+            make_problem(family, 0, T=T)
+
+    @pytest.mark.parametrize("family, T", [("geometric", 1), ("static", 1),
+                                           ("piecewise", 4)])
+    def test_shortest_horizon_runs(self, family, T):
+        run = run_oco(make_problem(family, 0, T=T, mc_draws=20))
+        assert run.trajectory.shape == (T, run.trajectory.shape[1])
+        assert np.isfinite(run.bound)
+
     def test_comparator_must_stay_in_ball(self):
         with pytest.raises(ValueError, match="ball"):
             OCOProblem(family="x", dim=1, T=3, r=1.0, gamma=0.1,
