@@ -10,7 +10,9 @@ Layout (UTF-8 text, stable across versions):
     ...
 
 Floats are written with Python repr (shortest round-trip form), so a
-save/load cycle reproduces every array bit-exactly.
+save/load cycle reproduces every array bit-exactly. A damaged file (a
+param block cut short, a row of the wrong length, a param the loader
+needs but the file lacks) raises ValueError naming the path and the param.
 """
 
 from __future__ import annotations
@@ -24,6 +26,18 @@ MAGIC = "# driftcast-checkpoint v1"
 
 def _fmt(v: float) -> str:
     return repr(float(v))
+
+
+class _Params(dict):
+    """The params read from one file; a lookup of a param the file lacks
+    raises ValueError naming the file and the param."""
+
+    def __init__(self, path: str) -> None:
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name: str) -> np.ndarray:
+        raise ValueError(f"{self.path}: no param {name!r}")
 
 
 def write_blocks(path: str, meta: Dict[str, str],
@@ -46,7 +60,7 @@ def read_blocks(path: str) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
     if not lines or lines[0] != MAGIC:
         raise ValueError(f"{path}: not a driftcast checkpoint")
     meta: Dict[str, str] = {}
-    params: Dict[str, np.ndarray] = {}
+    params = _Params(path)
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -60,9 +74,17 @@ def read_blocks(path: str) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
         elif line.startswith("param "):
             _, name, rows, cols = line.split(" ")
             rows, cols = int(rows), int(cols)
+            block = lines[i + 1:i + 1 + rows]
+            if len(block) < rows:
+                raise ValueError(f"{path}: param {name!r} is cut short: "
+                                 f"{len(block)} of {rows} rows")
             data = np.empty((rows, cols), dtype=np.float64)
-            for r in range(rows):
-                data[r] = [float(tok) for tok in lines[i + 1 + r].split()]
+            for r, row in enumerate(block):
+                values = row.split()
+                if len(values) != cols:
+                    raise ValueError(f"{path}: param {name!r} row {r} holds "
+                                     f"{len(values)} values, not {cols}")
+                data[r] = [float(tok) for tok in values]
             params[name] = data
             i += 1 + rows
         else:

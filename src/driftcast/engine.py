@@ -4,7 +4,7 @@ One stream loop (`_deploy`) drives four methods over the same
 strict-time-order sample stream. It owns every prediction: each step the
 head runs once on the feature z plus the method's feature-space correction
 (ori and ogd add none). A method supplies only that correction and how it
-learns from a released window of records:
+learns from one released record:
 
   ori     frozen pretrained model, no adaptation
   fogd    persistent feature-space correction, delayed single-sample step
@@ -14,19 +14,20 @@ learns from a released window of records:
           head are updated from a b-sample window of released predictions
 
 The loop also owns the delay: correct never sees the step's target, and
-at step s learn is handed the records of [s-k-window+1, s-k] and nothing
-else. There is no cache to query, so no method can read a record newer
-than s-k, and the first m predictions never depend on how much stream
-follows. The loop logs each (reader_step, read_step) pair it hands out.
+at step s learn is handed the record of step s-k, once, and nothing else.
+There is no cache to query, so no method can read a record newer than s-k,
+and the first m predictions never depend on how much stream follows. The
+loop logs the (reader_step, read_step) pair of each record it hands out.
 
-The adaptz window gradient is a sum of per-record shares. A share depends
-only on what its record holds (its tapes with their weight snapshots, its
-prediction and its target), so each record is backpropagated once, when
-its label is released. The window sum slides: each window adds its newest
-share and subtracts the one that left, and it is re-summed exactly on the
-first window and on every b-th one after it. The hisgrad window is read as
-one slice of a ring that holds each released record's z, stats and target
-twice, so neither per-step cost grows with b.
+adaptz keeps its own window of the last b released records. Its window
+gradient is a sum of per-record shares. A share depends only on what its
+record holds (its tapes with their weight snapshots, its prediction and its
+target), and each record is handed over once, so each record is
+backpropagated once, when its label is released. The window sum slides:
+each window adds its newest share and subtracts the one that left, and it
+is re-summed exactly on the first window and on every b-th one after it.
+The hisgrad window is read as one slice of a ring that holds each released
+record's z, stats and target twice, so neither per-step cost grows with b.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class EngineConfig:
 
 @dataclass
 class StepRecord:
-    """One step's record as the loop keeps it until its window is released;
-    only adaptz writes adapter_tape and share."""
+    """One step's record as the loop keeps it until it is released, k steps
+    later; only adaptz writes adapter_tape."""
 
     y: Optional[np.ndarray] = None
     x: Optional[np.ndarray] = None
@@ -90,7 +91,6 @@ class StepRecord:
     stats: Optional[NormStats] = None
     head_tape: Optional[Tape] = None
     adapter_tape: Optional[AdapterTape] = None
-    share: Optional[np.ndarray] = None  # flat window-gradient term (adaptz)
 
 
 @dataclass
@@ -101,6 +101,7 @@ class MetricsTrace:
     preds: List[np.ndarray]
     final_model: ForecastModel
     final_adapter: Optional[AdapterNet] = None
+    # (reader_step, read_step) of each record handed to learn, one per step
     cache_reads: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -162,20 +163,21 @@ def _stacked_fields(rec: StepRecord) -> Tuple[np.ndarray, ...]:
 class _StackedWindow:
     """The last b released records' z, stats and targets, stacked as
     compute_hisgrad takes them. Record i is written to slots i % b and
-    i % b + b of a 2b-slot ring, so the last b records always fill the
-    contiguous slots [n % b, n % b + b), oldest first, and a window costs
-    one record's copy however large b is."""
+    i % b + b of a 2b-slot ring, allocated on the first push, so once b
+    records are in, the last b always fill the contiguous slots
+    [n % b, n % b + b), oldest first, and a window costs one record's copy
+    however large b is."""
 
-    def __init__(self, window: Sequence[StepRecord]) -> None:
-        self.b, self.n = len(window), 0
-        self.rings = [np.empty((2 * self.b,) + f.shape)
-                      for f in _stacked_fields(window[0])]
-        for rec in window:
-            self.push(rec)
+    def __init__(self, b: int) -> None:
+        self.b, self.n = b, 0
+        self.rings: List[np.ndarray] = []
 
     def push(self, rec: StepRecord) -> None:
+        fields = _stacked_fields(rec)
+        if not self.rings:
+            self.rings = [np.empty((2 * self.b,) + f.shape) for f in fields]
         j = self.n % self.b
-        for ring, value in zip(self.rings, _stacked_fields(rec)):
+        for ring, value in zip(self.rings, fields):
             ring[j] = ring[j + self.b] = value
         self.n += 1
 
@@ -204,45 +206,11 @@ def _record_share(model: ForecastModel, a: AdapterNet, rec: StepRecord,
     return np.concatenate(parts)
 
 
-@dataclass
-class _ShareSum:
-    """The window gradient carried from one adaptz window to the next."""
-
-    acc: Optional[np.ndarray] = None
-    oldest: Optional[StepRecord] = None     # first record of the summed window
-    windows: int = 0                        # windows summed so far
-
-
-def _window_update(model: ForecastModel, a: AdapterNet,
-                   recs: Sequence[StepRecord], cfg: EngineConfig,
-                   total: _ShareSum) -> None:
-    """One delayed update from the b released adjusted predictions.
-
-    Each record is backpropagated once, through its own tape (parameters as
-    they were), the first time it enters a window, i.e. when its label is
-    released; its share is stored on the record and the tapes are dropped.
-    The window gradient is the left-to-right sum of the b stored shares on
-    the first window and every b-th one after it. In between the window
-    slid by one record, so the previous sum gains the newest share and
-    loses the share of the record that left; float addition is not
-    associative, so the periodic exact sum bounds the drift.
-    """
-    b = len(recs)
-    for rec in recs:
-        if rec.share is None:
-            rec.share = _record_share(model, a, rec, b, cfg)
-            rec.head_tape = rec.adapter_tape = None
-    if total.windows % b == 0:
-        total.acc = recs[0].share.copy()
-        for rec in recs[1:]:
-            total.acc += rec.share
-    else:
-        total.acc += recs[-1].share
-        total.acc -= total.oldest.share
-    total.oldest = recs[0]
-    total.windows += 1
-    # the steps below allocate new parameters, so the sum can move in place
-    acc = total.acc
+def _window_update(model: ForecastModel, a: AdapterNet, acc: np.ndarray,
+                   cfg: EngineConfig) -> None:
+    """Step the head (if lr_head > 0) and the adapter (if lr_adapter > 0) down
+    the window gradient acc, laid out as _record_share lays out a share. The
+    steps allocate new parameters, so acc may later move in place."""
     off = 0
     if cfg.lr_head > 0:
         head = model.head
@@ -272,15 +240,15 @@ def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
 
 def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
             correct: Optional[Callable[[np.ndarray, StepRecord], np.ndarray]],
-            learn: Optional[Callable[[List[StepRecord]], None]], window: int,
+            learn: Optional[Callable[[StepRecord], None]],
             adapter_net: Optional[AdapterNet] = None) -> MetricsTrace:
     """The one stream loop, owner of the prediction and the k-step delay: at
     step s it runs the head on z + correct(z, rec) (on z if correct is None)
     for a record rec of the sample's x, z and stats and writes yhat and
-    head_tape to rec. Unless learn is None, it then adds the target y, keeps
-    rec in a ring of the last k + window records and, once the ring is full,
-    calls learn with the records of [s-k-window+1, s-k], oldest first."""
-    ring: Deque[Tuple[int, StepRecord]] = deque(maxlen=model.k + window)
+    head_tape to rec. Unless learn is None, it then adds the target y, holds
+    rec back with the k records before it and, from step k on, calls learn
+    with the record of step s-k alone, which it then lets go."""
+    pending: Deque[Tuple[int, StepRecord]] = deque()
     reads: List[Tuple[int, int]] = []
     steps: List[int] = []
     mses: List[float] = []
@@ -299,11 +267,11 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
         preds.append(rec.yhat)
         if learn is not None:
             rec.y = sample.y                        # released at step s + k
-            ring.append((s, rec))
-            if len(ring) == ring.maxlen:
-                released = list(islice(ring, window))
-                reads += [(s, t) for t, _ in released]
-                learn([r for _, r in released])
+            pending.append((s, rec))
+            if len(pending) > model.k:
+                t, released = pending.popleft()
+                reads.append((s, t))
+                learn(released)
     return MetricsTrace(method, steps, np.asarray(mses), preds,
                         final_model=model, final_adapter=adapter_net,
                         cache_reads=reads)
@@ -312,7 +280,7 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
 def run_ori(model: ForecastModel, stream: Sequence[Sample],
             cfg: EngineConfig) -> MetricsTrace:
     """Frozen baseline: predict every sample, adapt nothing."""
-    return _deploy("ori", _deployed_copy(model, cfg), stream, None, None, 1)
+    return _deploy("ori", _deployed_copy(model, cfg), stream, None, None)
 
 
 def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
@@ -320,12 +288,23 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     """Adapter-corrected deployment with the delayed window update; the
     adapter's own use_feat/use_grad flags choose its input paths. A frozen
     run still learns, since the next hisgrad needs the window. With the
-    grad path off, hisgrad feeds nothing and stays zero."""
+    grad path off, hisgrad feeds nothing and stays zero.
+
+    Each released record is pushed to the hisgrad ring and, when learning,
+    backpropagated into its share of the window gradient. Once b records
+    are in, the window sum is taken left to right on the first window and
+    every b-th one after it; in between it gains the newest share and loses
+    the one that left. Float addition is not associative, so the periodic
+    exact sum bounds the drift.
+    """
     model = _deployed_copy(model, cfg)
     a = adapter_net.clone()
+    b = cfg.hist_batch
     hisgrad: Optional[np.ndarray] = None
-    stacked: Optional[_StackedWindow] = None
-    total = _ShareSum()
+    stacked = _StackedWindow(b)
+    shares: Deque[np.ndarray] = deque(maxlen=b)
+    acc: Optional[np.ndarray] = None
+    windows = 0                                 # window sums taken so far
     learning = (not cfg.freeze_online) and (cfg.lr_adapter > 0 or cfg.lr_head > 0)
 
     def correct(z, rec):
@@ -335,20 +314,30 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
         delta, rec.adapter_tape = adapter_forward_with_tape(a, z, hisgrad)
         return delta
 
-    def learn(window):
-        nonlocal hisgrad, stacked
+    def learn(rec):
+        nonlocal hisgrad, acc, windows
         if a.use_grad:
-            if stacked is None:
-                stacked = _StackedWindow(window)
-            else:
-                stacked.push(window[-1])
-            # next step's hisgrad, evaluated before this step's parameter update
-            hisgrad = compute_hisgrad(model, *stacked.window())
-        if learning:
-            _window_update(model, a, window, cfg, total)
+            stacked.push(rec)
+            if stacked.n >= b:
+                # next step's hisgrad, evaluated before this step's update
+                hisgrad = compute_hisgrad(model, *stacked.window())
+        if not learning:
+            return
+        left = shares[0] if len(shares) == b else None
+        shares.append(_record_share(model, a, rec, b, cfg))
+        if len(shares) < b:
+            return
+        if windows % b == 0:
+            acc = shares[0].copy()
+            for share in islice(shares, 1, None):
+                acc += share
+        else:
+            acc += shares[-1]
+            acc -= left
+        windows += 1
+        _window_update(model, a, acc, cfg)
 
-    return _deploy("adaptz", model, stream, correct, learn, cfg.hist_batch,
-                   adapter_net=a)
+    return _deploy("adaptz", model, stream, correct, learn, adapter_net=a)
 
 
 def run_fogd(model: ForecastModel, stream: Sequence[Sample],
@@ -363,15 +352,14 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
             delta = np.zeros_like(z)
         return delta
 
-    def learn(window):
+    def learn(rec):
         nonlocal delta
-        (rec,) = window
         _, g_y = mse_with_grad(rec.yhat, rec.y)
         g_delta = grad_wrt_feature(model, rec.head_tape, g_y)
         delta = delta - cfg.lr_fogd * g_delta
 
     live = cfg.lr_fogd > 0 and not cfg.freeze_online
-    return _deploy("fogd", model, stream, correct, learn if live else None, 1)
+    return _deploy("fogd", model, stream, correct, learn if live else None)
 
 
 def run_ogd(model: ForecastModel, stream: Sequence[Sample],
@@ -379,14 +367,13 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
     """Delayed single-sample gradient step on all model parameters."""
     model = _deployed_copy(model, cfg)
 
-    def learn(window):
-        (rec,) = window
+    def learn(rec):
         yh_d, ftape = predict_with_tape(model, rec.x)
         _, g_y = mse_with_grad(yh_d, rec.y)
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 
     live = cfg.lr_ogd > 0 and not cfg.freeze_online
-    return _deploy("ogd", model, stream, None, learn if live else None, 1)
+    return _deploy("ogd", model, stream, None, learn if live else None)
 
 
 def run_method(method: str, model: ForecastModel, adapter_net: Optional[AdapterNet],

@@ -13,6 +13,12 @@ gradient; the run measures
 
 and checks R_d <= B with B = T*r*b_hat^2 + (r/gamma)*V + T*gamma*(G_hat+l_hat)/2.
 
+B has no term for the start distance ||theta_0 - theta*_1||, and the regret
+of the first steps is made of it. So the stock geometric family fails the
+check at T=1 (R_d 1.0 against B 0.5) and T=2 (1.25 against 1.0) and passes
+from T=3 on; its stock run has T=40. B is kept as written until the theorem
+it comes from can be checked.
+
 Expectations are Monte Carlo with M fixed-sub-seed draws per step; maxima
 over visited iterates stand in for suprema. Instances with a fixed input
 and no noise make every estimator exact (the closed-form check relies on

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from driftcast import (build_adapter, build_model, load_adapter, load_model,
+                       save_adapter, save_model)
 from driftcast.checkpoint import MAGIC, read_blocks, write_blocks
 
 
@@ -33,3 +35,43 @@ def test_foreign_file_rejected(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(ValueError, match="checkpoint"):
         read_blocks(str(path))
+
+
+def write_two_params(tmp_path):
+    path = tmp_path / "two.ckpt"
+    write_blocks(str(path), {"kind": "t"}, [("w", np.ones((2, 3))),
+                                            ("b", np.ones((2, 2)))])
+    return path
+
+
+def test_truncated_param_block_names_path_and_param(tmp_path):
+    path = write_two_params(tmp_path)
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    with pytest.raises(ValueError, match=r"two\.ckpt: param 'b' is cut short"):
+        read_blocks(str(path))
+
+
+def test_short_row_names_path_and_param(tmp_path):
+    path = write_two_params(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(" ", 1)[0]          # first row of w
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"two\.ckpt: param 'w' row 0 holds 2"):
+        read_blocks(str(path))
+
+
+@pytest.mark.parametrize("kind", ["model", "adapter"])
+def test_missing_param_names_path_and_param(tmp_path, kind):
+    path = tmp_path / f"{kind}.ckpt"
+    if kind == "model":
+        save_model(build_model(L=6, k=2, d=3, n_blocks=3, seed=0), str(path))
+        load = load_model
+    else:
+        save_adapter(build_adapter(3, seed=0), str(path))
+        load = load_adapter
+    lines = path.read_text().splitlines()
+    # drop the last param: its header and its one bias row
+    path.write_text("\n".join(lines[:-2]) + "\n")
+    name = lines[-2].split()[1]
+    with pytest.raises(ValueError, match=rf"{kind}\.ckpt: no param '{name}'"):
+        load(str(path))

@@ -201,6 +201,16 @@ def stack(recs):
             np.stack([r.y for r in recs]))
 
 
+def encoded_records(model, stream):
+    """Each sample's z, stats and target; adaptz moves no parameter before
+    the tap, so these are the values its hisgrad window holds."""
+    recs = []
+    for sample in stream:
+        z, stats, _ = encode(model, sample.x)
+        recs.append(StepRecord(y=sample.y, z=z, stats=stats))
+    return recs
+
+
 def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
     """Reference adaptz loop that backpropagates every record again in each
     window it enters. It sums the gradients per parameter name by the
@@ -385,14 +395,10 @@ class TestStreamShapeProperties:
         stream = make_stream(n, L, k, C, seed=n + 2)
         runs = run_all(L, k, b, C, stream, live_adapter())
         assert runs.pop("ori").cache_reads == []
+        # each learning method is handed the record of step s-k at step s,
+        # and nothing else; empty when n <= k
         for method, tr in runs.items():
-            w = b if method == "adaptz" else 1
-            by_reader = {}
-            for reader, read in tr.cache_reads:
-                by_reader.setdefault(reader, []).append(read)
-            # empty when n < k + w: no window is released before the first
-            assert by_reader == {s: list(range(s - k - w + 1, s - k + 1))
-                                 for s in range(k + w - 1, n)}, method
+            assert tr.cache_reads == [(s, s - k) for s in range(k, n)], method
 
     @given(stream_shapes())
     @settings(max_examples=50, deadline=None)
@@ -463,16 +469,12 @@ class TestSlidingSumProperties:
     def test_ring_window_hisgrad_equals_fresh_stack(self, shape):
         L, k, b, C, n = shape
         model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
-        recs = []
-        for sample in make_stream(n, L, k, C, seed=n + 5):
-            z, stats, _ = encode(model, sample.x)
-            recs.append(StepRecord(y=sample.y, z=z, stats=stats))
-        if n < b:
-            return
-        ring = engine._StackedWindow(recs[:b])
-        for end in range(b, n + 1):          # every ring offset, wrap included
-            if end > b:
-                ring.push(recs[end - 1])
+        recs = encoded_records(model, make_stream(n, L, k, C, seed=n + 5))
+        ring = engine._StackedWindow(b)
+        for end in range(1, n + 1):          # every ring offset, wrap included
+            ring.push(recs[end - 1])
+            if end < b:
+                continue
             fresh = compute_hisgrad(model, *stack(recs[end - b:end]))
             assert compute_hisgrad(model, *ring.window()).tobytes() == \
                 fresh.tobytes(), end
@@ -491,21 +493,30 @@ class TestDelayAudit:
             for reader, read in trace.cache_reads:
                 assert read <= reader - 3, (trace.method, reader, read)
 
-    def test_adaptz_reads_cover_window_exactly_once(self):
-        k, b = 2, 3
+    @given(stream_shapes(windows=2))
+    @settings(max_examples=50, deadline=None)
+    def test_adaptz_reads_cover_window_exactly_once(self, shape):
+        # adaptz keeps its own window of released records: the hisgrad of
+        # step s reads exactly the records of steps [s-k-b+1, s-k]
+        L, k, b, C, n = shape
         model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
-        stream = make_stream(20, L, k, C, seed=41)
-        trace = run_adaptz(model, live_adapter(), stream,
-                           small_cfg(hist_batch=b))
-        by_reader = {}
-        for reader, read in trace.cache_reads:
-            by_reader.setdefault(reader, []).append(read)
-        for s in range(len(stream)):
-            window = list(range(s - k - b + 1, s - k + 1))
-            if s < k + b - 1:
-                assert s not in by_reader
-            else:
-                assert by_reader[s] == window
+        stream = make_stream(n, L, k, C, seed=n + 6)
+        recs = encoded_records(model, stream)
+        windows = []
+
+        def as_bytes(z, stats, y):
+            return tuple(a.tobytes() for a in (z, stats.mean, stats.std, y))
+
+        def spy(model, z, stats, y):
+            windows.append(as_bytes(z, stats, y))
+            return compute_hisgrad(model, z, stats, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "compute_hisgrad", spy)
+            run_adaptz(model, live_adapter(), stream,
+                       small_cfg(horizon=k, lookback=L, hist_batch=b))
+        assert windows == [as_bytes(*stack(recs[s - k - b + 1:s - k + 1]))
+                           for s in range(k + b - 1, n)]
 
 
 class TestDelayOwnedByLoop:
@@ -561,7 +572,7 @@ class TestDelayOwnedByLoop:
         ori = run_ori(model, stream, small_cfg())
         monkeypatch.setattr(engine, "head_forward_with_tape", counted)
         trace = engine._deploy("probe", model.clone(), stream, correct,
-                               lambda window: None, 1)
+                               lambda rec: None)
         assert seen == [None] * len(stream) and len(calls) == len(stream)
         assert trace.step_mse.tobytes() == ori.step_mse.tobytes()
 

@@ -67,6 +67,15 @@ class TestGeometricFamily:
         assert run.b_hat <= 1e-12
         assert run.lambda_hat <= 1e-12
 
+    @pytest.mark.parametrize("T, R_d, bound, passed", [
+        (1, 1.0, 0.5, False), (2, 1.25, 1.0, False), (3, 1.3125, 1.5, True)])
+    def test_bound_has_no_start_distance_term(self, T, R_d, bound, passed):
+        # B lacks a ||theta_0 - theta*_1|| term, so the shortest runs fail;
+        # a B that gains one should flip T=1 and T=2 to passing on purpose
+        run = run_oco(make_problem("geometric", 2025, T=T))
+        assert (run.R_d, run.bound) == (R_d, bound)
+        assert check_bound(run).passed is passed
+
     def test_bound_formula_recomposes(self):
         for family in FAMILIES:
             run = run_oco(make_problem(family, 9))
