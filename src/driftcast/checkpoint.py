@@ -11,8 +11,9 @@ Layout (UTF-8 text, stable across versions):
 
 Floats are written with Python repr (shortest round-trip form), so a
 save/load cycle reproduces every array bit-exactly. A damaged file (a
-param block cut short, a row of the wrong length, a param the loader
-needs but the file lacks) raises ValueError naming the path and the param.
+param block cut short, a row of the wrong length or with a value that is
+not a finite number, a param or meta key the loader needs but the file
+lacks) raises ValueError naming the path and the param or meta key.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-class _Params(dict):
-    """The params read from one file; a lookup of a param the file lacks
-    raises ValueError naming the file and the param."""
+class _Entries(dict):
+    """The params or the meta keys read from one file; a lookup of an entry
+    the file lacks raises ValueError naming the file and the entry."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, kind: str) -> None:
         super().__init__()
-        self.path = path
+        self.path, self.kind = path, kind
 
-    def __missing__(self, name: str) -> np.ndarray:
-        raise ValueError(f"{self.path}: no param {name!r}")
+    def __missing__(self, name: str):
+        raise ValueError(f"{self.path}: no {self.kind} {name!r}")
 
 
 def write_blocks(path: str, meta: Dict[str, str],
@@ -59,8 +60,8 @@ def read_blocks(path: str) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MAGIC:
         raise ValueError(f"{path}: not a driftcast checkpoint")
-    meta: Dict[str, str] = {}
-    params = _Params(path)
+    meta = _Entries(path, "meta key")
+    params = _Entries(path, "param")
     i = 1
     while i < len(lines):
         line = lines[i]
@@ -81,10 +82,15 @@ def read_blocks(path: str) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
             data = np.empty((rows, cols), dtype=np.float64)
             for r, row in enumerate(block):
                 values = row.split()
+                where = f"{path}: param {name!r} row {r}"
                 if len(values) != cols:
-                    raise ValueError(f"{path}: param {name!r} row {r} holds "
-                                     f"{len(values)} values, not {cols}")
-                data[r] = [float(tok) for tok in values]
+                    raise ValueError(f"{where} holds {len(values)} values, not {cols}")
+                try:
+                    data[r] = [float(tok) for tok in values]
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                if not np.isfinite(data[r]).all():
+                    raise ValueError(f"{where} holds a non-finite value")
             params[name] = data
             i += 1 + rows
         else:

@@ -13,21 +13,22 @@ learns from one released record:
           feature and a batched historical feature-gradient; adapter and
           head are updated from a b-sample window of released predictions
 
-The loop also owns the delay: correct never sees the step's target, and
-at step s learn is handed the record of step s-k, once, and nothing else.
-There is no cache to query, so no method can read a record newer than s-k,
-and the first m predictions never depend on how much stream follows. The
-loop logs the (reader_step, read_step) pair of each record it hands out.
+The loop also owns the delay and the score. correct never sees the step's
+target; at step s learn is handed the record of step s-k, once, and nothing
+else, so the first m predictions never depend on how much stream follows.
+The loop logs the (reader_step, read_step) pair of each record it hands
+out. It scores each prediction once, and the loss gradient g_y rides on
+the record: fogd and adaptz step on it, as delayed OGD does.
 
 adaptz keeps its own window of the last b released records. Its window
 gradient is a sum of per-record shares. A share depends only on what its
-record holds (its tapes with their weight snapshots, its prediction and its
-target), and each record is handed over once, so each record is
-backpropagated once, when its label is released. The window sum slides:
-each window adds its newest share and subtracts the one that left, and it
-is re-summed exactly on the first window and on every b-th one after it.
-The hisgrad window is read as one slice of a ring that holds each released
-record's z, stats and target twice, so neither per-step cost grows with b.
+record holds (its tapes with their weight snapshots and its g_y), and each
+record is handed over once, so each record is backpropagated once, when its
+label is released. The window sum slides: each window adds its newest share
+and subtracts the one that left, and it is re-summed exactly on the first
+window and on every b-th one after it. The hisgrad window is read as one
+slice of a ring that holds each released record's z, stats and target
+twice, so neither per-step cost grows with b.
 """
 
 from __future__ import annotations
@@ -81,13 +82,13 @@ class EngineConfig:
 
 @dataclass
 class StepRecord:
-    """One step's record as the loop keeps it until it is released, k steps
-    later; only adaptz writes adapter_tape."""
+    """A step's record, held until its release k steps later; y and g_y (the
+    loss gradient) come after correct runs, and only adaptz sets adapter_tape."""
 
     y: Optional[np.ndarray] = None
+    g_y: Optional[np.ndarray] = None
     x: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
-    yhat: Optional[np.ndarray] = None
     stats: Optional[NormStats] = None
     head_tape: Optional[Tape] = None
     adapter_tape: Optional[AdapterTape] = None
@@ -150,7 +151,7 @@ def compute_hisgrad(model: ForecastModel, z: np.ndarray, stats: NormStats,
     flat = NormStats(mean=stats.mean.reshape(b * C), std=stats.std.reshape(b * C))
     yhat, tape = head_forward_with_tape(model, z.reshape(b * C, d), flat)
     err = yhat.reshape(model.k, b, C) - y.transpose(1, 0, 2)
-    # per-sample MSE grad, in the k x (b*C) layout of yhat
+    # per-record MSE grad, k x (b*C) like yhat; a stacked mse_with_grad is 1/b of it
     g_yhat = (2.0 * err / (model.k * C)).reshape(model.k, b * C)
     g_rows = grad_wrt_feature(model, tape, g_yhat)
     return g_rows.reshape(b, C, d).mean(axis=0)
@@ -191,10 +192,9 @@ def _record_share(model: ForecastModel, a: AdapterNet, rec: StepRecord,
                   b: int, cfg: EngineConfig) -> np.ndarray:
     """The record's term of the window-mean loss gradient as one flat vector:
     head weight and bias (if lr_head > 0), then the adapter parameters in
-    named_params order (if lr_adapter > 0). Only the record's own tapes are
-    read, so the term is the same in every window the record enters."""
-    _, g_sample = mse_with_grad(rec.yhat, rec.y)
-    g_y = g_sample / b                                      # window-mean loss
+    named_params order (if lr_adapter > 0). Only the record's own tapes and
+    g_y are read, so the term is the same in every window the record enters."""
+    g_y = rec.g_y / b                                       # window-mean loss
     parts: List[np.ndarray] = []
     if cfg.lr_head > 0:
         gw, gb = grad_wrt_last_layer(model, rec.head_tape, g_y)
@@ -242,12 +242,12 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
             correct: Optional[Callable[[np.ndarray, StepRecord], np.ndarray]],
             learn: Optional[Callable[[StepRecord], None]],
             adapter_net: Optional[AdapterNet] = None) -> MetricsTrace:
-    """The one stream loop, owner of the prediction and the k-step delay: at
-    step s it runs the head on z + correct(z, rec) (on z if correct is None)
-    for a record rec of the sample's x, z and stats and writes yhat and
-    head_tape to rec. Unless learn is None, it then adds the target y, holds
-    rec back with the k records before it and, from step k on, calls learn
-    with the record of step s-k alone, which it then lets go."""
+    """The one stream loop, owner of the prediction, the k-step delay and the
+    score: at step s it runs the head on z + correct(z, rec) (on z if correct
+    is None) for a record rec of the sample's x, z and stats, writes head_tape
+    to rec and scores yhat once. Unless learn is None, it then adds the target
+    y and the loss gradient g_y, holds rec back with the k records before it
+    and, from step k on, calls learn with the record of step s-k alone."""
     pending: Deque[Tuple[int, StepRecord]] = deque()
     reads: List[Tuple[int, int]] = []
     steps: List[int] = []
@@ -260,13 +260,13 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
         z, stats, _ = encode(model, sample.x)
         rec = StepRecord(x=sample.x, z=z, stats=stats)      # views, no copy
         z_in = z if correct is None else z + correct(z, rec)
-        rec.yhat, rec.head_tape = head_forward_with_tape(model, z_in, stats)
-        loss, _ = mse_with_grad(rec.yhat, sample.y)         # metrics-only read
+        yhat, rec.head_tape = head_forward_with_tape(model, z_in, stats)
+        loss, g_y = mse_with_grad(yhat, sample.y)
         steps.append(sample.origin)
         mses.append(loss)
-        preds.append(rec.yhat)
+        preds.append(yhat)
         if learn is not None:
-            rec.y = sample.y                        # released at step s + k
+            rec.y, rec.g_y = sample.y, g_y          # released at step s + k
             pending.append((s, rec))
             if len(pending) > model.k:
                 t, released = pending.popleft()
@@ -354,8 +354,7 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
 
     def learn(rec):
         nonlocal delta
-        _, g_y = mse_with_grad(rec.yhat, rec.y)
-        g_delta = grad_wrt_feature(model, rec.head_tape, g_y)
+        g_delta = grad_wrt_feature(model, rec.head_tape, rec.g_y)
         delta = delta - cfg.lr_fogd * g_delta
 
     live = cfg.lr_fogd > 0 and not cfg.freeze_online
@@ -369,7 +368,7 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
 
     def learn(rec):
         yh_d, ftape = predict_with_tape(model, rec.x)
-        _, g_y = mse_with_grad(yh_d, rec.y)
+        _, g_y = mse_with_grad(yh_d, rec.y)     # re-scored under current params
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 
     live = cfg.lr_ogd > 0 and not cfg.freeze_online

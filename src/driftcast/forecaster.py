@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import checkpoint
-from .diffmath import AffineLayer, _as_matrix, affine_apply
+from .diffmath import AffineLayer, _as_matrix, affine_apply, mse_with_grad
 
 STD_EPS = 1e-5
 
@@ -300,8 +300,8 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
             std_col = np.concatenate([stds[j] for j in idx])[:, None]
             mean_col = np.concatenate([means[j] for j in idx])[:, None]
             tape = _forward(out, rows, 0, None)
-            diff = (tape.y_norm * std_col + mean_col) - targ
-            g_norm = (2.0 * diff / diff.size) * std_col
+            _, g_y = mse_with_grad(tape.y_norm * std_col + mean_col, targ)
+            g_norm = g_y * std_col
             grads: Dict[str, np.ndarray] = {}
             _backward(tape, g_norm, 0, grads)
             apply_param_step(out, grads, lr)

@@ -75,3 +75,41 @@ def test_missing_param_names_path_and_param(tmp_path, kind):
     name = lines[-2].split()[1]
     with pytest.raises(ValueError, match=rf"{kind}\.ckpt: no param '{name}'"):
         load(str(path))
+
+
+def saved_model_lines(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_model(build_model(L=6, k=2, d=3, n_blocks=3, seed=0), str(path))
+    return path, path.read_text().splitlines()
+
+
+def first_weight_row(lines):
+    return lines.index("param blocks.0.weight 3 6") + 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_value_names_path_and_param(tmp_path, bad):
+    path, lines = saved_model_lines(tmp_path)
+    r = first_weight_row(lines)
+    lines[r] = " ".join([bad] + lines[r].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"model\.ckpt: param 'blocks\.0\.weight' "
+                                         r"row 0 holds a non-finite value"):
+        load_model(str(path))
+
+
+def test_non_number_names_path_param_and_row(tmp_path):
+    path = write_two_params(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[4] = "abc " + lines[4].split(" ", 1)[1]      # second row of w
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"two\.ckpt: param 'w' row 1: .*'abc'"):
+        read_blocks(str(path))
+
+
+def test_missing_meta_key_names_path_and_key(tmp_path):
+    path, lines = saved_model_lines(tmp_path)
+    lines.remove("meta blocks 3")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"model\.ckpt: no meta key 'blocks'"):
+        load_model(str(path))

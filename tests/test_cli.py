@@ -216,6 +216,14 @@ class TestReadmeDefaults:
                 want = None if text == "second-last" else cast(text)
                 assert default == want, (key, text, default)
 
+    def test_example_config_parses(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        plan = parse_config(write_cfg(tmp_path, block))
+        assert (plan.drift.kind, plan.drift.length) == ("concept_drift", 6000)
+        assert plan.drift.change_points == [4800]
+        assert (plan.methods, plan.horizons, plan.seeds) == (["ori", "adaptz"], [24], [2025])
+
 
 class TestRunPlan:
     def test_grid_rows_in_order(self, small_results):

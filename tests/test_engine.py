@@ -230,8 +230,9 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
             hisgrad = np.zeros_like(z)
         delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
         yhat, h_tape = head_forward_with_tape(m, z + delta, stats)
-        mses.append(mse_with_grad(yhat, sample.y)[0])
-        recs[s] = StepRecord(y=sample.y, z=z, yhat=yhat, stats=stats,
+        loss, g_y = mse_with_grad(yhat, sample.y)
+        mses.append(loss)
+        recs[s] = StepRecord(y=sample.y, g_y=g_y, z=z, stats=stats,
                              head_tape=h_tape, adapter_tape=a_tape)
         if s < k + b - 1:                   # hisgrad stays zero until then
             continue
@@ -239,7 +240,7 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
         hisgrad = compute_hisgrad(m, *stack(window))
 
         def grads(rec):
-            g_y = mse_with_grad(rec.yhat, rec.y)[1] / b
+            g_y = rec.g_y / b
             out = {}
             if cfg.lr_head > 0:
                 out["head.weight"], out["head.bias"] = \
@@ -560,7 +561,7 @@ class TestDelayOwnedByLoop:
         seen, calls = [], []
 
         def correct(z, rec):
-            seen.append(rec.y)
+            seen.append((rec.y, rec.g_y))
             return np.zeros_like(z)
 
         def counted(model, z_adj, stats):
@@ -573,8 +574,31 @@ class TestDelayOwnedByLoop:
         monkeypatch.setattr(engine, "head_forward_with_tape", counted)
         trace = engine._deploy("probe", model.clone(), stream, correct,
                                lambda rec: None)
-        assert seen == [None] * len(stream) and len(calls) == len(stream)
+        assert seen == [(None, None)] * len(stream) and len(calls) == len(stream)
         assert trace.step_mse.tobytes() == ori.step_mse.tobytes()
+
+    def test_each_step_scored_once_and_only_ogd_rescores(self, monkeypatch,
+                                                         small_trained):
+        calls = []
+
+        def counted(pred, target):
+            calls.append(1)
+            return mse_with_grad(pred, target)
+
+        monkeypatch.setattr(engine, "mse_with_grad", counted)
+        n = 15
+        stream = make_stream(n, L, K, C, seed=45)
+        model = small_model()
+        cfg = small_cfg(hist_batch=3)
+        for method, want in [("fogd", n), ("adaptz", n), ("ogd", n + n - K)]:
+            calls.clear()
+            run_method(method, model, live_adapter(), stream, cfg)
+            assert len(calls) == want, method
+        trained, _, val, _ = small_trained
+        calls.clear()
+        pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
+                         epochs=2, hist_batch=4)
+        assert len(calls) == 2 * len(val)
 
 
 class TestHisgrad:
