@@ -13,7 +13,9 @@ Floats are written with Python repr (shortest round-trip form), so a
 save/load cycle reproduces every array bit-exactly. A damaged file (a
 param block cut short, a row of the wrong length or with a value that is
 not a finite number, a param or meta key the loader needs but the file
-lacks) raises ValueError naming the path and the param or meta key.
+lacks) raises ValueError naming the path and the param or meta key; a
+malformed param or meta line, or a param or meta key given twice, raises
+one naming the path and the line number (and the key, if repeated).
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ class _Entries(dict):
 
     def __missing__(self, name: str):
         raise ValueError(f"{self.path}: no {self.kind} {name!r}")
+
+    def add(self, name: str, value, lineno: int) -> None:
+        if name in self:
+            raise ValueError(f"{self.path}: line {lineno}: {self.kind} {name!r} repeated")
+        self[name] = value
 
 
 def write_blocks(path: str, meta: Dict[str, str],
@@ -69,12 +76,20 @@ def read_blocks(path: str) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
             i += 1
             continue
         if line.startswith("meta "):
-            _, key, value = line.split(" ", 2)
-            meta[key] = value
+            parts = line.split(" ", 2)
+            if len(parts) < 3:
+                raise ValueError(f"{path}: line {i + 1}: meta line {line!r} has no value")
+            meta.add(parts[1], parts[2], i + 1)
             i += 1
         elif line.startswith("param "):
-            _, name, rows, cols = line.split(" ")
-            rows, cols = int(rows), int(cols)
+            try:                        # a short line fails to unpack, also a ValueError
+                _, name, rows, cols = line.split(" ")
+                rows, cols = int(rows), int(cols)
+                if rows < 0 or cols < 0:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: line {i + 1}: {line!r} is not "
+                                 "'param <name> <rows> <cols>' with counts >= 0") from None
             block = lines[i + 1:i + 1 + rows]
             if len(block) < rows:
                 raise ValueError(f"{path}: param {name!r} is cut short: "
@@ -91,7 +106,7 @@ def read_blocks(path: str) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
                     raise ValueError(f"{where}: {exc}") from None
                 if not np.isfinite(data[r]).all():
                     raise ValueError(f"{where} holds a non-finite value")
-            params[name] = data
+            params.add(name, data, i + 1)
             i += 1 + rows
         else:
             raise ValueError(f"{path}: unrecognized line {i + 1}: {line!r}")

@@ -197,6 +197,10 @@ def parse_config(path: Optional[str] = None,
                        os.path.splitext(os.path.basename(data_path))[0])
     else:
         dataset = _get(conf, "dataset", str, drift.kind)
+    if any(ch in dataset for ch in ',"\r\n'):
+        raise ValueError(f"config key dataset: {dataset!r} has a comma, quote or "
+                         "line break, which results.csv cannot hold; set "
+                         "dataset= to a plain label")
     horizons = _get_list(conf, "horizon", int, [_ENGINE_DEFAULTS.horizon])
     seeds = _get_list(conf, "seed", int, [_ENGINE_DEFAULTS.seed])
     for key, values in (("method", methods), ("horizon", horizons), ("seed", seeds)):

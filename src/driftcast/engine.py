@@ -20,22 +20,22 @@ The loop logs the (reader_step, read_step) pair of each record it hands
 out. It scores each prediction once, and the loss gradient g_y rides on
 the record: fogd and adaptz step on it, as delayed OGD does.
 
-adaptz keeps its own window of the last b released records. Its window
-gradient is a sum of per-record shares. A share depends only on what its
-record holds (its tapes with their weight snapshots and its g_y), and each
-record is handed over once, so each record is backpropagated once, when its
-label is released. The window sum slides: each window adds its newest share
-and subtracts the one that left, and it is re-summed exactly on the first
-window and on every b-th one after it. The hisgrad window is read as one
-slice of a ring that holds each released record's z, stats and target
-twice, so neither per-step cost grows with b.
+adaptz keeps its own window of the last b released records, placed by one
+release count n: record i sits in slot i % b. Its window gradient is a sum
+of per-record shares. A share depends only on what its record holds (its
+tapes with their weight snapshots and its g_y), and each record is handed
+over once, so each record is backpropagated once, when its label is
+released. The window sum slides: each window adds its newest share and
+subtracts the one its slot held, and it is re-summed exactly whenever
+n % b == 0, when slots 0..b-1 hold the window in order. The hisgrad window
+is read as one slice of a ring that holds each released record's z, stats
+and target twice, so neither per-step cost grows with b.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,37 +157,6 @@ def compute_hisgrad(model: ForecastModel, z: np.ndarray, stats: NormStats,
     return g_rows.reshape(b, C, d).mean(axis=0)
 
 
-def _stacked_fields(rec: StepRecord) -> Tuple[np.ndarray, ...]:
-    return rec.z, rec.stats.mean, rec.stats.std, rec.y
-
-
-class _StackedWindow:
-    """The last b released records' z, stats and targets, stacked as
-    compute_hisgrad takes them. Record i is written to slots i % b and
-    i % b + b of a 2b-slot ring, allocated on the first push, so once b
-    records are in, the last b always fill the contiguous slots
-    [n % b, n % b + b), oldest first, and a window costs one record's copy
-    however large b is."""
-
-    def __init__(self, b: int) -> None:
-        self.b, self.n = b, 0
-        self.rings: List[np.ndarray] = []
-
-    def push(self, rec: StepRecord) -> None:
-        fields = _stacked_fields(rec)
-        if not self.rings:
-            self.rings = [np.empty((2 * self.b,) + f.shape) for f in fields]
-        j = self.n % self.b
-        for ring, value in zip(self.rings, fields):
-            ring[j] = ring[j + self.b] = value
-        self.n += 1
-
-    def window(self) -> Tuple[np.ndarray, NormStats, np.ndarray]:
-        j = self.n % self.b
-        z, mean, std, y = (ring[j:j + self.b] for ring in self.rings)
-        return z, NormStats(mean=mean, std=std), y
-
-
 def _record_share(model: ForecastModel, a: AdapterNet, rec: StepRecord,
                   b: int, cfg: EngineConfig) -> np.ndarray:
     """The record's term of the window-mean loss gradient as one flat vector:
@@ -290,21 +259,22 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     run still learns, since the next hisgrad needs the window. With the
     grad path off, hisgrad feeds nothing and stays zero.
 
-    Each released record is pushed to the hisgrad ring and, when learning,
-    backpropagated into its share of the window gradient. Once b records
-    are in, the window sum is taken left to right on the first window and
-    every b-th one after it; in between it gains the newest share and loses
-    the one that left. Float addition is not associative, so the periodic
-    exact sum bounds the drift.
+    Released record i goes to slot i % b: its z, stats and target to the
+    hisgrad ring (slots j and j + b of 2b) and, when learning, its share of
+    the window gradient to a b-slot list. Once b records are in, the window
+    sum is taken left to right whenever the count n of released records is
+    a multiple of b; in between it gains the newest share and loses the one
+    whose slot that share took. Float addition is not associative, so the
+    periodic exact sum bounds the drift.
     """
     model = _deployed_copy(model, cfg)
     a = adapter_net.clone()
     b = cfg.hist_batch
     hisgrad: Optional[np.ndarray] = None
-    stacked = _StackedWindow(b)
-    shares: Deque[np.ndarray] = deque(maxlen=b)
+    n = 0                                       # records released so far
+    rings: List[np.ndarray] = []
+    shares: List[Optional[np.ndarray]] = [None] * b
     acc: Optional[np.ndarray] = None
-    windows = 0                                 # window sums taken so far
     learning = (not cfg.freeze_online) and (cfg.lr_adapter > 0 or cfg.lr_head > 0)
 
     def correct(z, rec):
@@ -315,26 +285,33 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
         return delta
 
     def learn(rec):
-        nonlocal hisgrad, acc, windows
+        nonlocal hisgrad, acc, n, rings
+        j = n % b                               # this record's slot
+        n += 1
         if a.use_grad:
-            stacked.push(rec)
-            if stacked.n >= b:
+            # each field written twice, at j and j + b, so the last b records
+            # are one contiguous slice, oldest first, as compute_hisgrad takes them
+            fields = (rec.z, rec.stats.mean, rec.stats.std, rec.y)
+            if not rings:
+                rings = [np.empty((2 * b,) + f.shape) for f in fields]
+            for ring, value in zip(rings, fields):
+                ring[j] = ring[j + b] = value
+            if n >= b:
                 # next step's hisgrad, evaluated before this step's update
-                hisgrad = compute_hisgrad(model, *stacked.window())
+                z, mean, std, y = (ring[n % b:n % b + b] for ring in rings)
+                hisgrad = compute_hisgrad(model, z, NormStats(mean=mean, std=std), y)
         if not learning:
             return
-        left = shares[0] if len(shares) == b else None
-        shares.append(_record_share(model, a, rec, b, cfg))
-        if len(shares) < b:
+        left, shares[j] = shares[j], _record_share(model, a, rec, b, cfg)
+        if n < b:
             return
-        if windows % b == 0:
+        if n % b == 0:                          # slots 0..b-1 hold the window in order
             acc = shares[0].copy()
-            for share in islice(shares, 1, None):
+            for share in shares[1:]:
                 acc += share
         else:
-            acc += shares[-1]
+            acc += shares[j]
             acc -= left
-        windows += 1
         _window_update(model, a, acc, cfg)
 
     return _deploy("adaptz", model, stream, correct, learn, adapter_net=a)

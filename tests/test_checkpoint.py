@@ -113,3 +113,21 @@ def test_missing_meta_key_names_path_and_key(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"model\.ckpt: no meta key 'blocks'"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("index, text, message", [
+    (2, "param w -1 3", r"line 3: 'param w -1 3' is not 'param <name>"),
+    (2, "param w 2", r"line 3: 'param w 2' is not 'param <name>"),
+    (2, "param w x 3", r"line 3: 'param w x 3' is not 'param <name>"),
+    (1, "meta kind", r"line 2: meta line 'meta kind' has no value"),
+    (5, "param w 2 2", r"line 6: param 'w' repeated"),
+    (1, "meta kind t\nmeta kind u", r"line 3: meta key 'kind' repeated"),
+], ids=["negative-rows", "no-cols", "non-int-rows", "meta-no-value",
+        "param-repeated", "meta-repeated"])
+def test_damaged_header_line_names_path_and_line(tmp_path, index, text, message):
+    path = write_two_params(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"two\.ckpt: " + message):
+        read_blocks(str(path))

@@ -159,6 +159,25 @@ class TestParseConfig:
                      f"out_dir={tmp_path}"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "data=my,data.csv",                  # label taken from the file name
+        "dataset=my,data",
+        'dataset=say "hi"',
+        "dataset=two\rlines",
+        "dataset=two\nlines",
+    ], ids=["file-stem-comma", "comma", "quote", "cr", "lf"])
+    def test_dataset_label_unfit_for_results_csv_exits_two(self, setting,
+                                                            tmp_path,
+                                                            monkeypatch, capsys):
+        def no_load(plan):
+            raise AssertionError("data loaded for a bad plan")
+
+        monkeypatch.setattr(cli, "load_plan_frame", no_load)
+        assert main(["run", "--set", setting, "--set",
+                     f"out_dir={tmp_path}"]) == 2
+        err = capsys.readouterr().err
+        assert "config key dataset" in err and "set dataset=" in err
+
     @pytest.mark.parametrize("setting, message", [
         ("method=ori", "method: value 'ori' repeated"),
         ("horizon=4", "horizon: value 4 repeated"),
