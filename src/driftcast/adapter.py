@@ -1,9 +1,9 @@
 """Dual-path correction adapter: (z, hisgrad) -> delta in feature space.
 
-Two separate input projections (one for the current feature, one for the
-batched historical feature-gradient, which lives on a much smaller scale)
-are summed, passed through ReLU, a hidden layer, ReLU again, and an output
-layer that is zero-initialized so a fresh adapter is an exact no-op.
+Two input projections, path_feat on the current feature and path_grad on
+the batched historical feature-gradient (a much smaller scale), are summed,
+then pass ReLU, `hidden`, ReLU and `out`, which starts at zero so a fresh
+adapter is an exact no-op. These four named layers, in order, are its parameters.
 
 Ablation flags skip a path structurally: a disabled path is never
 evaluated, so the output is bit-exact independent of that input and the
@@ -18,10 +18,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import checkpoint
-from .diffmath import AffineLayer, _as_matrix, affine_apply
+from .diffmath import AffineLayer, Layered, _as_matrix, affine_apply, descend
 
 
-class AdapterNet:
+_LAYERS = ("path_feat", "path_grad", "hidden", "out")    # constructor order
+
+
+class AdapterNet(Layered):
     def __init__(self, path_feat: AffineLayer, path_grad: AffineLayer,
                  hidden: AffineLayer, out: AffineLayer,
                  use_feat: bool = True, use_grad: bool = True) -> None:
@@ -48,21 +51,11 @@ class AdapterNet:
         return self.hidden.out_dim
 
     def clone(self) -> "AdapterNet":
-        return AdapterNet(self.path_feat.clone(), self.path_grad.clone(),
-                          self.hidden.clone(), self.out.clone(),
+        return AdapterNet(*(layer.clone() for _, layer in self.named_layers()),
                           self.use_feat, self.use_grad)
 
-    def named_params(self) -> List[Tuple[str, np.ndarray]]:
-        out: List[Tuple[str, np.ndarray]] = []
-        for lname in ("path_feat", "path_grad", "hidden", "out"):
-            layer = getattr(self, lname)
-            out.append((f"{lname}.weight", layer.weight))
-            out.append((f"{lname}.bias", layer.bias))
-        return out
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        lname, field = name.split(".")
-        setattr(getattr(self, lname), field, value)
+    def named_layers(self) -> List[Tuple[str, AffineLayer]]:
+        return list(zip(_LAYERS, (self.path_feat, self.path_grad, self.hidden, self.out)))
 
 
 def build_adapter(d: int, h: Optional[int] = None, use_feat: bool = True,
@@ -153,14 +146,8 @@ def adapter_backward_tape(tape: AdapterTape, grad_delta) -> Dict[str, np.ndarray
 
 
 def sgd_step(a: AdapterNet, grads: Dict[str, np.ndarray], lr: float) -> AdapterNet:
-    """theta <- theta - lr * grad on every adapter parameter, in place on `a`
-    but with freshly allocated arrays (old tapes keep their snapshots)."""
-    if lr == 0.0:
-        return a
-    for name, value in a.named_params():
-        g = grads.get(name)
-        if g is not None:
-            a.set_param(name, value - lr * np.asarray(g, dtype=np.float64))
+    """One SGD step on the named adapter parameters (see descend); returns a."""
+    descend(a, grads, lr)
     return a
 
 
@@ -174,10 +161,5 @@ def load_adapter(path: str) -> AdapterNet:
     meta, params = checkpoint.read_blocks(path)
     if meta.get("kind") != "adapter":
         raise ValueError(f"{path}: not an adapter checkpoint")
-    layers = {}
-    for lname in ("path_feat", "path_grad", "hidden", "out"):
-        layers[lname] = AffineLayer(params[f"{lname}.weight"],
-                                    params[f"{lname}.bias"].reshape(-1))
-    return AdapterNet(layers["path_feat"], layers["path_grad"], layers["hidden"],
-                      layers["out"], bool(int(meta["use_feat"])),
-                      bool(int(meta["use_grad"])))
+    return AdapterNet(*(AffineLayer.named(params, lname) for lname in _LAYERS),
+                      bool(int(meta["use_feat"])), bool(int(meta["use_grad"])))

@@ -137,11 +137,11 @@ def load_csv(path: str) -> SeriesFrame:
 
 def write_csv(frame: SeriesFrame, path: str) -> None:
     """Inverse of load_csv; repr-precision floats, index as timestamp."""
-    lines = [",".join(["timestamp"] + list(frame.columns))]
-    for t in range(frame.T):
-        lines.append(",".join([str(t)] + [repr(float(v)) for v in frame.values[t]]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")     # quotes a name only if it must
+        out.writerow(["timestamp"] + list(frame.columns))
+        for t in range(frame.T):
+            out.writerow([str(t)] + [repr(float(v)) for v in frame.values[t]])
 
 
 def chrono_split(frame: SeriesFrame, spec: SplitSpec, L: int, k: int

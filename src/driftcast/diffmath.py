@@ -1,15 +1,14 @@
-"""Dense primitives shared by the forecaster, adapter and online engine.
-
-The affine layer (a parameter holder plus its cache-free map) and the MSE
-loss with its gradient. The backward passes through affine layers and
-ReLUs live on the forecaster and adapter tapes, which snapshot the weights
-at forward time. Everything here is small on purpose: row-major float64
-arrays, explicit shape checks, deterministic outputs.
+"""Dense primitives shared by the forecaster, adapter and online engine:
+the affine layer (a parameter holder plus its cache-free map), the MSE loss
+with its gradient, and the parameter protocol of both networks. A Layered
+network's parameters are its named layers' `<layer>.weight|bias`, and
+descend is the one step that moves them. Backward passes live on the tapes,
+which snapshot the weights at forward time. Row-major float64 throughout.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +46,10 @@ class AffineLayer:
         weight = scale * rng.standard_normal((out_dim, in_dim))
         return cls(weight, np.zeros(out_dim))
 
+    @classmethod
+    def named(cls, params: Dict[str, np.ndarray], name: str) -> "AffineLayer":
+        return cls(params[f"{name}.weight"], params[f"{name}.bias"])
+
     def clone(self) -> "AffineLayer":
         return AffineLayer(self.weight.copy(), self.bias.copy())
 
@@ -57,6 +60,30 @@ class AffineLayer:
     @property
     def in_dim(self) -> int:
         return self.weight.shape[1]
+
+
+class Layered:
+    """A network whose parameters are its named affine layers."""
+
+    def named_layers(self) -> List[Tuple[str, AffineLayer]]:
+        raise NotImplementedError
+
+    def named_params(self) -> List[Tuple[str, np.ndarray]]:
+        """Each layer's weight then bias: checkpoint and adaptz share order."""
+        return [p for name, layer in self.named_layers()
+                for p in ((f"{name}.weight", layer.weight), (f"{name}.bias", layer.bias))]
+
+
+def descend(net: Layered, grads: Dict[str, np.ndarray], lr: float) -> None:
+    """theta <- theta - lr * g into new arrays (tapes keep the old) for each
+    parameter named in grads; the others stay."""
+    if lr == 0.0:
+        return
+    for lname, layer in net.named_layers():
+        for field in ("weight", "bias"):
+            g = grads.get(f"{lname}.{field}")
+            if g is not None:
+                setattr(layer, field, getattr(layer, field) - lr * np.asarray(g, float))
 
 
 def affine_apply(weight: np.ndarray, bias: np.ndarray, inp: np.ndarray) -> np.ndarray:

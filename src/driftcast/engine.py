@@ -42,7 +42,7 @@ import numpy as np
 
 from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
                       adapter_forward_with_tape, sgd_step)
-from .diffmath import mse_with_grad
+from .diffmath import descend, mse_with_grad
 from .forecaster import (ForecastModel, NormStats, Sample, Tape,
                          apply_param_step, encode, grad_wrt_feature,
                          grad_wrt_last_layer, head_forward_with_tape,
@@ -124,6 +124,8 @@ def write_trace_csv(trace: MetricsTrace, path: str) -> None:
 def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[int],
                   channels: Optional[int]) -> int:
     x, y = sample.x, sample.y
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError(f"sample at origin {sample.origin}: x and y must be 2-D")
     if x.shape[0] != model.L:
         raise ValueError(f"sample x rows {x.shape[0]} != lookback {model.L}")
     if channels is not None and x.shape[1] != channels:
@@ -182,13 +184,10 @@ def _window_update(model: ForecastModel, a: AdapterNet, acc: np.ndarray,
     steps allocate new parameters, so acc may later move in place."""
     off = 0
     if cfg.lr_head > 0:
-        head = model.head
-        n_w, n_b = head.weight.size, head.bias.size
-        gw = acc[:n_w].reshape(head.weight.shape)
-        gb = acc[n_w:n_w + n_b]
-        head.weight = head.weight - cfg.lr_head * gw
-        head.bias = head.bias - cfg.lr_head * gb
-        off = n_w + n_b
+        w, bias = model.head.weight, model.head.bias
+        descend(model, {"head.weight": acc[:w.size].reshape(w.shape),
+                        "head.bias": acc[w.size:w.size + bias.size]}, cfg.lr_head)
+        off = w.size + bias.size
     if cfg.lr_adapter > 0:
         a_grads: Dict[str, np.ndarray] = {}
         for name, p in a.named_params():

@@ -1,17 +1,16 @@
 """Channel-independent MLP forecaster split into an encoder and a head.
 
 The model normalizes each lookback window per channel, runs the channels
-as batch rows through a stack of affine blocks (ReLU strictly between
-blocks), maps the last block to the horizon with a linear head, and
-denormalizes. One block output is exposed as the feature z; corrections
-are added there and the remaining computation is resumed by head_forward.
+as batch rows through affine blocks `blocks.<i>` (ReLU strictly between
+blocks), maps the last block to the horizon with a linear `head`, and
+denormalizes. Those named layers are its parameters, and descend steps
+them. One block output is exposed as the feature z; corrections are added
+there and head_forward resumes the rest of the pass.
 
 Every forward pass, full (encode) or resumed from the tap
-(head_forward_with_tape), records one kind of Tape: the inputs and outputs
-of the blocks it ran and weight snapshots, so that gradients can later be
-taken under the parameters that produced the prediction, even if the live
-model has moved on since. One backward pass serves the feature gradient
-and the parameter gradients.
+(head_forward_with_tape), records one Tape of block inputs, outputs and
+weight snapshots, so gradients are taken under the parameters that made
+the prediction. One backward pass serves feature and parameter gradients.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import checkpoint
-from .diffmath import AffineLayer, _as_matrix, affine_apply, mse_with_grad
+from .diffmath import (AffineLayer, Layered, _as_matrix, affine_apply, descend,
+                       mse_with_grad)
 
 STD_EPS = 1e-5
 
@@ -82,7 +82,7 @@ class Tape:
     stats: Optional[NormStats]
 
 
-class ForecastModel:
+class ForecastModel(Layered):
     """Encoder blocks + linear head; channels share all weights."""
 
     def __init__(self, blocks: Sequence[AffineLayer], head: AffineLayer,
@@ -119,23 +119,9 @@ class ForecastModel:
         return ForecastModel([b.clone() for b in self.blocks], self.head.clone(),
                              self.L, self.k, self.tap_index)
 
-    def named_params(self) -> List[Tuple[str, np.ndarray]]:
-        out: List[Tuple[str, np.ndarray]] = []
-        for i, blk in enumerate(self.blocks):
-            out.append((f"blocks.{i}.weight", blk.weight))
-            out.append((f"blocks.{i}.bias", blk.bias))
-        out.append(("head.weight", self.head.weight))
-        out.append(("head.bias", self.head.bias))
-        return out
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        if name == "head.weight":
-            self.head.weight = value
-        elif name == "head.bias":
-            self.head.bias = value
-        else:
-            _, idx, field = name.split(".")
-            setattr(self.blocks[int(idx)], field, value)
+    def named_layers(self) -> List[Tuple[str, AffineLayer]]:
+        blocks = [(f"blocks.{i}", blk) for i, blk in enumerate(self.blocks)]
+        return blocks + [("head", self.head)]
 
 
 def build_model(L: int, k: int, d: int = 64, n_blocks: int = 3,
@@ -259,14 +245,8 @@ def param_grads(model: ForecastModel, tape: Tape, grad_yhat) -> Dict[str, np.nda
 
 
 def apply_param_step(model: ForecastModel, grads: Dict[str, np.ndarray], lr: float) -> None:
-    """One SGD step on the named parameters; allocates fresh arrays so that
-    existing tapes keep pointing at the pre-step values."""
-    if lr == 0.0:
-        return
-    for name, value in model.named_params():
-        g = grads.get(name)
-        if g is not None:
-            model.set_param(name, value - lr * g)
+    """One SGD step on the named parameters (see descend)."""
+    descend(model, grads, lr)
 
 
 def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
@@ -281,6 +261,8 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
         raise ValueError("train_samples is empty")
     if epochs < 0 or batch < 1:
         raise ValueError(f"epochs must be >= 0 and batch >= 1, got {epochs}, {batch}")
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"lr must be >= 0 and finite, got {lr!r}")
     out = model.clone()
     if epochs == 0:
         return out
@@ -320,9 +302,7 @@ def load_model(path: str) -> ForecastModel:
     if meta.get("kind") != "forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
     n_blocks = int(meta["blocks"])
-    blocks = [AffineLayer(params[f"blocks.{i}.weight"],
-                          params[f"blocks.{i}.bias"].reshape(-1))
-              for i in range(n_blocks)]
-    head = AffineLayer(params["head.weight"], params["head.bias"].reshape(-1))
+    blocks = [AffineLayer.named(params, f"blocks.{i}") for i in range(n_blocks)]
+    head = AffineLayer.named(params, "head")
     return ForecastModel(blocks, head, int(meta["L"]), int(meta["k"]),
                          int(meta["tap_index"]))

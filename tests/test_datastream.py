@@ -19,9 +19,19 @@ class TestCsvIO:
         frame = SeriesFrame(np.array([[1.5, -2.0]]), ["a", "b"])
         path = str(tmp_path / "one.csv")
         write_csv(frame, path)
-        lines = open(path).read().splitlines()
-        assert lines[0] == "timestamp,a,b"
-        assert lines[1] == "0,1.5,-2.0"
+        with open(path, "rb") as fh:
+            assert fh.read() == b"timestamp,a,b\n0,1.5,-2.0\n"
+
+    def test_quoted_header_round_trips(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('t,"temp, C","say ""hi"""\n0,1.0,2.0\n1,3.0,4.0\n')
+        frame = load_csv(str(path))
+        assert frame.columns == ["temp, C", 'say "hi"']
+        again = tmp_path / "again.csv"
+        write_csv(frame, str(again))
+        back = load_csv(str(again))
+        assert back.columns == frame.columns
+        np.testing.assert_array_equal(back.values, frame.values)
 
     @pytest.mark.parametrize("text,msg", [
         ("", "empty"),

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast.diffmath import AffineLayer, affine_apply, mse_with_grad
+from driftcast import build_adapter, build_model
+from driftcast.diffmath import AffineLayer, affine_apply, descend, mse_with_grad
 from conftest import fd_grad, rel_err
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=64)
@@ -35,6 +36,64 @@ class TestAffine:
         c = a.clone()
         c.weight[0, 0] += 1.0
         assert a.weight[0, 0] != c.weight[0, 0]
+
+
+class TestParamProtocol:
+    """Checkpoint files and the adaptz share layout follow named_params order."""
+
+    def test_model_names_and_order(self):
+        model = build_model(L=5, k=2, d=3, n_blocks=3, seed=0)
+        assert [n for n, _ in model.named_params()] == [
+            "blocks.0.weight", "blocks.0.bias", "blocks.1.weight", "blocks.1.bias",
+            "blocks.2.weight", "blocks.2.bias", "head.weight", "head.bias"]
+        layers = model.blocks + [model.head]
+        arrays_ = [a for layer in layers for a in (layer.weight, layer.bias)]
+        assert all(p is q for (_, p), q in zip(model.named_params(), arrays_))
+
+    def test_adapter_names_and_order(self):
+        a = build_adapter(d=3, seed=0)
+        assert [n for n, _ in a.named_params()] == [
+            "path_feat.weight", "path_feat.bias", "path_grad.weight", "path_grad.bias",
+            "hidden.weight", "hidden.bias", "out.weight", "out.bias"]
+        layers = [a.path_feat, a.path_grad, a.hidden, a.out]
+        arrays_ = [p for layer in layers for p in (layer.weight, layer.bias)]
+        assert all(p is q for (_, p), q in zip(a.named_params(), arrays_))
+
+    def test_named_reads_one_layer(self):
+        params = {"x.weight": np.ones((2, 3)), "x.bias": np.zeros((2, 1)),
+                  "y.weight": np.zeros((1, 1)), "y.bias": np.zeros(1)}
+        layer = AffineLayer.named(params, "x")
+        np.testing.assert_array_equal(layer.weight, np.ones((2, 3)))
+        assert layer.bias.shape == (2,)
+
+
+class TestDescend:
+    def test_moves_only_named_params_into_new_arrays(self):
+        model = build_model(L=5, k=2, d=3, n_blocks=3, seed=1)
+        before = dict(model.named_params())
+        snapshot = {n: p.copy() for n, p in before.items()}
+        grads = {"blocks.1.bias": np.full(3, 2.0), "head.weight": np.ones((2, 3))}
+        descend(model, grads, 0.25)
+        for name, p in model.named_params():
+            np.testing.assert_array_equal(before[name], snapshot[name], err_msg=name)
+            if name in grads:
+                assert p is not before[name]
+                np.testing.assert_array_equal(p, snapshot[name] - 0.25 * grads[name])
+            else:
+                assert p is before[name], name
+
+    def test_zero_lr_keeps_same_arrays(self):
+        a = build_adapter(d=3, seed=2)
+        before = a.named_params()
+        descend(a, {n: np.ones_like(p) for n, p in before}, 0.0)
+        assert all(p is q for (_, p), (_, q) in zip(before, a.named_params()))
+
+    def test_gradient_taken_as_float64(self):
+        model = build_model(L=5, k=2, d=3, n_blocks=1, seed=3)
+        w = model.head.weight.copy()
+        descend(model, {"head.weight": [[1, 2, 3], [4, 5, 6]]}, 0.5)
+        np.testing.assert_array_equal(model.head.weight,
+                                      w - 0.5 * np.arange(1.0, 7.0).reshape(2, 3))
 
 
 class TestMse:

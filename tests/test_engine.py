@@ -743,6 +743,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="channel count"):
             run_ori(model, mixed, small_cfg())
 
+    @pytest.mark.parametrize("x_shape,y_shape", [((L,), (K, 1)), ((L, 1), (K,))],
+                             ids=["x-1d", "y-1d"])
+    def test_sample_not_2d_names_origin(self, x_shape, y_shape):
+        stream = [Sample(x=np.zeros(x_shape), y=np.zeros(y_shape), origin=7)]
+        with pytest.raises(ValueError, match="origin 7: x and y must be 2-D"):
+            run_ori(small_model(), stream, small_cfg())
+
     def test_cfg_model_mismatch_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match="horizon"):

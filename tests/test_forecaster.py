@@ -310,6 +310,13 @@ class TestOfflineTrain:
             offline_train(model, [self._one_sample(82)], epochs=1, batch=0)
 
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+    def test_unusable_lr_rejected(self, lr):
+        model = build_model(L=5, k=2, d=3, seed=4)
+        with pytest.raises(ValueError, match="lr must be >= 0 and finite"):
+            offline_train(model, [self._one_sample(83)], epochs=1, lr=lr)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = build_model(L=9, k=3, d=5, n_blocks=2, tap_index=0, seed=12)
