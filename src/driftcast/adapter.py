@@ -128,20 +128,11 @@ def adapter_backward_tape(tape: AdapterTape, grad_delta) -> Dict[str, np.ndarray
     grads["hidden.weight"] = g.T @ tape.r1
     grads["hidden.bias"] = g.sum(axis=0)
     g = (g @ tape.w_hidden) * (tape.s > 0.0)
-    d = tape.z.shape[1]
-    h = tape.s.shape[1]
-    if tape.use_feat:
-        grads["path_feat.weight"] = g.T @ tape.z
-        grads["path_feat.bias"] = g.sum(axis=0)
-    else:
-        grads["path_feat.weight"] = np.zeros((h, d))
-        grads["path_feat.bias"] = np.zeros(h)
-    if tape.use_grad:
-        grads["path_grad.weight"] = g.T @ tape.hisgrad
-        grads["path_grad.bias"] = g.sum(axis=0)
-    else:
-        grads["path_grad.weight"] = np.zeros((h, d))
-        grads["path_grad.bias"] = np.zeros(h)
+    d, h = tape.z.shape[1], tape.s.shape[1]
+    for name, on, inp in (("path_feat", tape.use_feat, tape.z),
+                          ("path_grad", tape.use_grad, tape.hisgrad)):
+        grads[f"{name}.weight"] = g.T @ inp if on else np.zeros((h, d))
+        grads[f"{name}.bias"] = g.sum(axis=0) if on else np.zeros(h)
     return grads
 
 
@@ -162,4 +153,5 @@ def load_adapter(path: str) -> AdapterNet:
     if meta.get("kind") != "adapter":
         raise ValueError(f"{path}: not an adapter checkpoint")
     return AdapterNet(*(AffineLayer.named(params, lname) for lname in _LAYERS),
-                      bool(int(meta["use_feat"])), bool(int(meta["use_grad"])))
+                      bool(meta.integer("use_feat", flag=True)),
+                      bool(meta.integer("use_grad", flag=True)))

@@ -13,7 +13,8 @@ Floats are written with Python repr (shortest round-trip form), so a
 save/load cycle reproduces every array bit-exactly. A damaged file (a
 param block cut short, a row of the wrong length or with a value that is
 not a finite number, a param or meta key the loader needs but the file
-lacks) raises ValueError naming the path and the param or meta key; a
+lacks, a meta count that is not an integer or a meta flag that is not 0
+or 1) raises ValueError naming the path and the param or meta key; a
 malformed param or meta line, or a param or meta key given twice, raises
 one naming the path and the line number (and the key, if repeated).
 """
@@ -25,10 +26,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 MAGIC = "# driftcast-checkpoint v1"
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 class _Entries(dict):
@@ -47,6 +44,14 @@ class _Entries(dict):
             raise ValueError(f"{self.path}: line {lineno}: {self.kind} {name!r} repeated")
         self[name] = value
 
+    def integer(self, key: str, flag: bool = False) -> int:
+        """The meta value of key as an int; a flag must be 0 or 1."""
+        raw = self[key]
+        if raw in ("0", "1") or not flag and raw.removeprefix("-").isdecimal():
+            return int(raw)
+        raise ValueError(f"{self.path}: meta key {key!r} is {raw!r}, not "
+                         + ("0 or 1" if flag else "an integer"))
+
 
 def write_blocks(path: str, meta: Dict[str, str],
                  params: List[Tuple[str, np.ndarray]]) -> None:
@@ -57,12 +62,12 @@ def write_blocks(path: str, meta: Dict[str, str],
         a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
         lines.append(f"param {name} {a.shape[0]} {a.shape[1]}")
         for row in a:
-            lines.append(" ".join(_fmt(v) for v in row))
+            lines.append(" ".join(repr(float(v)) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_blocks(path: str) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
+def read_blocks(path: str) -> Tuple[_Entries, _Entries]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MAGIC:

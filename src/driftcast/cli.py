@@ -36,22 +36,13 @@ METHOD_TOKENS = {"ori": ("ori", True, True), "fogd": ("fogd", True, True),
 PRETRAIN_EPOCH_CHOICES = (0, 1, 3, 5, 10)
 
 
-def _bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(raw)
-
-
 # every key a run config may contain, with its scalar/list arity; the scalar
 # keys as {key: (field, cast)} of the dataclass each fills, and keys a config
 # leaves out take that dataclass's defaults. The EngineConfig fields are keys
 # too, cast by the type of their default.
 _ENGINE_DEFAULTS = EngineConfig()
 _LIST_KEYS = ("method", "horizon", "seed", "change_point", "magnitude")
-_ENGINE_KEYS = {name: (name, _bool if type(default) is bool else type(default))
+_ENGINE_KEYS = {name: (name, type(default))
                 for name, default in vars(_ENGINE_DEFAULTS).items()
                 if name not in _LIST_KEYS}
 _DRIFT_KEYS = {"kind": ("kind", str), "length": ("length", int),

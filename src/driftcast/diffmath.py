@@ -76,14 +76,20 @@ class Layered:
 
 def descend(net: Layered, grads: Dict[str, np.ndarray], lr: float) -> None:
     """theta <- theta - lr * g into new arrays (tapes keep the old) for each
-    parameter named in grads; the others stay."""
+    parameter named in grads; the others stay. A name the net lacks or a
+    rate outside [0, inf) raises ValueError before anything moves."""
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"lr must be >= 0 and finite, got {lr!r}")
+    steps = [(layer, field, g)
+             for lname, layer in net.named_layers() for field in ("weight", "bias")
+             if (g := grads.get(f"{lname}.{field}")) is not None]
+    if len(steps) != len(grads):
+        unknown = sorted(set(grads) - {name for name, _ in net.named_params()})
+        raise ValueError(f"no parameter named {', '.join(unknown)}")
     if lr == 0.0:
         return
-    for lname, layer in net.named_layers():
-        for field in ("weight", "bias"):
-            g = grads.get(f"{lname}.{field}")
-            if g is not None:
-                setattr(layer, field, getattr(layer, field) - lr * np.asarray(g, float))
+    for layer, field, g in steps:
+        setattr(layer, field, getattr(layer, field) - lr * np.asarray(g, float))
 
 
 def affine_apply(weight: np.ndarray, bias: np.ndarray, inp: np.ndarray) -> np.ndarray:

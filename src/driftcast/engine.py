@@ -34,6 +34,7 @@ and target twice, so neither per-step cost grows with b.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -49,6 +50,7 @@ from .forecaster import (ForecastModel, NormStats, Sample, Tape,
                          param_grads, predict_with_tape)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
+Layout = List[Tuple[str, Tuple[int, ...]]]     # (name, shape) per parameter
 
 
 @dataclass
@@ -61,7 +63,6 @@ class EngineConfig:
     lr_head: float = 0.00003
     lr_fogd: float = 0.001
     lr_ogd: float = 0.000003
-    freeze_online: bool = False
     seed: int = 2025
 
     def validated(self) -> "EngineConfig":
@@ -73,7 +74,7 @@ class EngineConfig:
             raise ValueError("hist_batch must be >= 1")
         if self.lookback < 2:
             raise ValueError("lookback must be >= 2")
-        # zero is allowed so frozen-equivalence runs can switch learning off
+        # zero is allowed: a method whose rates are all 0 learns nothing
         for name in ("lr_adapter", "lr_head", "lr_fogd", "lr_ogd"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be >= 0 and finite")
@@ -159,41 +160,38 @@ def compute_hisgrad(model: ForecastModel, z: np.ndarray, stats: NormStats,
     return g_rows.reshape(b, C, d).mean(axis=0)
 
 
-def _record_share(model: ForecastModel, a: AdapterNet, rec: StepRecord,
+def _record_share(model: ForecastModel, layout: Layout, rec: StepRecord,
                   b: int, cfg: EngineConfig) -> np.ndarray:
-    """The record's term of the window-mean loss gradient as one flat vector:
-    head weight and bias (if lr_head > 0), then the adapter parameters in
-    named_params order (if lr_adapter > 0). Only the record's own tapes and
-    g_y are read, so the term is the same in every window the record enters."""
+    """The record's term of the window-mean loss gradient as one flat vector
+    in layout order. Only the record's own tapes and g_y are read, so the
+    term is the same in every window the record enters."""
     g_y = rec.g_y / b                                       # window-mean loss
-    parts: List[np.ndarray] = []
+    grads: Dict[str, np.ndarray] = {}
     if cfg.lr_head > 0:
-        gw, gb = grad_wrt_last_layer(model, rec.head_tape, g_y)
-        parts += [gw.ravel(), gb]
+        grads["head.weight"], grads["head.bias"] = \
+            grad_wrt_last_layer(model, rec.head_tape, g_y)
     if cfg.lr_adapter > 0:
         g_z = grad_wrt_feature(model, rec.head_tape, g_y)
-        grads = adapter_backward_tape(rec.adapter_tape, g_z)
-        parts += [grads[name].ravel() for name, _ in a.named_params()]
-    return np.concatenate(parts)
+        grads.update(adapter_backward_tape(rec.adapter_tape, g_z))
+    return np.concatenate([grads[name].ravel() for name, _ in layout])
 
 
-def _window_update(model: ForecastModel, a: AdapterNet, acc: np.ndarray,
-                   cfg: EngineConfig) -> None:
+def _window_update(model: ForecastModel, a: AdapterNet, layout: Layout,
+                   acc: np.ndarray, cfg: EngineConfig) -> None:
     """Step the head (if lr_head > 0) and the adapter (if lr_adapter > 0) down
-    the window gradient acc, laid out as _record_share lays out a share. The
-    steps allocate new parameters, so acc may later move in place."""
+    the window gradient acc, laid out as layout says. The steps allocate new
+    parameters, so acc may later move in place."""
+    grads: Dict[str, np.ndarray] = {}
     off = 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        grads[name] = acc[off:off + size].reshape(shape)
+        off += size
     if cfg.lr_head > 0:
-        w, bias = model.head.weight, model.head.bias
-        descend(model, {"head.weight": acc[:w.size].reshape(w.shape),
-                        "head.bias": acc[w.size:w.size + bias.size]}, cfg.lr_head)
-        off = w.size + bias.size
+        descend(model, {n: grads.pop(n) for n in ("head.weight", "head.bias")},
+                cfg.lr_head)
     if cfg.lr_adapter > 0:
-        a_grads: Dict[str, np.ndarray] = {}
-        for name, p in a.named_params():
-            a_grads[name] = acc[off:off + p.size].reshape(p.shape)
-            off += p.size
-        sgd_step(a, a_grads, cfg.lr_adapter)
+        sgd_step(a, grads, cfg.lr_adapter)
 
 
 def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
@@ -254,9 +252,9 @@ def run_ori(model: ForecastModel, stream: Sequence[Sample],
 def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                stream: Sequence[Sample], cfg: EngineConfig) -> MetricsTrace:
     """Adapter-corrected deployment with the delayed window update; the
-    adapter's own use_feat/use_grad flags choose its input paths. A frozen
-    run still learns, since the next hisgrad needs the window. With the
-    grad path off, hisgrad feeds nothing and stays zero.
+    adapter's own use_feat/use_grad flags choose its input paths. A run
+    with zero rates still learns, since the next hisgrad needs the window.
+    With the grad path off, hisgrad feeds nothing and stays zero.
 
     Released record i goes to slot i % b: its z, stats and target to the
     hisgrad ring (slots j and j + b of 2b) and, when learning, its share of
@@ -268,13 +266,17 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     """
     model = _deployed_copy(model, cfg)
     a = adapter_net.clone()
+    # a share holds the head (if lr_head > 0), then the adapter (if lr_adapter > 0)
+    layout = [(name, p.shape) for name, p in model.named_params()
+              if cfg.lr_head > 0 and name.startswith("head.")]
+    layout += [(name, p.shape) for name, p in a.named_params() if cfg.lr_adapter > 0]
     b = cfg.hist_batch
     hisgrad: Optional[np.ndarray] = None
     n = 0                                       # records released so far
     rings: List[np.ndarray] = []
     shares: List[Optional[np.ndarray]] = [None] * b
     acc: Optional[np.ndarray] = None
-    learning = (not cfg.freeze_online) and (cfg.lr_adapter > 0 or cfg.lr_head > 0)
+    learning = cfg.lr_adapter > 0 or cfg.lr_head > 0
 
     def correct(z, rec):
         nonlocal hisgrad
@@ -301,7 +303,7 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                 hisgrad = compute_hisgrad(model, z, NormStats(mean=mean, std=std), y)
         if not learning:
             return
-        left, shares[j] = shares[j], _record_share(model, a, rec, b, cfg)
+        left, shares[j] = shares[j], _record_share(model, layout, rec, b, cfg)
         if n < b:
             return
         if n % b == 0:                          # slots 0..b-1 hold the window in order
@@ -311,7 +313,7 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
         else:
             acc += shares[j]
             acc -= left
-        _window_update(model, a, acc, cfg)
+        _window_update(model, a, layout, acc, cfg)
 
     return _deploy("adaptz", model, stream, correct, learn, adapter_net=a)
 
@@ -333,7 +335,7 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
         g_delta = grad_wrt_feature(model, rec.head_tape, rec.g_y)
         delta = delta - cfg.lr_fogd * g_delta
 
-    live = cfg.lr_fogd > 0 and not cfg.freeze_online
+    live = cfg.lr_fogd > 0
     return _deploy("fogd", model, stream, correct, learn if live else None)
 
 
@@ -347,7 +349,7 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
         _, g_y = mse_with_grad(yh_d, rec.y)     # re-scored under current params
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 
-    live = cfg.lr_ogd > 0 and not cfg.freeze_online
+    live = cfg.lr_ogd > 0
     return _deploy("ogd", model, stream, None, learn if live else None)
 
 

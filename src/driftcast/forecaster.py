@@ -301,8 +301,8 @@ def load_model(path: str) -> ForecastModel:
     meta, params = checkpoint.read_blocks(path)
     if meta.get("kind") != "forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
-    n_blocks = int(meta["blocks"])
-    blocks = [AffineLayer.named(params, f"blocks.{i}") for i in range(n_blocks)]
+    blocks = [AffineLayer.named(params, f"blocks.{i}")
+              for i in range(meta.integer("blocks"))]
     head = AffineLayer.named(params, "head")
-    return ForecastModel(blocks, head, int(meta["L"]), int(meta["k"]),
-                         int(meta["tap_index"]))
+    return ForecastModel(blocks, head, meta.integer("L"), meta.integer("k"),
+                         meta.integer("tap_index"))

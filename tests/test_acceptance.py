@@ -323,7 +323,7 @@ class TestCriterion9FrozenDeployment:
         trained = drift_lab["trained"]
         adapter = drift_lab["adapter"]
         test = drift_lab["test"]
-        cfg = deploy_cfg(freeze_online=True)
+        cfg = deploy_cfg(lr_adapter=0.0, lr_head=0.0)
         frozen = run_adaptz(trained, adapter, test, cfg)
         same_model = all(p.tobytes() == q.tobytes()
                          for (_, p), (_, q) in zip(trained.named_params(),
@@ -343,7 +343,7 @@ class TestCriterion10Determinism:
     def test_criterion_10_byte_identical_reruns(self, drift_lab, tmp_path):
         ok = True
         # engine trace rerun
-        cfg = deploy_cfg(freeze_online=True)
+        cfg = deploy_cfg(lr_adapter=0.0, lr_head=0.0)
         again = run_adaptz(drift_lab["trained"], drift_lab["adapter"],
                            drift_lab["test"], cfg)
         first = drift_lab.get("frozen_trace")

@@ -60,27 +60,24 @@ def test_short_row_names_path_and_param(tmp_path):
         read_blocks(str(path))
 
 
-@pytest.mark.parametrize("kind", ["model", "adapter"])
-def test_missing_param_names_path_and_param(tmp_path, kind):
+def saved_lines(tmp_path, kind):
     path = tmp_path / f"{kind}.ckpt"
     if kind == "model":
         save_model(build_model(L=6, k=2, d=3, n_blocks=3, seed=0), str(path))
-        load = load_model
     else:
         save_adapter(build_adapter(3, seed=0), str(path))
-        load = load_adapter
-    lines = path.read_text().splitlines()
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("kind", ["model", "adapter"])
+def test_missing_param_names_path_and_param(tmp_path, kind):
+    path, lines = saved_lines(tmp_path, kind)
+    load = load_model if kind == "model" else load_adapter
     # drop the last param: its header and its one bias row
     path.write_text("\n".join(lines[:-2]) + "\n")
     name = lines[-2].split()[1]
     with pytest.raises(ValueError, match=rf"{kind}\.ckpt: no param '{name}'"):
         load(str(path))
-
-
-def saved_model_lines(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_model(build_model(L=6, k=2, d=3, n_blocks=3, seed=0), str(path))
-    return path, path.read_text().splitlines()
 
 
 def first_weight_row(lines):
@@ -89,7 +86,7 @@ def first_weight_row(lines):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_value_names_path_and_param(tmp_path, bad):
-    path, lines = saved_model_lines(tmp_path)
+    path, lines = saved_lines(tmp_path, "model")
     r = first_weight_row(lines)
     lines[r] = " ".join([bad] + lines[r].split()[1:])
     path.write_text("\n".join(lines) + "\n")
@@ -108,7 +105,7 @@ def test_non_number_names_path_param_and_row(tmp_path):
 
 
 def test_missing_meta_key_names_path_and_key(tmp_path):
-    path, lines = saved_model_lines(tmp_path)
+    path, lines = saved_lines(tmp_path, "model")
     lines.remove("meta blocks 3")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"model\.ckpt: no meta key 'blocks'"):
@@ -131,3 +128,25 @@ def test_damaged_header_line_names_path_and_line(tmp_path, index, text, message)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"two\.ckpt: " + message):
         read_blocks(str(path))
+
+
+@pytest.mark.parametrize("kind, key, bad, want", [
+    ("model", "L", "eight", "an integer"),
+    ("model", "k", "2.0", "an integer"),
+    ("model", "blocks", "", "an integer"),
+    ("model", "tap_index", "x", "an integer"),
+    ("adapter", "use_feat", "yes", "0 or 1"),
+    ("adapter", "use_grad", "5", "0 or 1"),
+    ("adapter", "use_feat", "-1", "0 or 1"),
+    ("adapter", "use_grad", "01", "0 or 1"),
+])
+def test_bad_meta_value_names_path_and_key(tmp_path, kind, key, bad, want):
+    path, lines = saved_lines(tmp_path, kind)
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"meta {key} "))
+    lines[i] = f"meta {key} {bad}"
+    path.write_text("\n".join(lines) + "\n")
+    load = load_model if kind == "model" else load_adapter
+    with pytest.raises(ValueError, match=rf"{kind}\.ckpt: meta key '{key}' "
+                                         rf"is '{bad}', not {want}"):
+        load(str(path))
+

@@ -110,11 +110,25 @@ class TestParseConfig:
         plan = parse_config(cfg, [])
         assert plan.dataset == "electricity" and plan.drift is None
 
-    def test_bool_parsing(self):
-        assert parse_config(None, ["freeze_online=true"]).engine.freeze_online
-        assert not parse_config(None, ["freeze_online=0"]).engine.freeze_online
-        with pytest.raises(ValueError, match="freeze_online"):
-            parse_config(None, ["freeze_online=maybe"])
+    def test_freeze_online_is_an_unknown_key(self, capsys):
+        # a rate of 0 freezes its part; there is no separate freeze switch
+        assert main(["run", "--set", "freeze_online=true"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key 'freeze_online'" in err
+        assert "valid keys: " + ", ".join(cli.VALID_KEYS) in err
+
+    def test_config_surface_is_pinned(self):
+        # adding or dropping a knob must be a deliberate edit of these lists
+        assert cli.VALID_KEYS == (
+            "ar_coeff", "blocks", "change_point", "channels", "data", "dataset",
+            "gen_seed", "hist_batch", "horizon", "kind", "length", "lookback",
+            "lr_adapter", "lr_fogd", "lr_head", "lr_ogd", "magnitude", "method",
+            "noise_std", "out_dir", "pretrain_epochs", "pretrain_lr", "seed",
+            "tap_index", "test_frac", "train_batch", "train_epochs",
+            "train_frac", "train_lr", "val_frac", "width")
+        assert [f.name for f in fields(EngineConfig)] == [
+            "method", "horizon", "lookback", "hist_batch", "lr_adapter",
+            "lr_head", "lr_fogd", "lr_ogd", "seed"]
 
     def test_ablation_flags_are_chosen_by_token_only(self):
         for key in ("use_feat", "use_grad"):

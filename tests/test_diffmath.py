@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast import build_adapter, build_model
+from driftcast import build_adapter, build_model, sgd_step
 from driftcast.diffmath import AffineLayer, affine_apply, descend, mse_with_grad
+from driftcast.forecaster import apply_param_step
 from conftest import fd_grad, rel_err
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=64)
@@ -94,6 +95,30 @@ class TestDescend:
         descend(model, {"head.weight": [[1, 2, 3], [4, 5, 6]]}, 0.5)
         np.testing.assert_array_equal(model.head.weight,
                                       w - 0.5 * np.arange(1.0, 7.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("lr", [0.1, 0.0])
+    def test_unknown_name_raises_before_anything_moves(self, lr):
+        a = build_adapter(d=3, seed=4)
+        before = a.named_params()
+        grads = {"out.bias": np.ones(3), "hiden.weight": np.ones((3, 3))}
+        with pytest.raises(ValueError, match="no parameter named hiden.weight"):
+            sgd_step(a, grads, lr)
+        assert all(p is q for (_, p), (_, q) in zip(before, a.named_params()))
+
+    def test_model_step_names_each_unknown_key(self):
+        model = build_model(L=5, k=2, d=3, n_blocks=1, seed=5)
+        with pytest.raises(ValueError,
+                           match="no parameter named blocks.3.bias, out.weight"):
+            apply_param_step(model, {"out.weight": np.ones((2, 3)),
+                                     "blocks.3.bias": np.ones(3)}, 0.1)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+    def test_rate_outside_zero_to_inf_raises(self, lr):
+        a = build_adapter(d=3, seed=6)
+        before = a.named_params()
+        with pytest.raises(ValueError, match="lr must be >= 0 and finite"):
+            sgd_step(a, {n: np.ones_like(p) for n, p in before}, lr)
+        assert all(p is q for (_, p), (_, q) in zip(before, a.named_params()))
 
 
 class TestMse:

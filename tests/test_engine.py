@@ -63,11 +63,11 @@ class TestFrozenEquivalence:
             for p, q in zip(ref.preds, tr.preds):
                 np.testing.assert_array_equal(p, q)
 
-    def test_freeze_online_flag_blocks_all_updates(self):
+    def test_zero_rates_block_all_updates(self):
         model = small_model()
         a = live_adapter()
         stream = make_stream(40, L, K, C, seed=11)
-        frozen = small_cfg(freeze_online=True)
+        frozen = small_cfg(lr_adapter=0.0, lr_head=0.0, lr_fogd=0.0, lr_ogd=0.0)
         tr = run_adaptz(model, a, stream, frozen)
         assert_params_equal(params_of(model), tr.final_model)
         assert_params_equal(params_of(a), tr.final_adapter)
@@ -78,13 +78,13 @@ class TestFrozenEquivalence:
             assert_params_equal(params_of(model), tr.final_model)
             np.testing.assert_array_equal(tr.step_mse, ori.step_mse)
 
-    def test_freeze_online_still_differs_from_ori_via_hisgrad(self):
+    def test_zero_rates_still_differ_from_ori_via_hisgrad(self):
         # a live grad path reacts to the incoming hisgrad even when no
         # parameter moves, so the frozen run is not the ori run
         model = small_model()
         a = live_adapter()
         stream = make_stream(40, L, K, C, seed=12)
-        frozen = run_adaptz(model, a, stream, small_cfg(freeze_online=True))
+        frozen = run_adaptz(model, a, stream, small_cfg(lr_adapter=0.0, lr_head=0.0))
         ori = run_ori(model, stream, small_cfg())
         assert not np.array_equal(frozen.step_mse, ori.step_mse)
 
@@ -259,7 +259,7 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
             new, old = grads(window[-1]), grads(recs[s - k - b])
             acc = {name: acc[name] + new[name] - old[name] for name in acc}
         if cfg.lr_adapter > 0:
-            sgd_step(a, acc, cfg.lr_adapter)     # reads the adapter's names only
+            sgd_step(a, {n: acc[n] for n, _ in a.named_params()}, cfg.lr_adapter)
         if cfg.lr_head > 0:
             m.head.weight = m.head.weight - cfg.lr_head * acc["head.weight"]
             m.head.bias = m.head.bias - cfg.lr_head * acc["head.bias"]
@@ -527,9 +527,10 @@ class TestDelayOwnedByLoop:
         run_adaptz(model, live_adapter(), stream, small_cfg(hist_batch=b))
         assert sizes == [b] * (n - (k + b - 1))
 
-    @pytest.mark.parametrize("frozen", [dict(freeze_online=True),
+    @pytest.mark.parametrize("frozen", [dict(lr_adapter=0.0, lr_head=0.0,
+                                             lr_fogd=0.0, lr_ogd=0.0),
                                         dict(lr_fogd=0.0, lr_ogd=0.0)],
-                             ids=["freeze_online", "zero_rate"])
+                             ids=["all_rates_zero", "zero_rate"])
     def test_frozen_fogd_and_ogd_store_no_record(self, monkeypatch, frozen):
         learns = []
         deploy = engine._deploy
