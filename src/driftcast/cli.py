@@ -21,7 +21,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .adapter import build_adapter
 from .datastream import (DriftSpec, SeriesFrame, SplitSpec, chrono_split,
-                         gen_concept_drift, gen_mean_shift, load_csv, write_csv)
+                         gen_concept_drift, gen_mean_shift, load_csv,
+                         min_series_length, write_csv)
 from .engine import (EngineConfig, MetricsTrace, pretrain_adapter, run_method,
                      write_trace_csv)
 from .forecaster import build_model, offline_train
@@ -168,7 +169,10 @@ def parse_config(path: Optional[str] = None,
 
     A key the config leaves out takes the default of the dataclass it fills
     (EngineConfig, DriftSpec, SplitSpec or ExperimentPlan). Every horizon is
-    checked here, so a bad grid cell fails before any run trains.
+    checked here, so a bad grid cell fails before any run trains. A
+    generated stream too short for every horizon (under L + k + 10 rows) is
+    rejected here too; one that only some horizons fit leaves the others to
+    fail as error rows while their siblings run.
     """
     file_pairs = read_kv_file(path) if path is not None else []
     over_pairs = parse_overrides(overrides)
@@ -203,6 +207,12 @@ def parse_config(path: Optional[str] = None,
                           **_given(conf, _ENGINE_KEYS))
     for horizon in horizons:
         replace(engine, horizon=horizon).validated()
+    if drift is not None:
+        need = min_series_length(engine.lookback, min(horizons))
+        if drift.length < need:
+            raise ValueError(f"config key length: {drift.length} is below {need} "
+                             "(lookback + horizon + 10), the shortest stream a "
+                             "horizon of the grid can split")
     plan = ExperimentPlan(
         dataset=dataset, data_path=data_path, drift=drift, methods=methods,
         horizons=horizons, seeds=seeds,

@@ -144,6 +144,11 @@ def write_csv(frame: SeriesFrame, path: str) -> None:
             out.writerow([str(t)] + [repr(float(v)) for v in frame.values[t]])
 
 
+def min_series_length(L: int, k: int) -> int:
+    """Fewest rows chrono_split accepts for lookback L and horizon k."""
+    return L + k + 10
+
+
 def chrono_split(frame: SeriesFrame, spec: SplitSpec, L: int, k: int
                  ) -> Tuple[List[Sample], List[Sample], List[Sample]]:
     """Dense stride-1 sliding-window samples split chronologically.
@@ -154,7 +159,7 @@ def chrono_split(frame: SeriesFrame, spec: SplitSpec, L: int, k: int
     samples run to the end of the series in strict origin order.
     """
     T = frame.T
-    min_len = L + k + 10
+    min_len = min_series_length(L, k)
     if T < min_len:
         raise ValueError(f"series length {T} < required minimum {min_len} (L+k+10)")
     b1 = int(np.floor(spec.train_frac * T))

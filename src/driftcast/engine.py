@@ -30,6 +30,12 @@ subtracts the one its slot held, and it is re-summed exactly whenever
 n % b == 0, when slots 0..b-1 hold the window in order. The hisgrad window
 is read as one slice of a ring that holds each released record's z, stats
 and target twice, so neither per-step cost grows with b.
+
+Each step's z comes from encode, which stops at the tap; the loop's one
+head_forward_with_tape is the only run of the blocks past it. In
+pretraining nothing before the adapter moves, so pretrain_adapter's later
+epochs replay its first epoch's encodings and hisgrad sequence instead of
+recomputing them (byte-equal, and kept only for that one call).
 """
 
 from __future__ import annotations
@@ -207,13 +213,20 @@ def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
 def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
             correct: Optional[Callable[[np.ndarray, StepRecord], np.ndarray]],
             learn: Optional[Callable[[StepRecord], None]],
-            adapter_net: Optional[AdapterNet] = None) -> MetricsTrace:
+            adapter_net: Optional[AdapterNet] = None,
+            encoded: Optional[List[Tuple[np.ndarray, NormStats]]] = None
+            ) -> MetricsTrace:
     """The one stream loop, owner of the prediction, the k-step delay and the
     score: at step s it runs the head on z + correct(z, rec) (on z if correct
     is None) for a record rec of the sample's x, z and stats, writes head_tape
     to rec and scores yhat once. Unless learn is None, it then adds the target
     y and the loss gradient g_y, holds rec back with the k records before it
-    and, from step k on, calls learn with the record of step s-k alone."""
+    and, from step k on, calls learn with the record of step s-k alone.
+
+    z and stats come from one encode call per step, unless encoded (a list
+    pretraining keeps across the epochs of one replay of the same stream,
+    valid while blocks 0..tap do not move) already holds step s's pair;
+    a pair it lacks is encoded and appended."""
     pending: Deque[Tuple[int, StepRecord]] = deque()
     reads: List[Tuple[int, int]] = []
     steps: List[int] = []
@@ -223,7 +236,12 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
     for s, sample in enumerate(stream):
         channels = _check_sample(model, sample, prev, channels)
         prev = sample.origin
-        z, stats, _ = encode(model, sample.x)
+        if encoded is not None and s < len(encoded):
+            z, stats = encoded[s]
+        else:
+            z, stats = encode(model, sample.x)
+            if encoded is not None:
+                encoded.append((z, stats))
         rec = StepRecord(x=sample.x, z=z, stats=stats)      # views, no copy
         z_in = z if correct is None else z + correct(z, rec)
         yhat, rec.head_tape = head_forward_with_tape(model, z_in, stats)
@@ -249,8 +267,20 @@ def run_ori(model: ForecastModel, stream: Sequence[Sample],
     return _deploy("ori", _deployed_copy(model, cfg), stream, None, None)
 
 
+@dataclass
+class _FrozenWork:
+    """Work each epoch of one pretrain_adapter call would redo: every step's
+    (z, stats) and the hisgrad after every release. With the head frozen,
+    both are fixed by the model, the split and b; hisgrad never reads the
+    adapter. The first epoch fills the lists and the later epochs read them."""
+
+    encoded: List[Tuple[np.ndarray, NormStats]] = field(default_factory=list)
+    hisgrads: List[np.ndarray] = field(default_factory=list)
+
+
 def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
-               stream: Sequence[Sample], cfg: EngineConfig) -> MetricsTrace:
+               stream: Sequence[Sample], cfg: EngineConfig, *,
+               _frozen: Optional[_FrozenWork] = None) -> MetricsTrace:
     """Adapter-corrected deployment with the delayed window update; the
     adapter's own use_feat/use_grad flags choose its input paths. A run
     with zero rates still learns, since the next hisgrad needs the window.
@@ -263,8 +293,16 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     a multiple of b; in between it gains the newest share and loses the one
     whose slot that share took. Float addition is not associative, so the
     periodic exact sum bounds the drift.
+
+    _frozen is pretrain_adapter's: the run takes its encodings from it and,
+    once an earlier epoch has filled it, its hisgrads too, with no ring. A
+    moving head would make those hisgrads stale, so lr_head > 0 is refused.
     """
     model = _deployed_copy(model, cfg)
+    if _frozen is not None and cfg.lr_head > 0:
+        raise ValueError(f"a pretraining replay needs a frozen head, got "
+                         f"lr_head={cfg.lr_head!r}")
+    replayed = _frozen.hisgrads if _frozen is not None and _frozen.hisgrads else None
     a = adapter_net.clone()
     # a share holds the head (if lr_head > 0), then the adapter (if lr_adapter > 0)
     layout = [(name, p.shape) for name, p in model.named_params()
@@ -289,7 +327,10 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
         nonlocal hisgrad, acc, n, rings
         j = n % b                               # this record's slot
         n += 1
-        if a.use_grad:
+        if replayed is not None:
+            if n >= b:
+                hisgrad = replayed[n - b]
+        elif a.use_grad:
             # each field written twice, at j and j + b, so the last b records
             # are one contiguous slice, oldest first, as compute_hisgrad takes them
             fields = (rec.z, rec.stats.mean, rec.stats.std, rec.y)
@@ -301,6 +342,8 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                 # next step's hisgrad, evaluated before this step's update
                 z, mean, std, y = (ring[n % b:n % b + b] for ring in rings)
                 hisgrad = compute_hisgrad(model, z, NormStats(mean=mean, std=std), y)
+                if _frozen is not None:
+                    _frozen.hisgrads.append(hisgrad)
         if not learning:
             return
         left, shares[j] = shares[j], _record_share(model, layout, rec, b, cfg)
@@ -315,7 +358,8 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
             acc -= left
         _window_update(model, a, layout, acc, cfg)
 
-    return _deploy("adaptz", model, stream, correct, learn, adapter_net=a)
+    return _deploy("adaptz", model, stream, correct, learn, adapter_net=a,
+                   encoded=None if _frozen is None else _frozen.encoded)
 
 
 def run_fogd(model: ForecastModel, stream: Sequence[Sample],
@@ -375,6 +419,11 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     carrying the adapter across epochs; the head stays frozen (it only
     moves during deployment). The replay is chronological and fully
     deterministic, so `seed` is accepted for interface parity only.
+
+    The encoder and the head do not move here, so the first epoch's
+    encodings of the split and its hisgrad sequence hold for every epoch:
+    the later epochs replay them, byte for byte what they would compute.
+    They belong to this call alone and are dropped when it returns.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -384,7 +433,7 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     cfg = EngineConfig(method="adaptz", horizon=model.k, lookback=model.L,
                        hist_batch=hist_batch, lr_adapter=lr, lr_head=0.0,
                        seed=seed)
+    frozen = _FrozenWork()
     for _ in range(epochs):
-        trace = run_adaptz(model, a, val_samples, cfg)
-        a = trace.final_adapter
+        a = run_adaptz(model, a, val_samples, cfg, _frozen=frozen).final_adapter
     return a

@@ -7,10 +7,13 @@ denormalizes. Those named layers are its parameters, and descend steps
 them. One block output is exposed as the feature z; corrections are added
 there and head_forward resumes the rest of the pass.
 
-Every forward pass, full (encode) or resumed from the tap
-(head_forward_with_tape), records one Tape of block inputs, outputs and
-weight snapshots, so gradients are taken under the parameters that made
-the prediction. One backward pass serves feature and parameter gradients.
+encode runs blocks 0..tap only and returns z with its stats: the
+post-tap blocks and the head run once per prediction, in
+head_forward_with_tape. Every pass that reaches the head, full from block 0
+(predict_with_tape) or resumed from the tap (head_forward_with_tape),
+records one Tape of block inputs, outputs and weight snapshots, so
+gradients are taken under the parameters that made the prediction. One
+backward pass serves feature and parameter gradients.
 """
 
 from __future__ import annotations
@@ -67,9 +70,10 @@ def denormalize(y_norm, stats: NormStats) -> np.ndarray:
 class Tape:
     """Record of one forward pass from block `start` to the prediction.
 
-    encode records a pass from block 0; head_forward_with_tape records one
-    resumed at the block after the tap. Weights are snapshots taken at
-    forward time. stats is None for offline_train's stacked batches.
+    predict_with_tape records a pass from block 0; head_forward_with_tape
+    records one resumed at the block after the tap. Every tape ends at the
+    head. Weights are snapshots taken at forward time. stats is None for
+    offline_train's stacked batches.
     """
 
     start: int                       # first block the pass ran
@@ -155,19 +159,35 @@ def _forward(model: ForecastModel, rows: np.ndarray, start: int,
                 stats=stats)
 
 
-def encode(model: ForecastModel, x) -> Tuple[np.ndarray, NormStats, Tape]:
-    """Feature z (C x d) of one lookback window, plus stats and full tape."""
+def _normalized_rows(model: ForecastModel, x) -> Tuple[np.ndarray, NormStats]:
+    """One lookback window, checked and normalized, as (C x L) channel rows."""
     x = _as_matrix(x, "x")
     if x.shape[0] != model.L:
         raise ValueError(f"x has {x.shape[0]} rows, model expects L={model.L}")
     x_norm, stats = normalize(x)
-    tape = _forward(model, x_norm.T, 0, stats)
-    return tape.pre[model.tap_index], stats, tape
+    return x_norm.T, stats
+
+
+def encode(model: ForecastModel, x) -> Tuple[np.ndarray, NormStats]:
+    """Feature z (C x d) of one lookback window, plus its stats.
+
+    Runs blocks 0..tap and nothing past them, so it records no tape: the
+    rest of the pass is head_forward_with_tape's. The ops are those of the
+    full pass, so z is byte-equal to a full tape's pre[tap].
+    """
+    h, stats = _normalized_rows(model, x)
+    for i in range(model.tap_index + 1):
+        blk = model.blocks[i]
+        if i > 0:
+            h = np.maximum(h, 0.0)
+        h = affine_apply(blk.weight, blk.bias, h)
+    return h, stats
 
 
 def predict_with_tape(model: ForecastModel, x) -> Tuple[np.ndarray, Tape]:
     """Prediction plus the full tape of the same pass (for parameter grads)."""
-    _, stats, tape = encode(model, x)
+    rows, stats = _normalized_rows(model, x)
+    tape = _forward(model, rows, 0, stats)
     return denormalize(tape.y_norm.T, stats), tape
 
 
@@ -188,7 +208,7 @@ def head_forward(model: ForecastModel, z_adj, stats: NormStats) -> np.ndarray:
 
 def predict(model: ForecastModel, x) -> np.ndarray:
     """Full model output; literally encode followed by head_forward."""
-    z, stats, _ = encode(model, x)
+    z, stats = encode(model, x)
     return head_forward(model, z, stats)
 
 
@@ -236,7 +256,8 @@ def grad_wrt_last_layer(model: ForecastModel, tape, grad_yhat
 
 
 def param_grads(model: ForecastModel, tape: Tape, grad_yhat) -> Dict[str, np.ndarray]:
-    """Gradients of every model parameter for a pass recorded by encode."""
+    """Gradients of every model parameter for a pass recorded by
+    predict_with_tape."""
     if tape is None:
         raise ValueError("param_grads needs a forward tape")
     grads: Dict[str, np.ndarray] = {}
@@ -298,11 +319,33 @@ def save_model(model: ForecastModel, path: str) -> None:
 
 
 def load_model(path: str) -> ForecastModel:
+    """Read a save_model file. Every meta value must agree with the params:
+    a block count below 1, a tap outside the blocks, an L, k or d the
+    weights contradict, or a param the meta block count leaves out raises
+    ValueError naming the path and the meta key."""
     meta, params = checkpoint.read_blocks(path)
     if meta.get("kind") != "forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
-    blocks = [AffineLayer.named(params, f"blocks.{i}")
-              for i in range(meta.integer("blocks"))]
+    n = meta.integer("blocks")
+    if n < 1:
+        raise ValueError(f"{path}: meta key 'blocks' is {n}, need at least 1")
+    blocks = [AffineLayer.named(params, f"blocks.{i}") for i in range(n)]
     head = AffineLayer.named(params, "head")
-    return ForecastModel(blocks, head, meta.integer("L"), meta.integer("k"),
-                         meta.integer("tap_index"))
+    tap = meta.integer("tap_index")
+    if not 0 <= tap < n:
+        raise ValueError(f"{path}: meta key 'tap_index' is {tap}, outside [0, {n})")
+    for key, implied in (("L", blocks[0].in_dim), ("k", head.out_dim),
+                         ("d", blocks[tap].out_dim)):
+        if meta.integer(key) != implied:
+            raise ValueError(f"{path}: meta key {key!r} is {meta[key]!r}, but "
+                             f"the params give {implied}")
+    try:
+        model = ForecastModel(blocks, head, meta.integer("L"), meta.integer("k"), tap)
+    except ValueError as exc:               # params whose shapes do not chain
+        raise ValueError(f"{path}: {exc}") from None
+    known = {name for name, _ in model.named_params()}
+    extra = [name for name in params if name not in known]
+    if extra:
+        raise ValueError(f"{path}: param {extra[0]!r} is not in the {n} blocks "
+                         "of meta key 'blocks'")
+    return model

@@ -137,7 +137,8 @@ class TestCriterion1Gradients:
                                 seed=int(rng.integers(0, 10000)))
             x = rng.standard_normal((L, C))
             y = rng.standard_normal((k, C))
-            z, stats, full = encode(model, x)
+            z, stats = encode(model, x)
+            _, full = predict_with_tape(model, x)
             if _margin(full.pre[model.tap_index:-1]) < KINK_MARGIN:
                 continue
             done += 1
@@ -290,7 +291,7 @@ class TestCriterion7StationaryOffset:
         for i in range(T):
             o = L - 1 + i
             x = series[o - L + 1:o + 1]
-            z, stats, _ = encode(model, x)
+            z, stats = encode(model, x)
             clean = head_forward(model, z + offset, stats)
             eps = noise_std * rng.standard_normal((k, C))
             stream.append(Sample(x=x, y=clean + eps, origin=o))

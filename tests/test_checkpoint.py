@@ -150,3 +150,37 @@ def test_bad_meta_value_names_path_and_key(tmp_path, kind, key, bad, want):
                                          rf"is '{bad}', not {want}"):
         load(str(path))
 
+
+
+@pytest.mark.parametrize("key, bad, message", [
+    ("blocks", "2", r"param 'blocks\.2\.weight' is not in the 2 blocks of "
+                    r"meta key 'blocks'"),
+    ("blocks", "4", r"no param 'blocks\.3\.weight'"),
+    ("blocks", "0", r"meta key 'blocks' is 0, need at least 1"),
+    ("blocks", "-1", r"meta key 'blocks' is -1, need at least 1"),
+    ("L", "5", r"meta key 'L' is '5', but the params give 6"),
+    ("k", "3", r"meta key 'k' is '3', but the params give 2"),
+    ("d", "4", r"meta key 'd' is '4', but the params give 3"),
+    ("tap_index", "7", r"meta key 'tap_index' is 7, outside \[0, 3\)"),
+    ("tap_index", "-1", r"meta key 'tap_index' is -1, outside \[0, 3\)"),
+], ids=["blocks-fewer", "blocks-more", "blocks-zero", "blocks-negative",
+        "L", "k", "d", "tap-past", "tap-negative"])
+def test_meta_that_disagrees_with_params_names_path_and_key(tmp_path, key, bad,
+                                                             message):
+    path, lines = saved_lines(tmp_path, "model")
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"meta {key} "))
+    lines[i] = f"meta {key} {bad}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"model\.ckpt: " + message):
+        load_model(str(path))
+
+
+def test_params_that_do_not_chain_name_the_path(tmp_path):
+    model = build_model(L=6, k=2, d=3, n_blocks=3, seed=0)
+    params = dict(model.named_params())
+    params["blocks.1.weight"] = np.ones((3, 4))     # block 0 gives 3 columns
+    path = tmp_path / "model.ckpt"
+    write_blocks(str(path), {"kind": "forecaster", "L": "6", "k": "2", "d": "3",
+                             "blocks": "3", "tap_index": "1"}, list(params.items()))
+    with pytest.raises(ValueError, match=r"model\.ckpt: block 1 in_dim != block 0"):
+        load_model(str(path))

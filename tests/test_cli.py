@@ -161,6 +161,8 @@ class TestParseConfig:
         ("train_frac=nan", "split fraction nan must be >= 0"),
         ("seed=-1", "seed must be >= 0"),
         ("gen_seed=-1", "gen_seed must be >= 0"),
+        ("length=50", "config key length: 50 is below 130"),
+        ("length=129", "config key length: 129 is below 130"),
     ])
     def test_bad_plan_value_exits_two_before_data_loads(self, setting, message,
                                                         tmp_path, monkeypatch,

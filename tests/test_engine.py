@@ -106,7 +106,7 @@ class TestSequencingOracles:
         hisgrad = None
         mses = []
         for s, sample in enumerate(stream):
-            z, stats, _ = encode(m, sample.x)
+            z, stats = encode(m, sample.x)
             if hisgrad is None:
                 hisgrad = np.zeros_like(z)
             delta, atape = adapter_forward_with_tape(a, z, hisgrad)
@@ -157,7 +157,7 @@ class TestSequencingOracles:
         cached = {}
         mses = []
         for s, sample in enumerate(stream):
-            z, stats, _ = encode(model, sample.x)
+            z, stats = encode(model, sample.x)
             if delta is None:
                 delta = np.zeros_like(z)
             yhat, htape = head_forward_with_tape(model, z + delta, stats)
@@ -179,7 +179,7 @@ class TestSequencingOracles:
         cached = {}
         mses = []
         for s, sample in enumerate(stream):
-            z, stats, _ = encode(m, sample.x)
+            z, stats = encode(m, sample.x)
             yhat = head_forward(m, z, stats)
             mses.append(mse_with_grad(yhat, sample.y)[0])
             cached[s] = sample
@@ -206,7 +206,7 @@ def encoded_records(model, stream):
     the tap, so these are the values its hisgrad window holds."""
     recs = []
     for sample in stream:
-        z, stats, _ = encode(model, sample.x)
+        z, stats = encode(model, sample.x)
         recs.append(StepRecord(y=sample.y, z=z, stats=stats))
     return recs
 
@@ -225,7 +225,7 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
     mses = []
     acc = {}
     for s, sample in enumerate(stream):
-        z, stats, _ = encode(m, sample.x)
+        z, stats = encode(m, sample.x)
         if hisgrad is None:
             hisgrad = np.zeros_like(z)
         delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
@@ -599,7 +599,7 @@ class TestHisgrad:
         stream = make_stream(n, L, K, C, seed=seed)
         recs = []
         for sample in stream:
-            z, stats, _ = encode(model, sample.x)
+            z, stats = encode(model, sample.x)
             recs.append(StepRecord(y=sample.y, z=z, stats=stats))
         return recs
 
@@ -715,6 +715,47 @@ class TestPretrain:
         one = pretrain_adapter(trained, a, val, epochs=1, hist_batch=4)
         again = pretrain_adapter(trained, one, val, epochs=1, hist_batch=4)
         assert_params_equal(params_of(two), again)
+
+    @pytest.mark.parametrize("b", [1, 3, 24])
+    @pytest.mark.parametrize("flags", [{}, dict(use_grad=False),
+                                       dict(use_feat=False)],
+                             ids=["full", "nograd", "nofeat"])
+    def test_equals_chained_adaptz_passes(self, small_trained, flags, b):
+        # epochs after the first replay its encodings and hisgrads
+        trained, _, val, _ = small_trained
+        a = build_adapter(trained.d, seed=8, **flags)
+        out = pretrain_adapter(trained, a, val, epochs=3, lr=0.001, hist_batch=b)
+        cfg = EngineConfig(method="adaptz", horizon=trained.k,
+                           lookback=trained.L, hist_batch=b, lr_adapter=0.001,
+                           lr_head=0.0).validated()
+        ref = a
+        for _ in range(3):
+            ref = run_adaptz(trained, ref, val, cfg).final_adapter
+        assert_same_bytes((ref,), (out,))
+
+    def test_encodes_val_and_computes_hisgrads_once(self, monkeypatch,
+                                                    small_trained):
+        trained, _, val, _ = small_trained
+        calls = {"encode": 0, "compute_hisgrad": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(engine, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(engine, name, counted)
+        b = 4
+        pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
+                         epochs=3, hist_batch=b)
+        assert calls == {"encode": len(val),
+                         "compute_hisgrad": len(val) - trained.k - b + 1}
+
+    def test_replay_refuses_a_moving_head(self, small_trained):
+        trained, _, val, _ = small_trained
+        cfg = EngineConfig(method="adaptz", horizon=trained.k,
+                           lookback=trained.L, hist_batch=4, lr_adapter=0.001,
+                           lr_head=0.001).validated()
+        with pytest.raises(ValueError, match="frozen head"):
+            run_adaptz(trained, build_adapter(trained.d, seed=8), val, cfg,
+                       _frozen=engine._FrozenWork())
 
     def test_base_model_stays_frozen(self, small_trained):
         trained, _, val, _ = small_trained

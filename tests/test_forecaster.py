@@ -96,9 +96,22 @@ class TestForward:
         x = rng.standard_normal((8, 2))
         for tap in range(3):
             model = build_model(L=8, k=4, d=5, n_blocks=3, tap_index=tap, seed=3)
-            z, stats, _ = encode(model, x)
+            z, stats = encode(model, x)
             np.testing.assert_array_equal(head_forward(model, z, stats),
                                           predict(model, x))
+
+    def test_encode_z_is_full_pass_pre_at_tap(self):
+        # encode stops at the tap; its z and stats are the full pass's bytes
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((8, 3))
+        for tap in range(3):
+            model = build_model(L=8, k=4, d=5, n_blocks=3, tap_index=tap, seed=4)
+            z, stats = encode(model, x)
+            _, full = predict_with_tape(model, x)
+            assert full.start == 0 and len(full.pre) == 3
+            assert z.tobytes() == full.pre[tap].tobytes()
+            assert stats.mean.tobytes() == full.stats.mean.tobytes()
+            assert stats.std.tobytes() == full.stats.std.tobytes()
 
     def test_default_tap_is_second_last_block(self):
         assert build_model(4, 1, d=2, n_blocks=3, seed=0).tap_index == 1
@@ -132,7 +145,7 @@ class TestGradients:
     def test_feature_grad_matches_fd(self):
         for tap in (0, 1, 2):
             model, x, y = self._setup(10 + tap, tap)
-            z, stats, _ = encode(model, x)
+            z, stats = encode(model, x)
             y_hat, tape = head_forward_with_tape(model, z, stats)
             _, g_yhat = mse_with_grad(y_hat, y)
             analytic = grad_wrt_feature(model, tape, g_yhat)
@@ -146,7 +159,7 @@ class TestGradients:
         # tap at the last block: resume path is the head alone, so the
         # gradient is just (g_yhat * std)^T @ W_head
         model, x, y = self._setup(20, tap=2)
-        z, stats, _ = encode(model, x)
+        z, stats = encode(model, x)
         y_hat, tape = head_forward_with_tape(model, z, stats)
         _, g_yhat = mse_with_grad(y_hat, y)
         hand = (g_yhat * stats.std).T @ model.head.weight
@@ -155,7 +168,7 @@ class TestGradients:
 
     def test_last_layer_grad_matches_fd(self):
         model, x, y = self._setup(30)
-        z, stats, _ = encode(model, x)
+        z, stats = encode(model, x)
         y_hat, tape = head_forward_with_tape(model, z, stats)
         _, g_yhat = mse_with_grad(y_hat, y)
         gw, gb = grad_wrt_last_layer(model, tape, g_yhat)
@@ -188,7 +201,7 @@ class TestGradients:
     def test_param_grads_reject_tape_resumed_from_tap(self):
         # a resumed pass never ran the blocks up to the tap
         model, x, y = self._setup(60)
-        z, stats, _ = encode(model, x)
+        z, stats = encode(model, x)
         y_hat, tape = head_forward_with_tape(model, z, stats)
         _, g_yhat = mse_with_grad(y_hat, y)
         with pytest.raises(ValueError, match="starts at block 2"):
@@ -197,7 +210,8 @@ class TestGradients:
     def test_feature_grad_same_from_full_and_resumed_tape(self):
         for tap in (0, 1, 2):
             model, x, y = self._setup(70 + tap, tap)
-            z, stats, full = encode(model, x)
+            _, full = predict_with_tape(model, x)
+            z, stats = encode(model, x)
             y_hat, tape = head_forward_with_tape(model, z, stats)
             _, g_yhat = mse_with_grad(y_hat, y)
             np.testing.assert_array_equal(grad_wrt_feature(model, full, g_yhat),
