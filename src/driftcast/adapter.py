@@ -152,6 +152,10 @@ def load_adapter(path: str) -> AdapterNet:
     meta, params = checkpoint.read_blocks(path)
     if meta.get("kind") != "adapter":
         raise ValueError(f"{path}: not an adapter checkpoint")
-    return AdapterNet(*(AffineLayer.named(params, lname) for lname in _LAYERS),
-                      bool(meta.integer("use_feat", flag=True)),
-                      bool(meta.integer("use_grad", flag=True)))
+    layers = [params.layer(lname) for lname in _LAYERS]
+    flags = (bool(meta.integer("use_feat", flag=True)),
+             bool(meta.integer("use_grad", flag=True)))
+    try:
+        return AdapterNet(*layers, *flags)
+    except ValueError as exc:               # params whose widths do not chain
+        raise ValueError(f"{path}: {exc}") from None

@@ -13,8 +13,9 @@ Floats are written with Python repr (shortest round-trip form), so a
 save/load cycle reproduces every array bit-exactly. A damaged file (a
 param block cut short, a row of the wrong length or with a value that is
 not a finite number, a param or meta key the loader needs but the file
-lacks, a meta count that is not an integer or a meta flag that is not 0
-or 1) raises ValueError naming the path and the param or meta key; a
+lacks, a layer bias whose length disagrees with its weight, a meta count
+that is not an integer or a meta flag that is not 0 or 1) raises
+ValueError naming the path and the param or meta key; a
 malformed param or meta line, or a param or meta key given twice, raises
 one naming the path and the line number (and the key, if repeated).
 """
@@ -24,6 +25,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
+
+from .diffmath import AffineLayer
 
 MAGIC = "# driftcast-checkpoint v1"
 
@@ -43,6 +46,16 @@ class _Entries(dict):
         if name in self:
             raise ValueError(f"{self.path}: line {lineno}: {self.kind} {name!r} repeated")
         self[name] = value
+
+    def layer(self, name: str) -> AffineLayer:
+        """The affine layer saved as params `<name>.weight` and `<name>.bias`;
+        a bias whose length disagrees with the weight raises ValueError
+        naming the path and the bias param."""
+        weight, bias = self[f"{name}.weight"], self[f"{name}.bias"]
+        try:
+            return AffineLayer(weight, bias)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: param '{name}.bias': {exc}") from None
 
     def integer(self, key: str, flag: bool = False) -> int:
         """The meta value of key as an int; a flag must be 0 or 1."""

@@ -46,10 +46,6 @@ class AffineLayer:
         weight = scale * rng.standard_normal((out_dim, in_dim))
         return cls(weight, np.zeros(out_dim))
 
-    @classmethod
-    def named(cls, params: Dict[str, np.ndarray], name: str) -> "AffineLayer":
-        return cls(params[f"{name}.weight"], params[f"{name}.bias"])
-
     def clone(self) -> "AffineLayer":
         return AffineLayer(self.weight.copy(), self.bias.copy())
 
@@ -106,6 +102,6 @@ def mse_with_grad(pred, target) -> Tuple[float, np.ndarray]:
     if pred.shape[0] < 1 or pred.size == 0:
         raise ValueError("empty batch")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
+    loss = float(np.add.reduce(diff * diff, axis=None) / diff.size)  # np.mean, unwrapped
     grad = 2.0 * diff / diff.size
     return loss, grad

@@ -163,7 +163,7 @@ def compute_hisgrad(model: ForecastModel, z: np.ndarray, stats: NormStats,
     # per-record MSE grad, k x (b*C) like yhat; a stacked mse_with_grad is 1/b of it
     g_yhat = (2.0 * err / (model.k * C)).reshape(model.k, b * C)
     g_rows = grad_wrt_feature(model, tape, g_yhat)
-    return g_rows.reshape(b, C, d).mean(axis=0)
+    return np.add.reduce(g_rows.reshape(b, C, d), axis=0) / b
 
 
 def _record_share(model: ForecastModel, layout: Layout, rec: StepRecord,

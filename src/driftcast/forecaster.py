@@ -51,14 +51,19 @@ def normalize(x) -> Tuple[np.ndarray, NormStats]:
     """Per-channel standardization over the lookback window.
 
     Population std (ddof=0), clamped at STD_EPS so constant channels
-    normalize to zeros instead of failing.
+    normalize to zeros instead of failing. It takes one sum, one centring
+    and one square-sum: the reductions NumPy's mean and std run, in their
+    order, so the output is byte-equal to x.mean(axis=0) and x.std(axis=0)
+    without their Python-level wrappers.
     """
     x = _as_matrix(x, "x")
-    if x.shape[0] < 2:
-        raise ValueError(f"lookback needs at least 2 rows, got {x.shape[0]}")
-    mean = x.mean(axis=0)
-    std = np.maximum(x.std(axis=0), STD_EPS)
-    return (x - mean) / std, NormStats(mean=mean, std=std)
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError(f"lookback needs at least 2 rows, got {n}")
+    mean = np.add.reduce(x, axis=0) / n
+    dev = x - mean
+    std = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=0) / n), STD_EPS)
+    return dev / std, NormStats(mean=mean, std=std)
 
 
 def denormalize(y_norm, stats: NormStats) -> np.ndarray:
@@ -329,8 +334,8 @@ def load_model(path: str) -> ForecastModel:
     n = meta.integer("blocks")
     if n < 1:
         raise ValueError(f"{path}: meta key 'blocks' is {n}, need at least 1")
-    blocks = [AffineLayer.named(params, f"blocks.{i}") for i in range(n)]
-    head = AffineLayer.named(params, "head")
+    blocks = [params.layer(f"blocks.{i}") for i in range(n)]
+    head = params.layer("head")
     tap = meta.integer("tap_index")
     if not 0 <= tap < n:
         raise ValueError(f"{path}: meta key 'tap_index' is {tap}, outside [0, {n})")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from driftcast import DriftSpec, Sample, SplitSpec, build_model, chrono_split
 from driftcast import gen_concept_drift, offline_train
@@ -28,6 +29,29 @@ def fd_grad(fn, arr, h=FD_H):
 def rel_err(analytic, numeric, floor=1e-4):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def same_bytes(a, b):
+    """a and b hold the same dtype, shape and bytes (NaNs included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def reduction_inputs(draw, rows=st.integers(2, 200), cols=st.integers(1, 20)):
+    """A (rows x cols) float64 array to pin a reduction on, byte for byte:
+    normal noise at a scale of 1, 1e3 or below STD_EPS, on an offset of 0 or
+    near +-1e8, with maybe a constant column and maybe one infinite cell."""
+    n, c = draw(rows), draw(cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e8, -1e8 + 0.25]))
+    x = rng.standard_normal((n, c)) * draw(st.sampled_from([1.0, 1e3, 1e-7])) + offset
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, c - 1))] = offset
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1)), draw(st.integers(0, c - 1))] = \
+            draw(st.sampled_from([np.inf, -np.inf]))
+    return x
 
 
 def ar_series(T, C, rng, coeff=0.8):

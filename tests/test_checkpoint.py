@@ -175,6 +175,45 @@ def test_meta_that_disagrees_with_params_names_path_and_key(tmp_path, key, bad,
         load_model(str(path))
 
 
+def test_layer_reads_one_layer(tmp_path):
+    path = str(tmp_path / "layers.ckpt")
+    write_blocks(path, {"kind": "t"}, [("x.weight", np.ones((2, 3))),
+                                       ("x.bias", np.zeros(2)),
+                                       ("y.weight", np.zeros((1, 1))),
+                                       ("y.bias", np.zeros(1))])
+    _, params = read_blocks(path)
+    layer = params.layer("x")
+    np.testing.assert_array_equal(layer.weight, np.ones((2, 3)))
+    assert layer.bias.shape == (2,)
+
+
+@pytest.mark.parametrize("kind, name", [("model", "head"), ("adapter", "hidden")])
+def test_bias_longer_than_weight_names_path_and_param(tmp_path, kind, name):
+    path, lines = saved_lines(tmp_path, kind)
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith(f"param {name}.bias 1 "))
+    rows = int(lines[i].split()[-1])
+    lines[i] = f"param {name}.bias 1 {rows + 1}"
+    lines[i + 1] += " 0.5"
+    path.write_text("\n".join(lines) + "\n")
+    load = load_model if kind == "model" else load_adapter
+    with pytest.raises(ValueError, match=rf"{kind}\.ckpt: param '{name}\.bias': "
+                                         rf"bias length {rows + 1} != weight rows {rows}"):
+        load(str(path))
+
+
+def test_adapter_widths_that_disagree_name_the_path(tmp_path):
+    a = build_adapter(3, seed=0)
+    params = dict(a.named_params())
+    params["hidden.weight"] = np.ones((a.h + 1, a.h))   # path_feat gives a.h rows
+    params["hidden.bias"] = np.zeros(a.h + 1)
+    path = tmp_path / "adapter.ckpt"
+    write_blocks(str(path), {"kind": "adapter", "d": "3", "h": str(a.h),
+                             "use_feat": "1", "use_grad": "1"}, list(params.items()))
+    with pytest.raises(ValueError, match=r"adapter\.ckpt: path/hidden widths disagree"):
+        load_adapter(str(path))
+
+
 def test_params_that_do_not_chain_name_the_path(tmp_path):
     model = build_model(L=6, k=2, d=3, n_blocks=3, seed=0)
     params = dict(model.named_params())

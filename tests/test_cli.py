@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -466,3 +468,13 @@ class TestMainEntry:
     def test_regret_unknown_family_exit_two(self, capsys):
         assert main(["regret", "--family", "concave", "--seeds", "1"]) == 2
         assert "unknown family" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "driftcast", "run", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: driftcast run")

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from driftcast import build_adapter, build_model, sgd_step
 from driftcast.diffmath import AffineLayer, affine_apply, descend, mse_with_grad
 from driftcast.forecaster import apply_param_step
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, reduction_inputs, rel_err, same_bytes
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=64)
 
@@ -59,13 +59,6 @@ class TestParamProtocol:
         layers = [a.path_feat, a.path_grad, a.hidden, a.out]
         arrays_ = [p for layer in layers for p in (layer.weight, layer.bias)]
         assert all(p is q for (_, p), q in zip(a.named_params(), arrays_))
-
-    def test_named_reads_one_layer(self):
-        params = {"x.weight": np.ones((2, 3)), "x.bias": np.zeros((2, 1)),
-                  "y.weight": np.zeros((1, 1)), "y.bias": np.zeros(1)}
-        layer = AffineLayer.named(params, "x")
-        np.testing.assert_array_equal(layer.weight, np.ones((2, 3)))
-        assert layer.bias.shape == (2,)
 
 
 class TestDescend:
@@ -145,6 +138,17 @@ class TestMse:
             mse_with_grad(np.ones((2, 2)), np.ones((2, 3)))
         with pytest.raises(ValueError, match="empty"):
             mse_with_grad(np.ones((0, 2)), np.ones((0, 2)))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_loss_bytes_equal_numpy_mean(self, data):
+        pred = data.draw(reduction_inputs())
+        target = data.draw(reduction_inputs(*map(st.just, pred.shape)))
+        with np.errstate(all="ignore"):          # the inf cells and 1e8 squares
+            loss, _ = mse_with_grad(pred, target)
+            diff = pred - target
+            want = float(np.mean(diff * diff))
+        assert same_bytes(loss, want)
 
     @given(small_mats())
     @settings(max_examples=30, deadline=None)

@@ -13,7 +13,7 @@ from driftcast.forecaster import (NormStats, Sample, apply_param_step,
                                   encode, grad_wrt_feature, grad_wrt_last_layer,
                                   head_forward, head_forward_with_tape,
                                   param_grads, predict_with_tape)
-from conftest import fd_grad, make_stream, rel_err
+from conftest import fd_grad, make_stream, reduction_inputs, rel_err, same_bytes
 
 L, K, C, D = 6, 2, 2, 3
 
@@ -602,6 +602,20 @@ class TestHisgrad:
             z, stats = encode(model, sample.x)
             recs.append(StepRecord(y=sample.y, z=z, stats=stats))
         return recs
+
+    @given(reduction_inputs(cols=st.integers(1, 20).map(lambda c: c * D)))
+    @settings(max_examples=200, deadline=None)
+    def test_window_mean_bytes_equal_numpy_mean(self, g):
+        # g holds b records' feature gradients, each (C x D) flattened to a row
+        b, C = g.shape[0], g.shape[1] // D
+        g_rows = g.reshape(b * C, D)
+        z = np.zeros((b, C, D))
+        stats = NormStats(mean=np.zeros((b, C)), std=np.ones((b, C)))
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(engine, "grad_wrt_feature", lambda model, tape, g_yhat: g_rows)
+            out = compute_hisgrad(small_model(), z, stats, np.zeros((b, K, C)))
+            want = g_rows.reshape(b, C, D).mean(axis=0)
+        assert same_bytes(out, want)
 
     def test_single_record_matches_fd(self):
         model = small_model()

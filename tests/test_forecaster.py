@@ -11,7 +11,7 @@ from driftcast import (STD_EPS, NormStats, Sample, build_model, denormalize,
                        predict_with_tape, save_model)
 from driftcast.diffmath import AffineLayer, mse_with_grad
 from driftcast.forecaster import ForecastModel, apply_param_step
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, reduction_inputs, rel_err, same_bytes
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False, width=64)
 
@@ -63,6 +63,18 @@ class TestNormalize:
         x = np.array([[0.0], [1.0], [2.0]])
         _, stats = normalize(x)
         assert stats.std[0] == pytest.approx(np.sqrt(2.0 / 3.0))
+
+    @given(reduction_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_numpy_mean_and_std(self, x):
+        with np.errstate(all="ignore"):          # the inf cell and 1e8 squares
+            xn, stats = normalize(x)
+            mean = x.mean(axis=0)
+            std = np.maximum(x.std(axis=0), STD_EPS)
+            want = (x - mean) / std
+        assert same_bytes(stats.mean, mean)
+        assert same_bytes(stats.std, std)
+        assert same_bytes(xn, want)
 
 
 class TestForward:
