@@ -20,12 +20,13 @@ from .diffmath import AffineLayer, affine_apply, mse_with_grad
 from .engine import (EngineConfig, MetricsTrace, StepRecord, compute_hisgrad,
                      pretrain_adapter, run_adaptz, run_fogd, run_method,
                      run_ogd, run_ori, write_trace_csv)
-from .forecaster import (STD_EPS, ForecastModel, NormStats, Sample, Tape,
-                         build_model, denormalize, encode,
-                         grad_wrt_feature, grad_wrt_last_layer,
-                         head_forward, head_forward_with_tape, load_model,
-                         normalize, offline_train, param_grads, predict,
-                         predict_with_tape, save_model)
+from .forecaster import (STD_EPS, ForecastModel, NormStats, Sample, Tail,
+                         Tape, build_model, denormalize, encode,
+                         grad_wrt_feature, grad_wrt_feature_from_tail,
+                         grad_wrt_last_layer, head_forward,
+                         head_forward_from_tail, head_forward_with_tape,
+                         load_model, normalize, offline_train, param_grads,
+                         predict, predict_with_tape, save_model, tail_forward)
 from .regret import (FAMILIES, REPORT_HEADER, BoundReport, OCOProblem, OCORun,
                      check_bound, make_problem, path_variation, project_ball,
                      report_rows, run_oco, run_sweep)
@@ -41,11 +42,12 @@ __all__ = [
     "EngineConfig", "MetricsTrace", "StepRecord",
     "compute_hisgrad", "pretrain_adapter", "run_adaptz", "run_fogd",
     "run_method", "run_ogd", "run_ori", "write_trace_csv",
-    "STD_EPS", "ForecastModel", "NormStats", "Sample", "Tape",
+    "STD_EPS", "ForecastModel", "NormStats", "Sample", "Tail", "Tape",
     "build_model", "denormalize", "encode", "grad_wrt_feature",
-    "grad_wrt_last_layer", "head_forward", "head_forward_with_tape",
-    "load_model", "normalize", "offline_train", "param_grads", "predict",
-    "predict_with_tape", "save_model",
+    "grad_wrt_feature_from_tail", "grad_wrt_last_layer", "head_forward",
+    "head_forward_from_tail", "head_forward_with_tape", "load_model",
+    "normalize", "offline_train", "param_grads", "predict",
+    "predict_with_tape", "save_model", "tail_forward",
     "FAMILIES", "BoundReport", "OCOProblem", "OCORun", "check_bound",
     "make_problem", "path_variation", "project_ball", "REPORT_HEADER",
     "report_rows",

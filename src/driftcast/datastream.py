@@ -136,10 +136,29 @@ def load_csv(path: str) -> SeriesFrame:
 
 
 def write_csv(frame: SeriesFrame, path: str) -> None:
-    """Inverse of load_csv; repr-precision floats, index as timestamp."""
+    """Inverse of load_csv; repr-precision floats, index as timestamp. A
+    frame load_csv could not read back raises ValueError before the file is
+    opened: no rows or columns, a column name that is not a string, or a
+    non-finite cell (named by its row and column, as load_csv would)."""
+    if frame.T == 0 or frame.C == 0:
+        raise ValueError(f"{path}: a frame of shape {frame.values.shape} has "
+                         "no rows or no columns to write")
+    for name in frame.columns:
+        if not isinstance(name, str):
+            raise ValueError(f"{path}: column name {name!r} is not a string")
+    bad = np.argwhere(~np.isfinite(frame.values))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(f"{path}: non-finite cell at row {r + 2}, column "
+                         f"{frame.columns[c]!r}: {float(frame.values[r, c])!r}")
+    # csv quotes a name only if it holds a comma, a quote or a character of
+    # the line terminator, so a bare \r would split the header on reading
+    quoting = (csv.QUOTE_ALL if any("\r" in name for name in frame.columns)
+               else csv.QUOTE_MINIMAL)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh, lineterminator="\n")     # quotes a name only if it must
-        out.writerow(["timestamp"] + list(frame.columns))
+        head = csv.writer(fh, lineterminator="\n", quoting=quoting)
+        head.writerow(["timestamp"] + list(frame.columns))
+        out = csv.writer(fh, lineterminator="\n")
         for t in range(frame.T):
             out.writerow([str(t)] + [repr(float(v)) for v in frame.values[t]])
 

@@ -28,8 +28,12 @@ over once, so each record is backpropagated once, when its label is
 released. The window sum slides: each window adds its newest share and
 subtracts the one its slot held, and it is re-summed exactly whenever
 n % b == 0, when slots 0..b-1 hold the window in order. The hisgrad window
-is read as one slice of a ring that holds each released record's z, stats
-and target twice, so neither per-step cost grows with b.
+is read as one slice of a ring that holds each released record's tail,
+stats and target twice, so neither per-step cost grows with b. The tail is
+the record's pass through the blocks past the tap (tail_forward of its z),
+run once when the record is released: in adaptz only the head and the
+adapter move, so that pass is fixed from then on, and hisgrad runs only
+the head on it, under the current head.
 
 Each step's z comes from encode, which stops at the tap; the loop's one
 head_forward_with_tape is the only run of the blocks past it. In
@@ -50,10 +54,11 @@ import numpy as np
 from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
                       adapter_forward_with_tape, sgd_step)
 from .diffmath import descend, mse_with_grad
-from .forecaster import (ForecastModel, NormStats, Sample, Tape,
+from .forecaster import (ForecastModel, NormStats, Sample, Tail, Tape,
                          apply_param_step, encode, grad_wrt_feature,
-                         grad_wrt_last_layer, head_forward_with_tape,
-                         param_grads, predict_with_tape)
+                         grad_wrt_feature_from_tail, grad_wrt_last_layer,
+                         head_forward_from_tail, head_forward_with_tape,
+                         param_grads, predict_with_tape, tail_forward)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
 Layout = List[Tuple[str, Tuple[int, ...]]]     # (name, shape) per parameter
@@ -145,25 +150,30 @@ def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[in
     return x.shape[1]
 
 
-def compute_hisgrad(model: ForecastModel, z: np.ndarray, stats: NormStats,
+def compute_hisgrad(model: ForecastModel, tail: Tail, stats: NormStats,
                     y: np.ndarray) -> np.ndarray:
     """Average over b released records of the per-sample gradient of the
     squared forecast error with respect to the record's feature, evaluated
     under the model's current parameters.
 
-    The records come stacked on a leading axis: z is (b, C, d), stats holds
-    (b, C) means and stds and y is (b, k, C). They run as one (b*C)-row
-    pass: the model is channel independent, so b*C rows behave like one
-    sample with b*C channels.
+    The records come stacked on a leading axis: tail holds their post-tap
+    passes (tail_forward of each z, every array (b, C, width)), stats holds
+    (b, C) means and stds and y is (b, k, C). Only the head runs, on the
+    stored head inputs, and the backward folds it into the last post-tap
+    block: the post-tap blocks are the record's own pass while they do not
+    move. The records run as one (b*C)-row pass: the model is channel
+    independent, so b*C rows behave like one sample with b*C channels.
     """
-    b, C, d = z.shape
+    b, C, _ = tail.head_in.shape
+    rows = Tail(ins=[h.reshape(b * C, -1) for h in tail.ins],
+                head_in=tail.head_in.reshape(b * C, -1))
     flat = NormStats(mean=stats.mean.reshape(b * C), std=stats.std.reshape(b * C))
-    yhat, tape = head_forward_with_tape(model, z.reshape(b * C, d), flat)
+    yhat = head_forward_from_tail(model, rows, flat)
     err = yhat.reshape(model.k, b, C) - y.transpose(1, 0, 2)
     # per-record MSE grad, k x (b*C) like yhat; a stacked mse_with_grad is 1/b of it
     g_yhat = (2.0 * err / (model.k * C)).reshape(model.k, b * C)
-    g_rows = grad_wrt_feature(model, tape, g_yhat)
-    return np.add.reduce(g_rows.reshape(b, C, d), axis=0) / b
+    g_rows = grad_wrt_feature_from_tail(model, rows, flat, g_yhat)
+    return np.add.reduce(g_rows.reshape(b, C, model.d), axis=0) / b
 
 
 def _record_share(model: ForecastModel, layout: Layout, rec: StepRecord,
@@ -286,9 +296,10 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     with zero rates still learns, since the next hisgrad needs the window.
     With the grad path off, hisgrad feeds nothing and stays zero.
 
-    Released record i goes to slot i % b: its z, stats and target to the
-    hisgrad ring (slots j and j + b of 2b) and, when learning, its share of
-    the window gradient to a b-slot list. Once b records are in, the window
+    Released record i goes to slot i % b: its tail (the post-tap pass of its
+    z, run once on release; those blocks never move here), stats and target
+    to the hisgrad ring (slots j and j + b of 2b) and, when learning, its
+    share of the window gradient to a b-slot list. Once b records are in, the window
     sum is taken left to right whenever the count n of released records is
     a multiple of b; in between it gains the newest share and loses the one
     whose slot that share took. Float addition is not associative, so the
@@ -331,17 +342,20 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
             if n >= b:
                 hisgrad = replayed[n - b]
         elif a.use_grad:
+            # the record's post-tap pass, run once: those blocks never move
+            tail = tail_forward(model, rec.z)
             # each field written twice, at j and j + b, so the last b records
             # are one contiguous slice, oldest first, as compute_hisgrad takes them
-            fields = (rec.z, rec.stats.mean, rec.stats.std, rec.y)
+            fields = (*tail.ins, tail.head_in, rec.stats.mean, rec.stats.std, rec.y)
             if not rings:
                 rings = [np.empty((2 * b,) + f.shape) for f in fields]
             for ring, value in zip(rings, fields):
                 ring[j] = ring[j + b] = value
             if n >= b:
                 # next step's hisgrad, evaluated before this step's update
-                z, mean, std, y = (ring[n % b:n % b + b] for ring in rings)
-                hisgrad = compute_hisgrad(model, z, NormStats(mean=mean, std=std), y)
+                *ins, head_in, mean, std, y = (ring[n % b:n % b + b] for ring in rings)
+                hisgrad = compute_hisgrad(model, Tail(ins=ins, head_in=head_in),
+                                          NormStats(mean=mean, std=std), y)
                 if _frozen is not None:
                     _frozen.hisgrads.append(hisgrad)
         if not learning:

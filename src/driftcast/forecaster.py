@@ -14,6 +14,12 @@ head_forward_with_tape. Every pass that reaches the head, full from block 0
 records one Tape of block inputs, outputs and weight snapshots, so
 gradients are taken under the parameters that made the prediction. One
 backward pass serves feature and parameter gradients.
+
+tail_forward runs the post-tap blocks on z without the head and keeps a
+Tail of their inputs. While those blocks do not move, the head alone
+resumes from it (head_forward_from_tail), and grad_wrt_feature_from_tail
+backpropagates to z under the current head, folding the head into the
+last block.
 """
 
 from __future__ import annotations
@@ -91,6 +97,19 @@ class Tape:
     stats: Optional[NormStats]
 
 
+@dataclass
+class Tail:
+    """The pass of a feature z through the blocks past the tap, without the
+    head: each post-tap block's input and the head's input, as _forward
+    records them from tap + 1 (no ins when the tap is the last block). It
+    stays valid while those blocks do not move. compute_hisgrad takes a
+    window's tails stacked on a leading record axis.
+    """
+
+    ins: List[np.ndarray]
+    head_in: np.ndarray
+
+
 class ForecastModel(Layered):
     """Encoder blocks + linear head; channels share all weights."""
 
@@ -143,10 +162,11 @@ def build_model(L: int, k: int, d: int = 64, n_blocks: int = 3,
     return ForecastModel(blocks, head, L, k, tap_index)
 
 
-def _forward(model: ForecastModel, rows: np.ndarray, start: int,
-             stats: Optional[NormStats]) -> Tape:
-    """Run rows through blocks start.. and the head; ReLU between blocks
-    only, so every block but block 0 gets a rectified input."""
+def _blocks_from(model: ForecastModel, rows: np.ndarray, start: int
+                 ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
+    """Run rows through blocks start..; ReLU between blocks only, so every
+    block but block 0 gets a rectified input. Returns the input and the
+    pre-activation output of each block it ran, and the head's input."""
     ins: List[np.ndarray] = []
     pre: List[np.ndarray] = []
     h = rows
@@ -157,6 +177,13 @@ def _forward(model: ForecastModel, rows: np.ndarray, start: int,
         ins.append(h)
         h = affine_apply(blk.weight, blk.bias, h)
         pre.append(h)
+    return ins, pre, h
+
+
+def _forward(model: ForecastModel, rows: np.ndarray, start: int,
+             stats: Optional[NormStats]) -> Tape:
+    """Run rows through blocks start.. and the head."""
+    ins, pre, h = _blocks_from(model, rows, start)
     y_norm = affine_apply(model.head.weight, model.head.bias, h)
     return Tape(start=start, ins=ins, pre=pre,
                 block_weights=[b.weight for b in model.blocks[start:]],
@@ -196,14 +223,34 @@ def predict_with_tape(model: ForecastModel, x) -> Tuple[np.ndarray, Tape]:
     return denormalize(tape.y_norm.T, stats), tape
 
 
+def _feature_rows(model: ForecastModel, z, name: str) -> np.ndarray:
+    z = _as_matrix(z, name)
+    if z.shape[1] != model.d:
+        raise ValueError(f"{name} width {z.shape[1]} != feature width {model.d}")
+    return z
+
+
 def head_forward_with_tape(model: ForecastModel, z_adj, stats: NormStats
                            ) -> Tuple[np.ndarray, Tape]:
     """Resume the forward pass from the tap with a (possibly adjusted) z."""
-    z_adj = _as_matrix(z_adj, "z_adj")
-    if z_adj.shape[1] != model.d:
-        raise ValueError(f"z_adj width {z_adj.shape[1]} != feature width {model.d}")
-    tape = _forward(model, z_adj, model.tap_index + 1, stats)
+    tape = _forward(model, _feature_rows(model, z_adj, "z_adj"),
+                    model.tap_index + 1, stats)
     return denormalize(tape.y_norm.T, stats), tape
+
+
+def tail_forward(model: ForecastModel, z) -> Tail:
+    """The post-tap pass of a feature z (C x d), head left out; its ops are
+    those of head_forward_with_tape on the same rows."""
+    ins, _, head_in = _blocks_from(model, _feature_rows(model, z, "z"),
+                                   model.tap_index + 1)
+    return Tail(ins=ins, head_in=head_in)
+
+
+def head_forward_from_tail(model: ForecastModel, tail: Tail,
+                           stats: NormStats) -> np.ndarray:
+    """Prediction (k x rows) of the head alone on a tail's head input."""
+    y_norm = affine_apply(model.head.weight, model.head.bias, tail.head_in)
+    return denormalize(y_norm.T, stats)
 
 
 def head_forward(model: ForecastModel, z_adj, stats: NormStats) -> np.ndarray:
@@ -249,6 +296,28 @@ def grad_wrt_feature(model: ForecastModel, tape, grad_yhat) -> np.ndarray:
         raise ValueError("grad_wrt_feature needs a forward tape")
     return _backward(tape, _grad_into_norm(grad_yhat, tape.stats),
                      model.tap_index + 1)
+
+
+def grad_wrt_feature_from_tail(model: ForecastModel, tail: Tail, stats: NormStats,
+                              grad_yhat) -> np.ndarray:
+    """Backpropagate dL/dy_hat (k x rows) of head_forward_from_tail to the
+    tap feature, under the model's current head and post-tap blocks.
+
+    No ReLU sits between the last block and the head, so the head folds
+    into that block: H @ W_last (k x its input width) is formed once and the
+    rows take one GEMM through both. Earlier post-tap blocks follow through
+    their masks as _backward does; with the tap at the last block the
+    gradient is g_norm @ H.
+    """
+    g_norm = _grad_into_norm(grad_yhat, stats)
+    if not tail.ins:
+        return g_norm @ model.head.weight
+    start = model.tap_index + 1
+    folded = model.head.weight @ model.blocks[-1].weight
+    g = (g_norm @ folded) * (tail.ins[-1] > 0.0)
+    for j in range(len(tail.ins) - 2, -1, -1):
+        g = (g @ model.blocks[start + j].weight) * (tail.ins[j] > 0.0)
+    return g
 
 
 def grad_wrt_last_layer(model: ForecastModel, tape, grad_yhat

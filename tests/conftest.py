@@ -31,6 +31,15 @@ def rel_err(analytic, numeric, floor=1e-4):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+KINK_MARGIN = 1e-3  # finite differences lie where a ReLU input sits near 0
+
+
+def relu_margin(arrays):
+    """Smallest |value| over the arrays: how near a ReLU input sits to its kink."""
+    vals = [float(np.min(np.abs(a))) for a in arrays if a.size]
+    return min(vals) if vals else np.inf
+
+
 def same_bytes(a, b):
     """a and b hold the same dtype, shape and bytes (NaNs included)."""
     a, b = np.asarray(a), np.asarray(b)

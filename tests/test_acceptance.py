@@ -21,7 +21,7 @@ from driftcast.forecaster import (Sample, encode, grad_wrt_feature,
                                   head_forward, head_forward_with_tape,
                                   param_grads, predict, predict_with_tape)
 from driftcast.regret import make_problem, report_rows, run_oco, run_sweep
-from conftest import fd_grad, make_stream, rel_err
+from conftest import KINK_MARGIN, fd_grad, make_stream, rel_err, relu_margin
 
 SEEDS = (2025, 2026, 2027, 2028, 2029)
 
@@ -83,14 +83,6 @@ def drift_lab():
     return lab
 
 
-KINK_MARGIN = 1e-3  # finite differences lie where a ReLU input sits near 0
-
-
-def _margin(arrays):
-    vals = [float(np.min(np.abs(a))) for a in arrays if a.size]
-    return min(vals) if vals else np.inf
-
-
 class TestCriterion1Gradients:
     def test_criterion_01_gradient_correctness(self):
         t0 = time.perf_counter()
@@ -112,7 +104,7 @@ class TestCriterion1Gradients:
             x = rng.standard_normal((L, C))
             y = rng.standard_normal((k, C))
             yhat, tape = predict_with_tape(model, x)
-            if _margin(tape.pre[:-1]) < KINK_MARGIN:
+            if relu_margin(tape.pre[:-1]) < KINK_MARGIN:
                 continue
             done += 1
             _, g_yhat = mse_with_grad(yhat, y)
@@ -139,7 +131,7 @@ class TestCriterion1Gradients:
             y = rng.standard_normal((k, C))
             z, stats = encode(model, x)
             _, full = predict_with_tape(model, x)
-            if _margin(full.pre[model.tap_index:-1]) < KINK_MARGIN:
+            if relu_margin(full.pre[model.tap_index:-1]) < KINK_MARGIN:
                 continue
             done += 1
             z = z.copy()
@@ -167,7 +159,7 @@ class TestCriterion1Gradients:
             hg = 0.2 * rng.standard_normal((C, d))
             target = rng.standard_normal((C, d))
             delta0, tape = adapter_forward_with_tape(a, z, hg)
-            if _margin([tape.s, tape.hh]) < KINK_MARGIN:
+            if relu_margin([tape.s, tape.hh]) < KINK_MARGIN:
                 continue
             done += 1
             _, g_delta = mse_with_grad(delta0, target)

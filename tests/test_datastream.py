@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftcast import (CONCEPT_A1, CONCEPT_A2, DriftSpec, SeriesFrame,
                        SplitSpec, chrono_split, concept_coefficients,
@@ -32,6 +37,34 @@ class TestCsvIO:
         back = load_csv(str(again))
         assert back.columns == frame.columns
         np.testing.assert_array_equal(back.values, frame.values)
+
+    @given(st.lists(st.text(st.sampled_from(list('ab7 ,"\r\n\t;é')), max_size=5),
+                    min_size=1, max_size=4).flatmap(
+        lambda names: st.tuples(st.just(names), arrays(
+            np.float64, st.tuples(st.integers(1, 4), st.just(len(names))),
+            elements=st.floats(allow_nan=False, allow_infinity=False)))))
+    @settings(max_examples=200, deadline=None)
+    def test_any_names_and_finite_values_round_trip(self, tmp_path_factory, frame):
+        names, values = frame
+        path = str(tmp_path_factory.mktemp("csv") / "f.csv")
+        write_csv(SeriesFrame(values, names), path)
+        back = load_csv(path)
+        assert back.columns == names
+        assert back.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("values,names,msg", [
+        (np.array([[1.0, 2.0], [3.0, np.nan]]), ["a", "b\r"],
+         "row 3, column 'b\\r': nan"),
+        (np.array([[-np.inf, 2.0]]), ["a", "b"], "row 2, column 'a': -inf"),
+        (np.empty((0, 2)), ["a", "b"], "no rows or no columns"),
+        (np.ones((1, 2)), ["a", 7], "column name 7 is not a string"),
+    ])
+    def test_unreadable_frame_refused_before_writing(self, tmp_path, values,
+                                                      names, msg):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            write_csv(SeriesFrame(values, names), str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("text,msg", [
         ("", "empty"),

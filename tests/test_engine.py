@@ -9,11 +9,12 @@ from driftcast import (EngineConfig, StepRecord, build_adapter, build_model,
 from driftcast import engine
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
-from driftcast.forecaster import (NormStats, Sample, apply_param_step,
+from driftcast.forecaster import (NormStats, Sample, Tail, apply_param_step,
                                   encode, grad_wrt_feature, grad_wrt_last_layer,
                                   head_forward, head_forward_with_tape,
-                                  param_grads, predict_with_tape)
-from conftest import fd_grad, make_stream, reduction_inputs, rel_err, same_bytes
+                                  param_grads, predict_with_tape, tail_forward)
+from conftest import (KINK_MARGIN, fd_grad, make_stream, reduction_inputs,
+                      rel_err, relu_margin, same_bytes)
 
 L, K, C, D = 6, 2, 2, 3
 
@@ -193,9 +194,12 @@ class TestSequencingOracles:
             np.testing.assert_array_equal(dict(m.named_params())[n], p, err_msg=n)
 
 
-def stack(recs):
-    """The records' z, stats and targets stacked as compute_hisgrad takes them."""
-    return (np.stack([r.z for r in recs]),
+def stack(model, recs):
+    """The records' tails, stats and targets stacked as compute_hisgrad takes
+    them; each tail is tail_forward of the record's z, as the ring stores it."""
+    tails = [tail_forward(model, r.z) for r in recs]
+    return (Tail(ins=[np.stack(h) for h in zip(*(t.ins for t in tails))],
+                 head_in=np.stack([t.head_in for t in tails])),
             NormStats(mean=np.stack([r.stats.mean for r in recs]),
                       std=np.stack([r.stats.std for r in recs])),
             np.stack([r.y for r in recs]))
@@ -237,7 +241,7 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
         if s < k + b - 1:                   # hisgrad stays zero until then
             continue
         window = [recs[i] for i in range(s - k - b + 1, s - k + 1)]
-        hisgrad = compute_hisgrad(m, *stack(window))
+        hisgrad = compute_hisgrad(m, *stack(m, window))
 
         def grads(rec):
             g_y = rec.g_y / b
@@ -309,6 +313,22 @@ class TestStoredShares:
         stream = make_stream(n, L, k, C, seed=91)
         run_adaptz(model, live_adapter(), stream, small_cfg(hist_batch=b))
         assert len(calls) == n - k
+
+    def test_post_tap_pass_runs_once_per_released_record(self, monkeypatch):
+        # hisgrad reruns no block past the tap: the loop's head pass is the
+        # only one per step, and only the shares take feature gradients
+        calls = {"tail_forward": 0, "head_forward_with_tape": 0,
+                 "grad_wrt_feature": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(engine, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(engine, name, counted)
+        k, b, n = K, 3, 25
+        run_adaptz(small_model(), live_adapter(), make_stream(n, L, k, C, seed=93),
+                   small_cfg(hist_batch=b))
+        assert calls == {"tail_forward": n - k, "head_forward_with_tape": n,
+                         "grad_wrt_feature": n - k}
 
     def test_grad_path_off_skips_hisgrad(self, monkeypatch):
         calls = []
@@ -497,18 +517,19 @@ class TestDelayAudit:
         recs = encoded_records(model, stream)
         windows = []
 
-        def as_bytes(z, stats, y):
-            return tuple(a.tobytes() for a in (z, stats.mean, stats.std, y))
+        def as_bytes(tail, stats, y):
+            return tuple(a.tobytes() for a in (*tail.ins, tail.head_in,
+                                               stats.mean, stats.std, y))
 
-        def spy(model, z, stats, y):
-            windows.append(as_bytes(z, stats, y))
-            return compute_hisgrad(model, z, stats, y)
+        def spy(model, tail, stats, y):
+            windows.append(as_bytes(tail, stats, y))
+            return compute_hisgrad(model, tail, stats, y)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "compute_hisgrad", spy)
             run_adaptz(model, live_adapter(), stream,
                        small_cfg(horizon=k, lookback=L, hist_batch=b))
-        assert windows == [as_bytes(*stack(recs[s - k - b + 1:s - k + 1]))
+        assert windows == [as_bytes(*stack(model, recs[s - k - b + 1:s - k + 1]))
                            for s in range(k + b - 1, n)]
 
 
@@ -516,9 +537,9 @@ class TestDelayOwnedByLoop:
     def test_hisgrad_computed_from_first_full_window_on(self, monkeypatch):
         sizes = []
 
-        def spy(model, z, stats, y):
-            sizes.append(len(z))
-            return compute_hisgrad(model, z, stats, y)
+        def spy(model, tail, stats, y):
+            sizes.append(len(tail.head_in))
+            return compute_hisgrad(model, tail, stats, y)
 
         monkeypatch.setattr(engine, "compute_hisgrad", spy)
         k, b, n = 2, 3, 20
@@ -594,14 +615,72 @@ class TestDelayOwnedByLoop:
         assert len(calls) == 2 * len(val)
 
 
+def hisgrad_by_rerun(model, recs):
+    """hisgrad by the route the stored tails replace: the post-tap blocks and
+    the head rerun on the window's stacked z, then backpropagated through
+    both unfolded, then the window mean."""
+    b, (C, d) = len(recs), recs[0].z.shape
+    flat = NormStats(mean=np.stack([r.stats.mean for r in recs]).reshape(b * C),
+                     std=np.stack([r.stats.std for r in recs]).reshape(b * C))
+    yhat, tape = head_forward_with_tape(
+        model, np.stack([r.z for r in recs]).reshape(b * C, d), flat)
+    err = yhat.reshape(model.k, b, C) - np.stack([r.y for r in recs]).transpose(1, 0, 2)
+    g_yhat = (2.0 * err / (model.k * C)).reshape(model.k, b * C)
+    return grad_wrt_feature(model, tape, g_yhat).reshape(b, C, d).mean(axis=0)
+
+
+@st.composite
+def tap_windows(draw):
+    """A model of 1-4 blocks tapped at any of them (0-3 post-tap blocks) and
+    a window of b records of C channels at horizon k."""
+    blocks = draw(st.integers(1, 4))
+    tap = draw(st.integers(0, blocks - 1))
+    b, C = draw(st.sampled_from([1, 2, 5])), draw(st.integers(1, 4))
+    k, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+    model = build_model(L=L, k=k, d=D, n_blocks=blocks, tap_index=tap, seed=seed)
+    return model, encoded_records(model, make_stream(b, L, k, C, seed=seed + 1))
+
+
 class TestHisgrad:
     def _records(self, model, n, seed):
-        stream = make_stream(n, L, K, C, seed=seed)
-        recs = []
-        for sample in stream:
-            z, stats = encode(model, sample.x)
-            recs.append(StepRecord(y=sample.y, z=z, stats=stats))
-        return recs
+        return encoded_records(model, make_stream(n, L, K, C, seed=seed))
+
+    @given(tap_windows())
+    @settings(max_examples=200, deadline=None)
+    def test_tails_within_drift_of_rerun_at_every_tap(self, window):
+        # a block GEMM over C rows is not byte-equal to the same rows inside a
+        # (b*C)-row stack, and the fold reorders the head's product
+        model, recs = window
+        out = compute_hisgrad(model, *stack(model, recs))
+        want = hisgrad_by_rerun(model, recs)
+        assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("tap", [2, 1, 0],
+                             ids=["0_post_tap", "1_post_tap", "2_post_tap"])
+    def test_window_matches_fd_past_any_tap(self, tap):
+        # hisgrad is the gradient of the window-mean loss in one offset u
+        # added to every record's z
+        b, checked = 3, 0
+        for seed in range(100):
+            model = build_model(L=L, k=K, d=D, n_blocks=3, tap_index=tap, seed=seed)
+            stream = make_stream(b, L, K, C, seed=seed + 500)
+            # the ReLU inputs past the tap: z, then each block's output but the last
+            if min(relu_margin(predict_with_tape(model, s.x)[1].pre[tap:-1])
+                   for s in stream) < KINK_MARGIN:
+                continue
+            recs = encoded_records(model, stream)
+            out = compute_hisgrad(model, *stack(model, recs))
+            u = np.zeros((C, D))
+
+            def loss():
+                return sum(mse_with_grad(head_forward(model, r.z + u, r.stats),
+                                         r.y)[0] for r in recs) / b
+
+            assert rel_err(out, fd_grad(loss, u)) < 1e-5
+            checked += 1
+            if checked == 3:
+                return
+        pytest.fail(f"only {checked} windows clear of the ReLU kinks")
 
     @given(reduction_inputs(cols=st.integers(1, 20).map(lambda c: c * D)))
     @settings(max_examples=200, deadline=None)
@@ -609,18 +688,19 @@ class TestHisgrad:
         # g holds b records' feature gradients, each (C x D) flattened to a row
         b, C = g.shape[0], g.shape[1] // D
         g_rows = g.reshape(b * C, D)
-        z = np.zeros((b, C, D))
+        tail = Tail(ins=[np.zeros((b, C, D))], head_in=np.zeros((b, C, D)))
         stats = NormStats(mean=np.zeros((b, C)), std=np.ones((b, C)))
         with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-            mp.setattr(engine, "grad_wrt_feature", lambda model, tape, g_yhat: g_rows)
-            out = compute_hisgrad(small_model(), z, stats, np.zeros((b, K, C)))
+            mp.setattr(engine, "grad_wrt_feature_from_tail",
+                       lambda model, tail, stats, g_yhat: g_rows)
+            out = compute_hisgrad(small_model(), tail, stats, np.zeros((b, K, C)))
             want = g_rows.reshape(b, C, D).mean(axis=0)
         assert same_bytes(out, want)
 
     def test_single_record_matches_fd(self):
         model = small_model()
         rec = self._records(model, 1, seed=51)[0]
-        out = compute_hisgrad(model, *stack([rec]))
+        out = compute_hisgrad(model, *stack(model, [rec]))
         z = rec.z.copy()
 
         def loss():
@@ -632,26 +712,26 @@ class TestHisgrad:
         model = small_model()
         one = self._records(model, 1, seed=52)[0]
         b = 4
-        single = compute_hisgrad(model, *stack([one]))
-        window = compute_hisgrad(model, *stack([StepRecord(y=one.y, z=one.z,
+        single = compute_hisgrad(model, *stack(model, [one]))
+        window = compute_hisgrad(model, *stack(model, [StepRecord(y=one.y, z=one.z,
                                                            stats=one.stats)] * b))
         np.testing.assert_allclose(window, single, atol=1e-12)
 
     def test_general_window_is_mean_of_per_record_grads(self):
         model = small_model()
         recs = self._records(model, 3, seed=53)
-        out = compute_hisgrad(model, *stack(recs))
-        per = [compute_hisgrad(model, *stack([rec])) for rec in recs]
+        out = compute_hisgrad(model, *stack(model, recs))
+        per = [compute_hisgrad(model, *stack(model, [rec])) for rec in recs]
         np.testing.assert_allclose(out, np.mean(per, axis=0), atol=1e-12)
 
     def test_evaluated_under_current_parameters(self):
         model = small_model()
         rec = self._records(model, 1, seed=54)[0]
-        before = compute_hisgrad(model, *stack([rec]))
+        before = compute_hisgrad(model, *stack(model, [rec]))
         moved = model.clone()
         apply_param_step(moved, {n: np.ones_like(p) * 0.05
                                  for n, p in moved.named_params()}, 1.0)
-        after = compute_hisgrad(moved, *stack([rec]))
+        after = compute_hisgrad(moved, *stack(moved, [rec]))
         assert not np.array_equal(before, after)
         z = rec.z.copy()
 
@@ -750,7 +830,7 @@ class TestPretrain:
     def test_encodes_val_and_computes_hisgrads_once(self, monkeypatch,
                                                     small_trained):
         trained, _, val, _ = small_trained
-        calls = {"encode": 0, "compute_hisgrad": 0}
+        calls = {"encode": 0, "tail_forward": 0, "compute_hisgrad": 0}
         for name in calls:
             def counted(*args, _fn=getattr(engine, name), _name=name):
                 calls[_name] += 1
@@ -759,7 +839,7 @@ class TestPretrain:
         b = 4
         pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
                          epochs=3, hist_batch=b)
-        assert calls == {"encode": len(val),
+        assert calls == {"encode": len(val), "tail_forward": len(val) - trained.k,
                          "compute_hisgrad": len(val) - trained.k - b + 1}
 
     def test_replay_refuses_a_moving_head(self, small_trained):
