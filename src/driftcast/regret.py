@@ -51,6 +51,14 @@ class OCOProblem:
     mc_draws: int = 1000
 
     def __post_init__(self) -> None:
+        for name, ok, need in (
+                ("dim", self.dim >= 1, ">= 1"), ("T", self.T >= 1, ">= 1"),
+                ("mc_draws", self.mc_draws >= 1, ">= 1"),
+                ("r", 0 < self.r < np.inf, "> 0 and finite"),
+                ("gamma", 0 < self.gamma < np.inf, "> 0 and finite"),
+                ("noise_std", 0 <= self.noise_std < np.inf, ">= 0 and finite")):
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
         self.theta0 = np.asarray(self.theta0, dtype=np.float64).reshape(-1)
         self.theta_star = np.asarray(self.theta_star, dtype=np.float64)
         if self.theta_star.shape != (self.T, self.dim):
@@ -113,6 +121,20 @@ def _true_grad(problem: OCOProblem, theta: np.ndarray, t: int) -> np.ndarray:
     return 2.0 * err                        # E[x x^T] = I for standard normal
 
 
+def _row_sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, byte-equal to np.add.reduce(a * a, axis=1).
+
+    For one or two columns the squared columns are added directly, the order
+    in which that reduce adds them, at a fraction of its per-call cost; wider
+    rows keep the reduce.
+    """
+    if a.shape[1] == 1:
+        return a[:, 0] * a[:, 0]
+    if a.shape[1] == 2:
+        return a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1]
+    return np.add.reduce(a * a, axis=1)
+
+
 def run_oco(problem: OCOProblem) -> OCORun:
     """Projected noisy-gradient descent with per-step Monte Carlo estimates."""
     T, M = problem.T, problem.mc_draws
@@ -133,20 +155,23 @@ def run_oco(problem: OCOProblem) -> OCORun:
         rng_mc = np.random.default_rng(mc_children[t])
         xs = _draw_x(problem, rng_mc, M)
         err = theta - problem.theta_star[t]
-        regret += float(np.mean((xs @ err) ** 2))
+        xe = xs @ err
+        regret += float(np.add.reduce(xe * xe) / M)
         noises = problem.noise_std * rng_mc.standard_normal(M)
-        etas = 2.0 * ((xs @ err) - noises)[:, None] * xs
+        etas = 2.0 * (xe - noises)[:, None] * xs
         g_true = _true_grad(problem, theta, t)
-        b_hat = max(b_hat, float(np.mean(np.linalg.norm(etas - g_true, axis=1))))
-        centered = etas - etas.mean(axis=0)
-        lambda_hat = max(lambda_hat, float(np.mean(np.sum(centered ** 2, axis=1))))
+        dev = np.sqrt(_row_sq_norms(etas - g_true))
+        b_hat = max(b_hat, float(np.add.reduce(dev) / M))
+        centered = etas - np.add.reduce(etas, axis=0) / M
+        lambda_hat = max(lambda_hat,
+                         float(np.add.reduce(_row_sq_norms(centered)) / M))
         g_hat = max(g_hat, float(g_true @ g_true),
-                    float(np.mean(np.sum(etas ** 2, axis=1))))
+                    float(np.add.reduce(_row_sq_norms(etas)) / M))
         # the deployed update uses its own single sample
         x_run = _draw_x(problem, rng_run, 1)[0]
         noise_run = problem.noise_std * rng_run.standard_normal()
         eta = 2.0 * (float(x_run @ err) - noise_run) * x_run
-        if not np.all(np.isfinite(eta)):
+        if not np.isfinite(eta).all():
             raise FloatingPointError("non-finite gradient in OCO run")
         theta = project_ball(theta - problem.gamma * eta, problem.r)
     V = path_variation(problem.theta_star)
@@ -208,6 +233,8 @@ def make_problem(family: str, seed: int, T: Optional[int] = None,
 
 def run_sweep(families: Tuple[str, ...] = FAMILIES, seeds: int = 20,
               base_seed: int = 2025) -> List[OCORun]:
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     runs = []
     for family in families:
         for i in range(seeds):

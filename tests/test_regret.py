@@ -1,14 +1,94 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast.regret import (FAMILIES, OCOProblem, OCORun, check_bound,
-                              make_problem, path_variation, project_ball,
-                              report_rows, run_oco, run_sweep)
+from conftest import reduction_inputs, same_bytes
+from driftcast.regret import (FAMILIES, OCOProblem, OCORun, _draw_x, _row_sq_norms,
+                              _true_grad, check_bound, make_problem, path_variation,
+                              project_ball, report_rows, run_oco, run_sweep)
 
 finite = st.floats(-100, 100, allow_nan=False, allow_infinity=False, width=64)
+
+
+def run_oco_reference(problem: OCOProblem) -> OCORun:
+    """run_oco by the estimators its one-pass step replaces: np.mean,
+    np.linalg.norm and np.sum over each row, and xs @ err taken twice."""
+    T, M = problem.T, problem.mc_draws
+    root = np.random.SeedSequence(problem.seed)
+    run_ss, mc_ss = root.spawn(2)
+    rng_run = np.random.default_rng(run_ss)
+    mc_children = mc_ss.spawn(T)
+    theta = problem.theta0.copy()
+    trajectory = np.empty((T, problem.dim))
+    regret = b_hat = lambda_hat = g_hat = 0.0
+    for t in range(T):
+        trajectory[t] = theta
+        rng_mc = np.random.default_rng(mc_children[t])
+        xs = _draw_x(problem, rng_mc, M)
+        err = theta - problem.theta_star[t]
+        regret += float(np.mean((xs @ err) ** 2))
+        noises = problem.noise_std * rng_mc.standard_normal(M)
+        etas = 2.0 * ((xs @ err) - noises)[:, None] * xs
+        g_true = _true_grad(problem, theta, t)
+        b_hat = max(b_hat, float(np.mean(np.linalg.norm(etas - g_true, axis=1))))
+        centered = etas - etas.mean(axis=0)
+        lambda_hat = max(lambda_hat, float(np.mean(np.sum(centered ** 2, axis=1))))
+        g_hat = max(g_hat, float(g_true @ g_true),
+                    float(np.mean(np.sum(etas ** 2, axis=1))))
+        x_run = _draw_x(problem, rng_run, 1)[0]
+        noise_run = problem.noise_std * rng_run.standard_normal()
+        eta = 2.0 * (float(x_run @ err) - noise_run) * x_run
+        theta = project_ball(theta - problem.gamma * eta, problem.r)
+    V = path_variation(problem.theta_star)
+    bound = (T * problem.r * b_hat ** 2 + (problem.r / problem.gamma) * V
+             + T * problem.gamma * (g_hat + lambda_hat) / 2.0)
+    return OCORun(family=problem.family, seed=problem.seed, T=T,
+                  gamma=problem.gamma, r=problem.r, trajectory=trajectory,
+                  R_d=regret, V=V, b_hat=b_hat, lambda_hat=lambda_hat,
+                  G_hat=g_hat, bound=bound)
+
+
+@st.composite
+def oco_problems(draw):
+    """A stock family at stock size (one draw in eight, as it is slow), or a
+    direct problem: dim 1-4, Gaussian or fixed x, T 1-30, 1-64 draws a step,
+    with or without noise."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.integers(0, 7)) == 0:
+        return make_problem(draw(st.sampled_from(FAMILIES)), seed)
+    dim, T = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    r = draw(st.floats(0.1, 5.0))
+    rng = np.random.default_rng(seed)
+    inside = r / np.sqrt(dim)                 # a cube that fits in the ball
+    x_mode = draw(st.sampled_from(["gaussian", "fixed"]))
+    return OCOProblem(family="direct", dim=dim, T=T, r=r,
+                      gamma=draw(st.floats(0.01, 1.0)),
+                      theta0=rng.uniform(-inside, inside, dim),
+                      theta_star=rng.uniform(-inside, inside, (T, dim)),
+                      x_mode=x_mode, seed=seed,
+                      x_fixed=rng.standard_normal(dim) if x_mode == "fixed" else None,
+                      noise_std=draw(st.sampled_from([0.0, 0.05, 1.0])),
+                      mc_draws=draw(st.integers(1, 64)))
+
+
+class TestOnePassStep:
+    @given(oco_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_every_field_and_row_equals_reference(self, problem):
+        run, want = run_oco(problem), run_oco_reference(problem)
+        for field in dataclasses.fields(OCORun):
+            a, b = getattr(run, field.name), getattr(want, field.name)
+            assert type(a) is type(b) and same_bytes(a, b), field.name
+        assert report_rows([run]) == report_rows([want])
+
+    @given(reduction_inputs(cols=st.integers(1, 6)))
+    @settings(max_examples=120, deadline=None)
+    def test_row_sq_norms_bytes_equal_reduce(self, a):
+        assert same_bytes(_row_sq_norms(a), np.add.reduce(a * a, axis=1))
 
 
 class TestProjection:
@@ -156,6 +236,22 @@ class TestProblemValidation:
                        theta0=np.zeros(1), theta_star=np.zeros((3, 1)),
                        x_mode="fixed", noise_std=0.0, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 0.0), ("gamma", -0.1), ("gamma", np.inf), ("gamma", np.nan),
+        ("r", 0.0), ("r", -1.0), ("r", np.inf), ("r", np.nan),
+        ("noise_std", -0.1), ("noise_std", np.inf), ("noise_std", np.nan),
+        ("mc_draws", 0), ("mc_draws", -1), ("T", 0), ("dim", 0)])
+    def test_bad_setting_rejected_by_name(self, field, value):
+        # gamma=0 raised ZeroDivisionError after the whole run, gamma<0 ran
+        # gradient ascent and passed check_bound, mc_draws=0 gave R_d=nan,
+        # and T=0 or dim=0 passed with a bound of 0
+        kw = dict(family="x", dim=2, T=3, r=1.0, gamma=0.1, x_mode="gaussian",
+                  noise_std=0.1, seed=0, mc_draws=10)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            OCOProblem(theta0=np.zeros(kw["dim"]),
+                       theta_star=np.zeros((kw["T"], kw["dim"])), **kw)
+
     def test_start_must_stay_in_ball(self):
         p = make_problem("geometric", 0)
         p.theta0 = np.array([9.0])
@@ -169,6 +265,12 @@ class TestSweepAndReport:
         assert len(runs) == 6
         assert [(r.family, r.seed) for r in runs[:2]] \
             == [("geometric", 100), ("geometric", 101)]
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_sweep_without_seeds_rejected(self, seeds):
+        # it returned [] silently
+        with pytest.raises(ValueError, match="seeds must be >= 1"):
+            run_sweep(seeds=seeds)
 
     def test_report_layout_and_roundtrip(self):
         runs = run_sweep(families=("geometric",), seeds=2)
