@@ -35,11 +35,19 @@ run once when the record is released: in adaptz only the head and the
 adapter move, so that pass is fixed from then on, and hisgrad runs only
 the head on it, under the current head.
 
-Each step's z comes from encode, which stops at the tap; the loop's one
-head_forward_with_tape is the only run of the blocks past it. In
-pretraining nothing before the adapter moves, so pretrain_adapter's later
-epochs replay its first epoch's encodings and hisgrad sequence instead of
-recomputing them (byte-equal, and kept only for that one call).
+The loop checks the samples in stream order and normalizes their windows
+CHUNK at a time, in chunks counted from step 0, by one stacked normalize
+that gives each window the bytes of its own call, so no step's bytes
+depend on how much stream follows. A record carries its normalized window
+in place of the raw x, and ogd's re-score runs its full pass from it
+without normalizing again.
+
+Each step's z comes from encode, on the step's normalized window; encode
+stops at the tap, and the loop's one head_forward_with_tape is the only
+run of the blocks past it. In pretraining nothing before the adapter
+moves, so pretrain_adapter's later epochs replay its first epoch's
+encodings and hisgrad sequence instead of recomputing them (byte-equal,
+and kept only for that one call), and normalize nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -58,9 +67,10 @@ from .forecaster import (ForecastModel, NormStats, Sample, Tail, Tape,
                          apply_param_step, encode, grad_wrt_feature,
                          grad_wrt_feature_from_tail, grad_wrt_last_layer,
                          head_forward_from_tail, head_forward_with_tape,
-                         param_grads, predict_with_tape, tail_forward)
+                         normalize, param_grads, predict_with_tape, tail_forward)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
+CHUNK = 64          # windows per stacked normalize in _deploy, from step 0
 Layout = List[Tuple[str, Tuple[int, ...]]]     # (name, shape) per parameter
 
 
@@ -95,11 +105,13 @@ class EngineConfig:
 @dataclass
 class StepRecord:
     """A step's record, held until its release k steps later; y and g_y (the
-    loss gradient) come after correct runs, and only adaptz sets adapter_tape."""
+    loss gradient) come after correct runs, and only adaptz sets adapter_tape.
+    x_norm is the step's normalized window (L x C) and stats its NormStats;
+    x_norm is None for a step whose (z, stats) pretraining replays."""
 
     y: Optional[np.ndarray] = None
     g_y: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = None
+    x_norm: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
     stats: Optional[NormStats] = None
     head_tape: Optional[Tape] = None
@@ -148,6 +160,29 @@ def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[in
         raise ValueError(
             f"out-of-order stream timestamps: {sample.origin} after {prev_origin}")
     return x.shape[1]
+
+
+def _normalized_steps(model: ForecastModel, stream: Sequence[Sample], done: int
+                      ) -> Iterator[Tuple[int, Sample, Optional[np.ndarray],
+                                          Optional[NormStats]]]:
+    """Each step s of the stream as (s, sample, x_norm, stats). The samples
+    are checked in stream order CHUNK at a time, from step 0, and each chunk
+    is then stacked and normalized in one call. A chunk whose steps all lie
+    below done (those pretraining replays) is only checked, and its steps
+    come with x_norm and stats None."""
+    prev = channels = None
+    for lo in range(0, len(stream), CHUNK):
+        chunk = [stream[s] for s in range(lo, min(lo + CHUNK, len(stream)))]
+        for sample in chunk:
+            channels = _check_sample(model, sample, prev, channels)
+            prev = sample.origin
+        if lo + len(chunk) <= done:
+            yield from ((lo + i, sample, None, None) for i, sample in enumerate(chunk))
+            continue
+        x_norm, stats = normalize(np.stack([sample.x for sample in chunk]))
+        for i, sample in enumerate(chunk):
+            yield lo + i, sample, x_norm[i], NormStats(mean=stats.mean[i],
+                                                        std=stats.std[i])
 
 
 def compute_hisgrad(model: ForecastModel, tail: Tail, stats: NormStats,
@@ -228,31 +263,31 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
             ) -> MetricsTrace:
     """The one stream loop, owner of the prediction, the k-step delay and the
     score: at step s it runs the head on z + correct(z, rec) (on z if correct
-    is None) for a record rec of the sample's x, z and stats, writes head_tape
-    to rec and scores yhat once. Unless learn is None, it then adds the target
-    y and the loss gradient g_y, holds rec back with the k records before it
-    and, from step k on, calls learn with the record of step s-k alone.
+    is None) for a record rec of the sample's normalized window, z and stats,
+    writes head_tape to rec and scores yhat once. Unless learn is None, it
+    then adds the target y and the loss gradient g_y, holds rec back with the
+    k records before it and, from step k on, calls learn with the record of
+    step s-k alone.
 
-    z and stats come from one encode call per step, unless encoded (a list
-    pretraining keeps across the epochs of one replay of the same stream,
-    valid while blocks 0..tap do not move) already holds step s's pair;
-    a pair it lacks is encoded and appended."""
+    The windows are normalized CHUNK at a time (_normalized_steps), and z
+    comes from one encode call per step on the step's normalized window,
+    unless encoded (a list pretraining keeps across the epochs of one replay
+    of the same stream, valid while blocks 0..tap do not move) already holds
+    step s's (z, stats); a pair it lacks is encoded and appended."""
     pending: Deque[Tuple[int, StepRecord]] = deque()
     reads: List[Tuple[int, int]] = []
     steps: List[int] = []
     mses: List[float] = []
     preds: List[np.ndarray] = []
-    prev = channels = None
-    for s, sample in enumerate(stream):
-        channels = _check_sample(model, sample, prev, channels)
-        prev = sample.origin
-        if encoded is not None and s < len(encoded):
+    done = 0 if encoded is None else len(encoded)
+    for s, sample, x_norm, stats in _normalized_steps(model, stream, done):
+        if s < done:
             z, stats = encoded[s]
         else:
-            z, stats = encode(model, sample.x)
+            z, stats = encode(model, x_norm, stats)
             if encoded is not None:
                 encoded.append((z, stats))
-        rec = StepRecord(x=sample.x, z=z, stats=stats)      # views, no copy
+        rec = StepRecord(x_norm=x_norm, z=z, stats=stats)   # views, no copy
         z_in = z if correct is None else z + correct(z, rec)
         yhat, rec.head_tape = head_forward_with_tape(model, z_in, stats)
         loss, g_y = mse_with_grad(yhat, sample.y)
@@ -403,7 +438,8 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
     model = _deployed_copy(model, cfg)
 
     def learn(rec):
-        yh_d, ftape = predict_with_tape(model, rec.x)
+        # the full pass from the record's window, already normalized
+        yh_d, ftape = predict_with_tape(model, rec.x_norm, stats=rec.stats)
         _, g_y = mse_with_grad(yh_d, rec.y)     # re-scored under current params
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 

@@ -7,6 +7,10 @@ denormalizes. Those named layers are its parameters, and descend steps
 them. One block output is exposed as the feature z; corrections are added
 there and head_forward resumes the rest of the pass.
 
+normalize takes one window or a stack of them, byte-equal either way,
+and encode and predict_with_tape take a window normalize already made
+when they are handed its stats, as the stream loop does.
+
 encode runs blocks 0..tap only and returns z with its stats: the
 post-tap blocks and the head run once per prediction, in
 head_forward_with_tape. Every pass that reaches the head, full from block 0
@@ -40,8 +44,8 @@ STD_EPS = 1e-5
 class NormStats:
     """Per-channel lookback statistics; std is already clamped at STD_EPS."""
 
-    mean: np.ndarray  # (C,)
-    std: np.ndarray   # (C,)
+    mean: np.ndarray  # (C,), or (n, C) for a stack of windows
+    std: np.ndarray   # (C,), or (n, C) for a stack of windows
 
 
 @dataclass
@@ -61,15 +65,23 @@ def normalize(x) -> Tuple[np.ndarray, NormStats]:
     and one square-sum: the reductions NumPy's mean and std run, in their
     order, so the output is byte-equal to x.mean(axis=0) and x.std(axis=0)
     without their Python-level wrappers.
+
+    x is one window (L x C) or a stack of windows (n x L x C), reduced over
+    its lookback axis by the same calls, so each window's rows and (n x C)
+    stats are byte-equal to its own call. NumPy sums in memory order, so
+    this needs the stacked windows to share one layout, as np.stack of row
+    slices of one series gives.
     """
-    x = _as_matrix(x, "x")
-    n = x.shape[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ValueError(f"x must be 2-D (L x C) or 3-D (n x L x C), got shape {x.shape}")
+    n = x.shape[-2]
     if n < 2:
         raise ValueError(f"lookback needs at least 2 rows, got {n}")
-    mean = np.add.reduce(x, axis=0) / n
-    dev = x - mean
-    std = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=0) / n), STD_EPS)
-    return dev / std, NormStats(mean=mean, std=std)
+    mean = np.add.reduce(x, axis=-2) / n
+    dev = x - mean[..., None, :]
+    std = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=-2) / n), STD_EPS)
+    return dev / std[..., None, :], NormStats(mean=mean, std=std)
 
 
 def denormalize(y_norm, stats: NormStats) -> np.ndarray:
@@ -191,23 +203,29 @@ def _forward(model: ForecastModel, rows: np.ndarray, start: int,
                 stats=stats)
 
 
-def _normalized_rows(model: ForecastModel, x) -> Tuple[np.ndarray, NormStats]:
-    """One lookback window, checked and normalized, as (C x L) channel rows."""
+def _normalized_rows(model: ForecastModel, x, stats: Optional[NormStats]
+                     ) -> Tuple[np.ndarray, NormStats]:
+    """One lookback window, checked and normalized (unless stats says it
+    already is), as (C x L) channel rows."""
     x = _as_matrix(x, "x")
     if x.shape[0] != model.L:
         raise ValueError(f"x has {x.shape[0]} rows, model expects L={model.L}")
-    x_norm, stats = normalize(x)
-    return x_norm.T, stats
+    if stats is None:
+        x, stats = normalize(x)
+    return x.T, stats
 
 
-def encode(model: ForecastModel, x) -> Tuple[np.ndarray, NormStats]:
+def encode(model: ForecastModel, x, stats: Optional[NormStats] = None
+           ) -> Tuple[np.ndarray, NormStats]:
     """Feature z (C x d) of one lookback window, plus its stats.
 
     Runs blocks 0..tap and nothing past them, so it records no tape: the
     rest of the pass is head_forward_with_tape's. The ops are those of the
-    full pass, so z is byte-equal to a full tape's pre[tap].
+    full pass, so z is byte-equal to a full tape's pre[tap]. With stats, x
+    is the window normalize already made (the stream loop normalizes a
+    chunk of windows at once) and encode does not normalize it again.
     """
-    h, stats = _normalized_rows(model, x)
+    h, stats = _normalized_rows(model, x, stats)
     for i in range(model.tap_index + 1):
         blk = model.blocks[i]
         if i > 0:
@@ -216,9 +234,11 @@ def encode(model: ForecastModel, x) -> Tuple[np.ndarray, NormStats]:
     return h, stats
 
 
-def predict_with_tape(model: ForecastModel, x) -> Tuple[np.ndarray, Tape]:
-    """Prediction plus the full tape of the same pass (for parameter grads)."""
-    rows, stats = _normalized_rows(model, x)
+def predict_with_tape(model: ForecastModel, x, stats: Optional[NormStats] = None
+                      ) -> Tuple[np.ndarray, Tape]:
+    """Prediction plus the full tape of the same pass (for parameter grads);
+    stats says that x is already normalized, as in encode."""
+    rows, stats = _normalized_rows(model, x, stats)
     tape = _forward(model, rows, 0, stats)
     return denormalize(tape.y_norm.T, stats), tape
 

@@ -69,6 +69,11 @@ class OCOProblem:
             if self.x_fixed is None:
                 raise ValueError("x_mode 'fixed' needs x_fixed")
             self.x_fixed = np.asarray(self.x_fixed, dtype=np.float64).reshape(-1)
+        vectors = ("theta0", "x_fixed") if self.x_mode == "fixed" else ("theta0",)
+        for name in vectors:
+            got = len(getattr(self, name))
+            if got != self.dim:
+                raise ValueError(f"{name} must have length dim={self.dim}, got {got}")
         norms = np.linalg.norm(self.theta_star, axis=1)
         if np.any(norms > self.r + 1e-12):
             raise ValueError("optimal path leaves the radius-r ball")

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from driftcast import (EngineConfig, StepRecord, build_adapter, build_model,
                        compute_hisgrad, pretrain_adapter, run_adaptz, run_fogd,
                        run_method, run_ogd, run_ori, write_trace_csv)
-from driftcast import engine
+from driftcast import engine, forecaster
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
 from driftcast.forecaster import (NormStats, Sample, Tail, apply_param_step,
                                   encode, grad_wrt_feature, grad_wrt_last_layer,
                                   head_forward, head_forward_with_tape,
-                                  param_grads, predict_with_tape, tail_forward)
+                                  normalize, param_grads, predict_with_tape,
+                                  tail_forward)
 from conftest import (KINK_MARGIN, fd_grad, make_stream, reduction_inputs,
                       rel_err, relu_margin, same_bytes)
 
@@ -90,6 +91,34 @@ class TestFrozenEquivalence:
         assert not np.array_equal(frozen.step_mse, ori.step_mse)
 
 
+def replay_plain(method, model, stream, cfg):
+    """ori, fogd or ogd written out step by step, each window normalized by
+    its own encode call (ogd's re-score by its own predict_with_tape);
+    returns the step losses, the predictions and the final model."""
+    m = model.clone()
+    delta, held, mses, preds = None, {}, [], []
+    for s, sample in enumerate(stream):
+        z, stats = encode(m, sample.x)
+        if delta is None:
+            delta = np.zeros_like(z)
+        yhat, tape = head_forward_with_tape(m, z + delta if method == "fogd" else z,
+                                            stats)
+        loss, g_y = mse_with_grad(yhat, sample.y)
+        mses.append(loss)
+        preds.append(yhat)
+        held[s] = (sample, tape, g_y)
+        if method == "ori" or s < m.k:
+            continue
+        old, old_tape, old_g = held.pop(s - m.k)
+        if method == "fogd":
+            delta = delta - cfg.lr_fogd * grad_wrt_feature(m, old_tape, old_g)
+        else:
+            yh, ftape = predict_with_tape(m, old.x)
+            apply_param_step(m, param_grads(m, ftape, mse_with_grad(yh, old.y)[1]),
+                             cfg.lr_ogd)
+    return np.asarray(mses), preds, m
+
+
 class TestSequencingOracles:
     def test_adaptz_matches_straight_line_replay(self):
         model = small_model()
@@ -153,43 +182,16 @@ class TestSequencingOracles:
         stream = make_stream(12, L, K, C, seed=21)
         cfg = small_cfg(method="fogd")
         trace = run_fogd(model, stream, cfg)
-
-        delta = None
-        cached = {}
-        mses = []
-        for s, sample in enumerate(stream):
-            z, stats = encode(model, sample.x)
-            if delta is None:
-                delta = np.zeros_like(z)
-            yhat, htape = head_forward_with_tape(model, z + delta, stats)
-            mses.append(mse_with_grad(yhat, sample.y)[0])
-            cached[s] = (yhat, sample.y, htape)
-            if s >= K:
-                yh_o, y_o, tape_o = cached[s - K]
-                g_y = mse_with_grad(yh_o, y_o)[1]
-                delta = delta - cfg.lr_fogd * grad_wrt_feature(model, tape_o, g_y)
-        np.testing.assert_array_equal(trace.step_mse, np.asarray(mses))
+        mses, _, _ = replay_plain("fogd", model, stream, cfg)
+        np.testing.assert_array_equal(trace.step_mse, mses)
 
     def test_ogd_matches_straight_line_replay(self):
         model = small_model()
         stream = make_stream(12, L, K, C, seed=22)
         cfg = small_cfg(method="ogd", lr_ogd=0.002)
         trace = run_ogd(model, stream, cfg)
-
-        m = model.clone()
-        cached = {}
-        mses = []
-        for s, sample in enumerate(stream):
-            z, stats = encode(m, sample.x)
-            yhat = head_forward(m, z, stats)
-            mses.append(mse_with_grad(yhat, sample.y)[0])
-            cached[s] = sample
-            if s >= K:
-                old = cached[s - K]
-                yh_o, ftape = predict_with_tape(m, old.x)
-                g_y = mse_with_grad(yh_o, old.y)[1]
-                apply_param_step(m, param_grads(m, ftape, g_y), cfg.lr_ogd)
-        np.testing.assert_array_equal(trace.step_mse, np.asarray(mses))
+        mses, _, m = replay_plain("ogd", model, stream, cfg)
+        np.testing.assert_array_equal(trace.step_mse, mses)
         for n, p in trace.final_model.named_params():
             np.testing.assert_array_equal(dict(m.named_params())[n], p, err_msg=n)
 
@@ -448,6 +450,106 @@ class TestStreamShapeProperties:
                 full[method].step_mse[:m_cut].tobytes(), method
             assert [p.tobytes() for p in tr.preds] == \
                 [p.tobytes() for p in full[method].preds[:m_cut]], method
+
+
+class TestChunkedNormalization:
+    # streams past two of the loop's normalize chunks, so runs cross a boundary
+    N = 2 * engine.CHUNK + 9
+
+    @pytest.mark.parametrize("cut", [engine.CHUNK - 1, engine.CHUNK,
+                                     engine.CHUNK + 1])
+    def test_prefix_invariant_at_chunk_boundary(self, cut):
+        stream = make_stream(self.N, L, K, C, seed=100)
+        full = run_all(L, K, 3, C, stream, live_adapter())
+        short = run_all(L, K, 3, C, stream[:cut], live_adapter())
+        for method, tr in short.items():
+            assert tr.step_mse.tobytes() == full[method].step_mse[:cut].tobytes(), method
+            assert [p.tobytes() for p in tr.preds] == \
+                [p.tobytes() for p in full[method].preds[:cut]], method
+
+    def test_learning_off_reproduces_ori(self):
+        stream = make_stream(self.N, L, K, C, seed=101)
+        runs = run_all(L, K, 3, C, stream, build_adapter(D, seed=9),
+                       lr_adapter=0.0, lr_head=0.0, lr_fogd=0.0, lr_ogd=0.0)
+        ori = runs.pop("ori")
+        for method, tr in runs.items():
+            assert tr.step_mse.tobytes() == ori.step_mse.tobytes(), method
+            assert [p.tobytes() for p in tr.preds] == \
+                [p.tobytes() for p in ori.preds], method
+
+    @pytest.mark.parametrize("method", ["ori", "fogd", "ogd"])
+    def test_bytes_equal_loop_normalizing_every_step(self, method):
+        model = small_model()
+        stream = make_stream(self.N, L, K, C, seed=102)
+        cfg = small_cfg(lr_ogd=0.002)
+        trace = run_method(method, model, None, stream, cfg)
+        mses, preds, m = replay_plain(method, model, stream, cfg)
+        assert trace.step_mse.tobytes() == mses.tobytes()
+        assert [p.tobytes() for p in trace.preds] == [p.tobytes() for p in preds]
+        assert_same_bytes((m,), (trace.final_model,))
+
+    def test_adaptz_bytes_equal_loop_normalizing_every_step(self):
+        model = small_model()
+        a = live_adapter()
+        stream = make_stream(self.N, L, K, C, seed=103)
+        cfg = small_cfg(hist_batch=3)
+        trace = run_adaptz(model, a, stream, cfg)
+        mses, m_ref, a_ref = replay_adaptz(model, a, stream, cfg)
+        assert trace.step_mse.tobytes() == mses.tobytes()
+        assert_same_bytes((m_ref, a_ref), (trace.final_model, trace.final_adapter))
+
+    def test_one_encode_per_step_and_one_normalize_per_chunk(self, monkeypatch,
+                                                             small_trained):
+        # bench/tracer.py counts a run's steps by its encode calls
+        calls = {"encode": 0, "normalize": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return counted
+
+        monkeypatch.setattr(engine, "encode", spy("encode", encode))
+        for mod in (engine, forecaster):          # the loop's and encode's own
+            monkeypatch.setattr(mod, "normalize", spy("normalize", normalize))
+        chunks = -(-self.N // engine.CHUNK)
+        stream = make_stream(self.N, L, K, C, seed=104)
+        for method in engine.METHODS:
+            calls.update(encode=0, normalize=0)
+            run_method(method, small_model(), live_adapter(), stream, small_cfg())
+            assert calls == {"encode": self.N, "normalize": chunks}, method
+        # pretraining encodes and normalizes the split in its first epoch only
+        trained, _, val, _ = small_trained
+        assert len(val) > engine.CHUNK
+        calls.update(encode=0, normalize=0)
+        pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
+                         epochs=3, hist_batch=4)
+        assert calls == {"encode": len(val),
+                         "normalize": -(-len(val) // engine.CHUNK)}
+
+    @pytest.mark.parametrize("at", [engine.CHUNK - 1, engine.CHUNK,
+                                    engine.CHUNK + 1])
+    @pytest.mark.parametrize("bad", ["origin", "channels", "lookback", "x-1d"])
+    def test_bad_sample_error_unchanged_near_boundary(self, bad, at):
+        stream = make_stream(self.N, L, K, C, seed=105)
+        s = stream[at]
+        o = s.origin
+        if bad == "origin":
+            stream[at] = Sample(x=s.x, y=s.y, origin=stream[at - 1].origin)
+            want = f"out-of-order stream timestamps: {o - 1} after {o - 1}"
+        elif bad == "channels":
+            stream[at] = Sample(x=np.ones((L, C + 1)), y=np.ones((K, C + 1)), origin=o)
+            want = f"channel count changed: {C + 1} != {C}"
+        elif bad == "lookback":
+            stream[at] = Sample(x=np.ones((L + 1, C)), y=s.y, origin=o)
+            want = f"sample x rows {L + 1} != lookback {L}"
+        else:
+            stream[at] = Sample(x=np.ones(L), y=s.y, origin=o)
+            want = f"sample at origin {o}: x and y must be 2-D"
+        for method in engine.METHODS:
+            with pytest.raises(ValueError) as err:
+                run_method(method, small_model(), live_adapter(), stream, small_cfg())
+            assert str(err.value) == want, method
 
 
 def assert_within_drift(ref_objs, objs, rel=1e-12):

@@ -10,6 +10,7 @@ from driftcast import (STD_EPS, NormStats, Sample, build_model, denormalize,
                        normalize, offline_train, param_grads, predict,
                        predict_with_tape, save_model)
 from driftcast.diffmath import AffineLayer, mse_with_grad
+from driftcast.engine import CHUNK
 from driftcast.forecaster import ForecastModel, apply_param_step
 from conftest import fd_grad, reduction_inputs, rel_err, same_bytes
 
@@ -75,6 +76,34 @@ class TestNormalize:
         assert same_bytes(stats.mean, mean)
         assert same_bytes(stats.std, std)
         assert same_bytes(xn, want)
+
+    @given(st.integers(1, 3 * CHUNK + 2), st.integers(2, 24), st.integers(1, 16),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_bytes_equal_each_window_and_numpy(self, n, L, C, data):
+        # n from one window to past three of the stream loop's chunks
+        x = data.draw(reduction_inputs(rows=st.just(n * L), cols=st.just(C)))
+        x = x.reshape(n, L, C)
+        if data.draw(st.booleans()):             # one constant channel of one window
+            x[data.draw(st.integers(0, n - 1)), :, data.draw(st.integers(0, C - 1))] = \
+                data.draw(st.sampled_from([0.0, 1e8, -3.5]))
+        with np.errstate(all="ignore"):
+            xn, stats = normalize(x)
+            mean = x.mean(axis=1)
+            std = np.maximum(x.std(axis=1), STD_EPS)
+            want = (x - mean[:, None, :]) / std[:, None, :]
+            windows = [normalize(w) for w in x]
+        assert same_bytes(stats.mean, mean) and same_bytes(stats.std, std)
+        assert same_bytes(xn, want)
+        for i, (w_norm, w_stats) in enumerate(windows):
+            assert same_bytes(xn[i], w_norm), i
+            assert same_bytes(stats.mean[i], w_stats.mean), i
+            assert same_bytes(stats.std[i], w_stats.std), i
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 3, 4)])
+    def test_neither_window_nor_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            normalize(np.ones(shape))
 
 
 class TestForward:

@@ -252,6 +252,24 @@ class TestProblemValidation:
             OCOProblem(theta0=np.zeros(kw["dim"]),
                        theta_star=np.zeros((kw["T"], kw["dim"])), **kw)
 
+    @pytest.mark.parametrize("field, length", [("theta0", 1), ("theta0", 3),
+                                               ("x_fixed", 1), ("x_fixed", 3)])
+    def test_vector_of_wrong_length_rejected_by_name(self, field, length):
+        # a length-1 vector was broadcast into every coordinate and ran; other
+        # lengths failed inside run_oco with a message naming no field
+        kw = dict(family="x", dim=2, T=3, r=1.0, gamma=0.1, theta0=np.zeros(2),
+                  theta_star=np.zeros((3, 2)), x_mode="fixed",
+                  x_fixed=np.ones(2), noise_std=0.0, seed=0, mc_draws=10)
+        kw[field] = np.zeros(length)
+        with pytest.raises(ValueError,
+                           match=f"^{field} must have length dim=2, got {length}$"):
+            OCOProblem(**kw)
+
+    def test_replaced_start_of_wrong_length_rejected(self):
+        # static T=8 gave R_d = 11.28 with the one value broadcast
+        with pytest.raises(ValueError, match="^theta0 must have length dim=2"):
+            dataclasses.replace(make_problem("static", 3, T=8), theta0=np.zeros(1))
+
     def test_start_must_stay_in_ball(self):
         p = make_problem("geometric", 0)
         p.theta0 = np.array([9.0])
