@@ -10,8 +10,7 @@ checks a dynamic-regret bound for projected OCO with biased noisy gradients.
 """
 
 from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
-                      adapter_forward_with_tape, build_adapter, load_adapter,
-                      save_adapter, sgd_step)
+                      adapter_forward_with_tape, build_adapter, sgd_step)
 from .datastream import (CONCEPT_A1, CONCEPT_A2, DRIFT_KINDS, DriftSpec,
                          SeriesFrame, SplitSpec, chrono_split,
                          concept_coefficients, gen_concept_drift,
@@ -25,16 +24,15 @@ from .forecaster import (STD_EPS, ForecastModel, NormStats, Sample, Tail,
                          grad_wrt_feature, grad_wrt_feature_from_tail,
                          grad_wrt_last_layer, head_forward,
                          head_forward_from_tail, head_forward_with_tape,
-                         load_model, normalize, offline_train, param_grads,
-                         predict, predict_with_tape, save_model, tail_forward)
+                         normalize, offline_train, param_grads, predict,
+                         predict_with_tape, tail_forward)
 from .regret import (FAMILIES, REPORT_HEADER, BoundReport, OCOProblem, OCORun,
                      check_bound, make_problem, path_variation, project_ball,
                      report_rows, run_oco, run_sweep)
 
 __all__ = [
     "AdapterNet", "AdapterTape", "adapter_backward_tape",
-    "adapter_forward_with_tape", "build_adapter", "load_adapter",
-    "save_adapter", "sgd_step",
+    "adapter_forward_with_tape", "build_adapter", "sgd_step",
     "CONCEPT_A1", "CONCEPT_A2", "DRIFT_KINDS", "DriftSpec", "SeriesFrame",
     "SplitSpec", "chrono_split", "concept_coefficients", "gen_concept_drift",
     "gen_mean_shift", "load_csv", "write_csv",
@@ -45,9 +43,9 @@ __all__ = [
     "STD_EPS", "ForecastModel", "NormStats", "Sample", "Tail", "Tape",
     "build_model", "denormalize", "encode", "grad_wrt_feature",
     "grad_wrt_feature_from_tail", "grad_wrt_last_layer", "head_forward",
-    "head_forward_from_tail", "head_forward_with_tape", "load_model",
-    "normalize", "offline_train", "param_grads", "predict",
-    "predict_with_tape", "save_model", "tail_forward",
+    "head_forward_from_tail", "head_forward_with_tape", "normalize",
+    "offline_train", "param_grads", "predict", "predict_with_tape",
+    "tail_forward",
     "FAMILIES", "BoundReport", "OCOProblem", "OCORun", "check_bound",
     "make_problem", "path_variation", "project_ball", "REPORT_HEADER",
     "report_rows",

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import checkpoint
 from .diffmath import AffineLayer, Layered, _as_matrix, affine_apply, descend
 
 
@@ -140,22 +139,3 @@ def sgd_step(a: AdapterNet, grads: Dict[str, np.ndarray], lr: float) -> AdapterN
     """One SGD step on the named adapter parameters (see descend); returns a."""
     descend(a, grads, lr)
     return a
-
-
-def save_adapter(a: AdapterNet, path: str) -> None:
-    meta = {"kind": "adapter", "d": str(a.d), "h": str(a.h),
-            "use_feat": str(int(a.use_feat)), "use_grad": str(int(a.use_grad))}
-    checkpoint.write_blocks(path, meta, a.named_params())
-
-
-def load_adapter(path: str) -> AdapterNet:
-    meta, params = checkpoint.read_blocks(path)
-    if meta.get("kind") != "adapter":
-        raise ValueError(f"{path}: not an adapter checkpoint")
-    layers = [params.layer(lname) for lname in _LAYERS]
-    flags = (bool(meta.integer("use_feat", flag=True)),
-             bool(meta.integer("use_grad", flag=True)))
-    try:
-        return AdapterNet(*layers, *flags)
-    except ValueError as exc:               # params whose widths do not chain
-        raise ValueError(f"{path}: {exc}") from None

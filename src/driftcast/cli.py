@@ -158,7 +158,7 @@ def _drift_from_conf(conf: Dict[str, List[str]]) -> DriftSpec:
     if values.get("seed", 0) < 0:
         raise ValueError("gen_seed must be >= 0")
     length = values.get("length", DriftSpec.length)
-    change_points = _get_list(conf, "change_point", int, [int(0.8 * length)])
+    change_points = _get_list(conf, "change_point", int, [4 * length // 5])
     magnitudes = _get_list(conf, "magnitude", float, [1.0] * len(change_points))
     return DriftSpec(change_points=change_points, magnitudes=magnitudes, **values)
 

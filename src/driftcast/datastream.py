@@ -103,8 +103,15 @@ def load_csv(path: str) -> SeriesFrame:
     """Header row; first column is a timestamp/index and is dropped; the
     remaining columns must parse as finite reals (nan and inf are rejected
     with their row and column). No reordering, no imputation."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows: List[List[str]] = []
+    with open(path, "rb") as fh:
+        # one line at a time, so a decode error stops at its row; bytes split
+        # at \n, \r and \r\n only, the breaks text mode with newline="" makes
+        lines = (part.decode("utf-8") for line in fh for part in line.splitlines(True))
+        try:
+            rows.extend(csv.reader(lines))
+        except (UnicodeDecodeError, csv.Error) as exc:  # csv: a NUL before Python 3.11
+            raise ValueError(f"{path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = rows[0]

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import checkpoint
 from .diffmath import (AffineLayer, Layered, _as_matrix, affine_apply, descend,
                        mse_with_grad)
 
@@ -68,11 +67,11 @@ def normalize(x) -> Tuple[np.ndarray, NormStats]:
 
     x is one window (L x C) or a stack of windows (n x L x C), reduced over
     its lookback axis by the same calls, so each window's rows and (n x C)
-    stats are byte-equal to its own call. NumPy sums in memory order, so
-    this needs the stacked windows to share one layout, as np.stack of row
-    slices of one series gives.
+    stats are byte-equal to its own call. NumPy sums in memory order, so x
+    is made C-contiguous first (a no-op if it is): its bytes then depend on
+    its values only.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ValueError(f"x must be 2-D (L x C) or 3-D (n x L x C), got shape {x.shape}")
     n = x.shape[-2]
@@ -403,43 +402,3 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
             _backward(tape, g_norm, 0, grads)
             apply_param_step(out, grads, lr)
     return out
-
-
-def save_model(model: ForecastModel, path: str) -> None:
-    meta = {"kind": "forecaster", "L": str(model.L), "k": str(model.k),
-            "d": str(model.d), "blocks": str(len(model.blocks)),
-            "tap_index": str(model.tap_index)}
-    checkpoint.write_blocks(path, meta, model.named_params())
-
-
-def load_model(path: str) -> ForecastModel:
-    """Read a save_model file. Every meta value must agree with the params:
-    a block count below 1, a tap outside the blocks, an L, k or d the
-    weights contradict, or a param the meta block count leaves out raises
-    ValueError naming the path and the meta key."""
-    meta, params = checkpoint.read_blocks(path)
-    if meta.get("kind") != "forecaster":
-        raise ValueError(f"{path}: not a forecaster checkpoint")
-    n = meta.integer("blocks")
-    if n < 1:
-        raise ValueError(f"{path}: meta key 'blocks' is {n}, need at least 1")
-    blocks = [params.layer(f"blocks.{i}") for i in range(n)]
-    head = params.layer("head")
-    tap = meta.integer("tap_index")
-    if not 0 <= tap < n:
-        raise ValueError(f"{path}: meta key 'tap_index' is {tap}, outside [0, {n})")
-    for key, implied in (("L", blocks[0].in_dim), ("k", head.out_dim),
-                         ("d", blocks[tap].out_dim)):
-        if meta.integer(key) != implied:
-            raise ValueError(f"{path}: meta key {key!r} is {meta[key]!r}, but "
-                             f"the params give {implied}")
-    try:
-        model = ForecastModel(blocks, head, meta.integer("L"), meta.integer("k"), tap)
-    except ValueError as exc:               # params whose shapes do not chain
-        raise ValueError(f"{path}: {exc}") from None
-    known = {name for name, _ in model.named_params()}
-    extra = [name for name in params if name not in known]
-    if extra:
-        raise ValueError(f"{path}: param {extra[0]!r} is not in the {n} blocks "
-                         "of meta key 'blocks'")
-    return model

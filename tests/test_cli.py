@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftcast.cli as cli
 from driftcast import DriftSpec, EngineConfig, SplitSpec, load_csv
@@ -218,6 +220,25 @@ class TestParseConfig:
     def test_set_without_equals_rejected(self):
         with pytest.raises(ValueError, match="--set"):
             parse_config(None, ["horizon"])
+
+    @given(st.sampled_from(cli.VALID_KEYS),
+           st.sampled_from(["0", "-1", "nan", "inf", "1e9", "", str(10**400),
+                            ",", "\x00"]))
+    @settings(max_examples=400, deadline=None)
+    def test_hostile_value_gives_a_plan_or_value_error(self, key, token):
+        # 10**400 is too large for a float: length=10**400 must not overflow
+        def no_work(*args, **kwargs):
+            raise AssertionError("parse_config trained or loaded data")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("load_plan_frame", "load_csv", "_generate",
+                         "offline_train", "pretrain_adapter", "run_method"):
+                mp.setattr(cli, name, no_work)
+            try:
+                plan = parse_config(None, [f"{key}={token}"])
+            except ValueError:
+                return
+        assert isinstance(plan, ExperimentPlan)
 
 
 @pytest.fixture(scope="module")

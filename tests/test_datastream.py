@@ -74,12 +74,49 @@ class TestCsvIO:
         ("timestamp,a\n0,1.0\n1,oops\n", "row 3"),
         ("timestamp,a,b\n0,1.0,2.0\n1,3.0,nan\n", "row 3, column 'b'"),
         ("timestamp,a\n0,-inf\n", "row 2, column 'a'"),
+        pytest.param(f"timestamp,a\n0,1.0\n1,{'9' * 131073}\n",
+                     "row 3: field larger than field limit", id="huge-cell"),
     ])
     def test_malformed_files_rejected(self, tmp_path, text, msg):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=msg):
             load_csv(str(path))
+
+    def test_non_utf8_byte_names_path_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"timestamp,a\n0,1.0\n1,2.\xff5\n2,3.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 3: 'utf-8' codec can't decode byte 0xff")):
+            load_csv(str(path))
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_hostile_cell_loads_or_names_its_row(self, tmp_path_factory,
+                                                     values, data):
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        write_csv(SeriesFrame(values, [f"c{j}" for j in range(values.shape[1])]),
+                  str(path))
+        lines = path.read_bytes().split(b"\n")  # header, rows, "" after the last
+        r = data.draw(st.integers(0, values.shape[0] - 1), label="row")
+        c = data.draw(st.integers(0, values.shape[1] - 1), label="column")
+        token = data.draw(st.sampled_from(
+            [b"", b"nan", b"inf", b"1_0", b",", b'"', b"\r", b"\x00", b"\xff"]))
+        cells = lines[r + 1].split(b",")
+        cells[c + 1] = token
+        lines[r + 1] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        try:
+            back = load_csv(str(path))
+        except ValueError as exc:
+            assert str(path) in str(exc) and f"row {r + 2}" in str(exc), str(exc)
+            return
+        untouched = np.ones(values.shape, dtype=bool)
+        untouched[r, c] = False
+        assert back.values.shape == values.shape
+        assert back.values[untouched].tobytes() == values[untouched].tobytes()
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):

@@ -38,9 +38,13 @@ class TestAffine:
         c.weight[0, 0] += 1.0
         assert a.weight[0, 0] != c.weight[0, 0]
 
+    def test_bias_length_must_match_weight_rows(self):
+        with pytest.raises(ValueError, match="bias length 3 != weight rows 2"):
+            AffineLayer(np.ones((2, 4)), np.zeros(3))
+
 
 class TestParamProtocol:
-    """Checkpoint files and the adaptz share layout follow named_params order."""
+    """The adaptz share layout follows named_params order."""
 
     def test_model_names_and_order(self):
         model = build_model(L=5, k=2, d=3, n_blocks=3, seed=0)

@@ -6,9 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from driftcast import (STD_EPS, NormStats, Sample, build_model, denormalize,
                        encode, grad_wrt_feature, grad_wrt_last_layer,
-                       head_forward, head_forward_with_tape, load_model,
-                       normalize, offline_train, param_grads, predict,
-                       predict_with_tape, save_model)
+                       head_forward, head_forward_with_tape, normalize,
+                       offline_train, param_grads, predict, predict_with_tape)
 from driftcast.diffmath import AffineLayer, mse_with_grad
 from driftcast.engine import CHUNK
 from driftcast.forecaster import ForecastModel, apply_param_step
@@ -100,6 +99,24 @@ class TestNormalize:
             assert same_bytes(stats.mean[i], w_stats.mean), i
             assert same_bytes(stats.std[i], w_stats.std), i
 
+    @given(st.integers(1, 6), st.integers(2, 24), st.integers(1, 16), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_depend_on_values_not_memory_layout(self, n, L, C, data):
+        x = data.draw(reduction_inputs(rows=st.just(n * L), cols=st.just(C)))
+        x = x.reshape(n, L, C)
+        mixed = [np.asfortranarray(w) if data.draw(st.booleans()) else w for w in x]
+        with np.errstate(all="ignore"):
+            stacks = [normalize(np.stack(mixed)), normalize(np.asfortranarray(x))]
+            for i, w in enumerate(x):              # x is C-ordered
+                w_norm, w_stats = normalize(w)
+                got = [normalize(mixed[i]), normalize(np.asfortranarray(w))]
+                got += [(xn[i], NormStats(stats.mean[i], stats.std[i]))
+                        for xn, stats in stacks]
+                for g_norm, g_stats in got:
+                    assert same_bytes(g_norm, w_norm), i
+                    assert same_bytes(g_stats.mean, w_stats.mean), i
+                    assert same_bytes(g_stats.std, w_stats.std), i
+
     @pytest.mark.parametrize("shape", [(4,), (1, 2, 3, 4)])
     def test_neither_window_nor_stack_rejected(self, shape):
         with pytest.raises(ValueError, match="must be 2-D"):
@@ -163,15 +180,16 @@ class TestForward:
         with pytest.raises(ValueError, match="expects L=6"):
             predict(model, np.ones((5, 2)))
 
-    def test_bad_architecture_rejected(self):
+    @pytest.mark.parametrize("blocks, head, match", [
+        # (out, in) of each block and of the head; L=4, k=2
+        (((3, 4), (3, 5)), (2, 3), "block 1 in_dim != block 0 out_dim"),
+        (((3, 4),), (5, 3), "horizon"),
+    ], ids=["block-chain", "horizon"])
+    def test_bad_architecture_rejected(self, blocks, head, match):
         rng = np.random.default_rng(0)
-        b0 = AffineLayer.seeded(3, 4, rng)
-        b1 = AffineLayer.seeded(3, 5, rng)  # in_dim mismatch
-        head = AffineLayer.seeded(2, 3, rng)
-        with pytest.raises(ValueError):
-            ForecastModel([b0, b1], head, L=4, k=2)
-        with pytest.raises(ValueError, match="horizon"):
-            ForecastModel([b0], AffineLayer.seeded(5, 3, rng), L=4, k=2)
+        layers = [AffineLayer.seeded(o, i, rng) for o, i in blocks]
+        with pytest.raises(ValueError, match=match):
+            ForecastModel(layers, AffineLayer.seeded(*head, rng), L=4, k=2)
 
 
 class TestGradients:
@@ -370,24 +388,3 @@ class TestOfflineTrain:
         model = build_model(L=5, k=2, d=3, seed=4)
         with pytest.raises(ValueError, match="lr must be >= 0 and finite"):
             offline_train(model, [self._one_sample(83)], epochs=1, lr=lr)
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        model = build_model(L=9, k=3, d=5, n_blocks=2, tap_index=0, seed=12)
-        path = str(tmp_path / "model.ckpt")
-        save_model(model, path)
-        loaded = load_model(path)
-        assert (loaded.L, loaded.k, loaded.tap_index) == (9, 3, 0)
-        for (na, a), (nb, b) in zip(model.named_params(), loaded.named_params()):
-            assert na == nb
-            np.testing.assert_array_equal(a, b)
-        x = np.random.default_rng(1).standard_normal((9, 2))
-        np.testing.assert_array_equal(predict(model, x), predict(loaded, x))
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        from driftcast.checkpoint import write_blocks
-        path = str(tmp_path / "other.ckpt")
-        write_blocks(path, {"kind": "something"}, [("w", np.ones((1, 1)))])
-        with pytest.raises(ValueError, match="not a forecaster"):
-            load_model(path)
