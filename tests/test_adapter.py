@@ -76,18 +76,19 @@ class TestForward:
         with pytest.raises(ValueError, match="row mismatch"):
             adapter_forward_with_tape(a, np.ones((2, 4)), np.ones((3, 4)))
 
-    @pytest.mark.parametrize("shapes, match", [
-        # (out, in) of path_feat, path_grad, hidden, out; d=4, h=5 is valid
-        (((5, 4), (5, 4), (5, 5), (3, 5)), "d -> d"),     # out must map back to d
-        (((6, 4), (5, 4), (5, 5), (4, 5)), "path/hidden widths disagree"),
-        (((5, 4), (5, 4), (5, 6), (4, 5)), "path/hidden widths disagree"),
-        (((5, 4), (5, 4), (5, 5), (4, 6)), "out layer in_dim != hidden width"),
-    ], ids=["d-to-d", "path-width", "hidden-width", "out-in-width"])
-    def test_width_validation_at_construction(self, shapes, match):
+    def test_width_validation_at_construction(self):
         rng = np.random.default_rng(1)
-        layers = [AffineLayer.seeded(o, i, rng) for o, i in shapes]
-        with pytest.raises(ValueError, match=match):
-            AdapterNet(*layers)
+        # (out, in) of path_feat, path_grad, hidden, out; d=4, h=5 is valid
+        cases = [
+            (((5, 4), (5, 4), (5, 5), (3, 5)), "d -> d"),     # out must map back to d
+            (((6, 4), (5, 4), (5, 5), (4, 5)), "path/hidden widths disagree"),
+            (((5, 4), (5, 4), (5, 6), (4, 5)), "path/hidden widths disagree"),
+            (((5, 4), (5, 4), (5, 5), (4, 6)), "out layer in_dim != hidden width"),
+        ]
+        for shapes, match in cases:
+            layers = [AffineLayer.seeded(o, i, rng) for o, i in shapes]
+            with pytest.raises(ValueError, match=match):
+                AdapterNet(*layers)
 
 
 class TestBackward:
@@ -178,6 +179,17 @@ class TestSgdStep:
 
 
 class TestPersistence:
+    def test_round_trip_bit_exact(self):
+        a = build_adapter(d=5, h=7, use_grad=False, seed=70)
+        rng = np.random.default_rng(71)
+        a.out.weight = rng.standard_normal(a.out.weight.shape)
+        b = a.clone()
+        assert (b.d, b.h, b.use_feat, b.use_grad) == (5, 7, True, False)
+        for (na, pa), (nb, pb) in zip(a.named_params(), b.named_params()):
+            assert na == nb
+            np.testing.assert_array_equal(pa, pb)
+            assert pa is not pb
+
     def test_clone_is_deep(self):
         a = build_adapter(d=3, seed=80)
         b = a.clone()
