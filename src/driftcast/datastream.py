@@ -17,6 +17,7 @@ import numpy as np
 from .forecaster import Sample
 
 DRIFT_KINDS = ("mean_shift", "concept_drift")
+MAX_CELLS = 10**7       # length * channels of a generated stream, at most
 
 # fixed base coefficients of the lagged driver->target map; change points
 # multiply the lag-1 coefficient of driver 0 by -magnitude
@@ -83,6 +84,10 @@ class DriftSpec:
             raise ValueError("concept_drift needs >= 2 channels (driver + target)")
         if self.length < 1:
             raise ValueError("length must be >= 1")
+        if self.length * self.channels > MAX_CELLS:
+            raise ValueError(f"length {self.length} x channels {self.channels} "
+                             f"is over the {MAX_CELLS} cells a generated stream "
+                             f"may hold")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be >= 0")
         if len(self.change_points) != len(self.magnitudes):

@@ -65,7 +65,7 @@ class Layered:
         raise NotImplementedError
 
     def named_params(self) -> List[Tuple[str, np.ndarray]]:
-        """Each layer's weight then bias: the order of the adaptz share layout."""
+        """Each layer's weight then bias, in layer order."""
         return [p for name, layer in self.named_layers()
                 for p in ((f"{name}.weight", layer.weight), (f"{name}.bias", layer.bias))]
 

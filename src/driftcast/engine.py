@@ -22,41 +22,40 @@ the record: fogd and adaptz step on it, as delayed OGD does.
 
 adaptz keeps its own window of the last b released records, placed by one
 release count n: record i sits in slot i % b. Its window gradient is a sum
-of per-record shares. A share depends only on what its record holds (its
-tapes with their weight snapshots and its g_y), and each record is handed
-over once, so each record is backpropagated once, when its label is
-released. The window sum slides: each window adds its newest share and
-subtracts the one its slot held, and it is re-summed exactly whenever
-n % b == 0, when slots 0..b-1 hold the window in order. The hisgrad window
-is read as one slice of a ring that holds each released record's tail,
-stats and target twice, so neither per-step cost grows with b. The tail is
-the record's pass through the blocks past the tap (tail_forward of its z),
-run once when the record is released: in adaptz only the head and the
-adapter move, so that pass is fixed from then on, and hisgrad runs only
-the head on it, under the current head.
+of per-record shares, each keyed by parameter name. A share depends only
+on what its record holds (its tapes with their weight snapshots and its
+g_y), and each record is handed over once, so each record is
+backpropagated once, when its label is released. The window sum slides,
+name by name: each window adds its newest share and subtracts the one its
+slot held, and it is re-summed exactly whenever n % b == 0, when slots
+0..b-1 hold the window in order. The hisgrad window is read as one slice
+of a ring that holds each released record's tail, stats and target twice,
+so neither per-step cost grows with b. The tail is the record's pass
+through the blocks past the tap (tail_forward of its z), run once when the
+record is released: in adaptz only the head and the adapter move, so that
+pass is fixed from then on, and hisgrad runs only the head on it, under
+the current head.
 
-The loop checks the samples in stream order and normalizes their windows
-CHUNK at a time, in chunks counted from step 0, by one stacked normalize
-that gives each window the bytes of its own call, so no step's bytes
-depend on how much stream follows. A record carries its normalized window
-in place of the raw x, and ogd's re-score runs its full pass from it
-without normalizing again.
-
-Each step's z comes from encode, on the step's normalized window; encode
-stops at the tap, and the loop's one head_forward_with_tape is the only
-run of the blocks past it. In pretraining nothing before the adapter
-moves, so pretrain_adapter's later epochs replay its first epoch's
-encodings and hisgrad sequence instead of recomputing them (byte-equal,
-and kept only for that one call), and normalize nothing.
+The loop consumes steps from one front end (_front_end). It checks the
+samples in stream order and normalizes their windows CHUNK at a time, in
+chunks counted from step 0, by one stacked normalize that gives each
+window the bytes of its own call, so no step's bytes depend on how much
+stream follows. A record carries its normalized window in place of the
+raw x, and ogd's re-score runs its full pass from it without normalizing
+again. Each step's z comes from encode, on the step's normalized window;
+encode stops at the tap, and the loop's one head_forward_with_tape is the
+only run of the blocks past it. In pretraining nothing before the adapter
+moves, so pretrain_adapter encodes val once, before the first epoch, and
+its later epochs replay the first epoch's hisgrad sequence (byte-equal,
+and kept only for that one call).
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -70,8 +69,9 @@ from .forecaster import (ForecastModel, NormStats, Sample, Tail, Tape,
                          normalize, param_grads, predict_with_tape, tail_forward)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
-CHUNK = 64          # windows per stacked normalize in _deploy, from step 0
-Layout = List[Tuple[str, Tuple[int, ...]]]     # (name, shape) per parameter
+CHUNK = 64          # windows per stacked normalize in _front_end, from step 0
+# (sample, x_norm, z, stats) of one step; x_norm is None in pretraining's replay
+Step = Tuple[Sample, Optional[np.ndarray], np.ndarray, NormStats]
 
 
 @dataclass
@@ -107,7 +107,7 @@ class StepRecord:
     """A step's record, held until its release k steps later; y and g_y (the
     loss gradient) come after correct runs, and only adaptz sets adapter_tape.
     x_norm is the step's normalized window (L x C) and stats its NormStats;
-    x_norm is None for a step whose (z, stats) pretraining replays."""
+    x_norm is None in pretraining's replay, which keeps only z and stats."""
 
     y: Optional[np.ndarray] = None
     g_y: Optional[np.ndarray] = None
@@ -162,27 +162,21 @@ def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[in
     return x.shape[1]
 
 
-def _normalized_steps(model: ForecastModel, stream: Sequence[Sample], done: int
-                      ) -> Iterator[Tuple[int, Sample, Optional[np.ndarray],
-                                          Optional[NormStats]]]:
-    """Each step s of the stream as (s, sample, x_norm, stats). The samples
-    are checked in stream order CHUNK at a time, from step 0, and each chunk
-    is then stacked and normalized in one call. A chunk whose steps all lie
-    below done (those pretraining replays) is only checked, and its steps
-    come with x_norm and stats None."""
+def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]:
+    """Each step of the stream as (sample, x_norm, z, stats). The samples are
+    checked in stream order CHUNK at a time, from step 0, and each chunk is
+    then stacked and normalized in one call. z is encoded when its step is
+    drawn, so it sees the model as it is then (ogd moves the blocks)."""
     prev = channels = None
     for lo in range(0, len(stream), CHUNK):
         chunk = [stream[s] for s in range(lo, min(lo + CHUNK, len(stream)))]
         for sample in chunk:
             channels = _check_sample(model, sample, prev, channels)
             prev = sample.origin
-        if lo + len(chunk) <= done:
-            yield from ((lo + i, sample, None, None) for i, sample in enumerate(chunk))
-            continue
         x_norm, stats = normalize(np.stack([sample.x for sample in chunk]))
         for i, sample in enumerate(chunk):
-            yield lo + i, sample, x_norm[i], NormStats(mean=stats.mean[i],
-                                                        std=stats.std[i])
+            z, row = encode(model, x_norm[i], NormStats(stats.mean[i], stats.std[i]))
+            yield sample, x_norm[i], z, row
 
 
 def compute_hisgrad(model: ForecastModel, tail: Tail, stats: NormStats,
@@ -211,11 +205,11 @@ def compute_hisgrad(model: ForecastModel, tail: Tail, stats: NormStats,
     return np.add.reduce(g_rows.reshape(b, C, model.d), axis=0) / b
 
 
-def _record_share(model: ForecastModel, layout: Layout, rec: StepRecord,
-                  b: int, cfg: EngineConfig) -> np.ndarray:
-    """The record's term of the window-mean loss gradient as one flat vector
-    in layout order. Only the record's own tapes and g_y are read, so the
-    term is the same in every window the record enters."""
+def _record_share(model: ForecastModel, rec: StepRecord, b: int,
+                  cfg: EngineConfig) -> Dict[str, np.ndarray]:
+    """The record's term of the window-mean loss gradient by parameter name,
+    {} with both rates 0. Only the record's own tapes and g_y are read, so
+    the term is the same in every window the record enters."""
     g_y = rec.g_y / b                                       # window-mean loss
     grads: Dict[str, np.ndarray] = {}
     if cfg.lr_head > 0:
@@ -224,25 +218,19 @@ def _record_share(model: ForecastModel, layout: Layout, rec: StepRecord,
     if cfg.lr_adapter > 0:
         g_z = grad_wrt_feature(model, rec.head_tape, g_y)
         grads.update(adapter_backward_tape(rec.adapter_tape, g_z))
-    return np.concatenate([grads[name].ravel() for name, _ in layout])
+    return grads
 
 
-def _window_update(model: ForecastModel, a: AdapterNet, layout: Layout,
-                   acc: np.ndarray, cfg: EngineConfig) -> None:
+def _window_update(model: ForecastModel, a: AdapterNet,
+                   acc: Dict[str, np.ndarray], cfg: EngineConfig) -> None:
     """Step the head (if lr_head > 0) and the adapter (if lr_adapter > 0) down
-    the window gradient acc, laid out as layout says. The steps allocate new
+    the window gradient acc, keyed by parameter name. The steps allocate new
     parameters, so acc may later move in place."""
-    grads: Dict[str, np.ndarray] = {}
-    off = 0
-    for name, shape in layout:
-        size = math.prod(shape)
-        grads[name] = acc[off:off + size].reshape(shape)
-        off += size
+    head = ("head.weight", "head.bias")
     if cfg.lr_head > 0:
-        descend(model, {n: grads.pop(n) for n in ("head.weight", "head.bias")},
-                cfg.lr_head)
+        descend(model, {n: acc[n] for n in head}, cfg.lr_head)
     if cfg.lr_adapter > 0:
-        sgd_step(a, grads, cfg.lr_adapter)
+        sgd_step(a, {n: g for n, g in acc.items() if n not in head}, cfg.lr_adapter)
 
 
 def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
@@ -255,43 +243,31 @@ def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
     return model.clone()
 
 
-def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
+def _deploy(method: str, model: ForecastModel, steps: Iterable[Step],
             correct: Optional[Callable[[np.ndarray, StepRecord], np.ndarray]],
             learn: Optional[Callable[[StepRecord], None]],
-            adapter_net: Optional[AdapterNet] = None,
-            encoded: Optional[List[Tuple[np.ndarray, NormStats]]] = None
-            ) -> MetricsTrace:
+            adapter_net: Optional[AdapterNet] = None) -> MetricsTrace:
     """The one stream loop, owner of the prediction, the k-step delay and the
     score: at step s it runs the head on z + correct(z, rec) (on z if correct
-    is None) for a record rec of the sample's normalized window, z and stats,
+    is None) for a record rec of the step's normalized window, z and stats,
     writes head_tape to rec and scores yhat once. Unless learn is None, it
     then adds the target y and the loss gradient g_y, holds rec back with the
     k records before it and, from step k on, calls learn with the record of
     step s-k alone.
 
-    The windows are normalized CHUNK at a time (_normalized_steps), and z
-    comes from one encode call per step on the step's normalized window,
-    unless encoded (a list pretraining keeps across the epochs of one replay
-    of the same stream, valid while blocks 0..tap do not move) already holds
-    step s's (z, stats); a pair it lacks is encoded and appended."""
+    steps is _front_end's, or pretraining's list of them, encoded once
+    before the first epoch (valid while blocks 0..tap do not move)."""
     pending: Deque[Tuple[int, StepRecord]] = deque()
     reads: List[Tuple[int, int]] = []
-    steps: List[int] = []
+    origins: List[int] = []
     mses: List[float] = []
     preds: List[np.ndarray] = []
-    done = 0 if encoded is None else len(encoded)
-    for s, sample, x_norm, stats in _normalized_steps(model, stream, done):
-        if s < done:
-            z, stats = encoded[s]
-        else:
-            z, stats = encode(model, x_norm, stats)
-            if encoded is not None:
-                encoded.append((z, stats))
+    for s, (sample, x_norm, z, stats) in enumerate(steps):
         rec = StepRecord(x_norm=x_norm, z=z, stats=stats)   # views, no copy
         z_in = z if correct is None else z + correct(z, rec)
         yhat, rec.head_tape = head_forward_with_tape(model, z_in, stats)
         loss, g_y = mse_with_grad(yhat, sample.y)
-        steps.append(sample.origin)
+        origins.append(sample.origin)
         mses.append(loss)
         preds.append(yhat)
         if learn is not None:
@@ -301,7 +277,7 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
                 t, released = pending.popleft()
                 reads.append((s, t))
                 learn(released)
-    return MetricsTrace(method, steps, np.asarray(mses), preds,
+    return MetricsTrace(method, origins, np.asarray(mses), preds,
                         final_model=model, final_adapter=adapter_net,
                         cache_reads=reads)
 
@@ -309,17 +285,19 @@ def _deploy(method: str, model: ForecastModel, stream: Sequence[Sample],
 def run_ori(model: ForecastModel, stream: Sequence[Sample],
             cfg: EngineConfig) -> MetricsTrace:
     """Frozen baseline: predict every sample, adapt nothing."""
-    return _deploy("ori", _deployed_copy(model, cfg), stream, None, None)
+    model = _deployed_copy(model, cfg)
+    return _deploy("ori", model, _front_end(model, stream), None, None)
 
 
 @dataclass
 class _FrozenWork:
-    """Work each epoch of one pretrain_adapter call would redo: every step's
-    (z, stats) and the hisgrad after every release. With the head frozen,
+    """Work each epoch of one pretrain_adapter call would redo: the split's
+    steps, encoded once before the first epoch (without x_norm, which adaptz
+    never reads), and the hisgrad after every release. With the head frozen,
     both are fixed by the model, the split and b; hisgrad never reads the
-    adapter. The first epoch fills the lists and the later epochs read them."""
+    adapter. The first epoch fills hisgrads and the later epochs read it."""
 
-    encoded: List[Tuple[np.ndarray, NormStats]] = field(default_factory=list)
+    steps: List[Step]
     hisgrads: List[np.ndarray] = field(default_factory=list)
 
 
@@ -333,16 +311,17 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
 
     Released record i goes to slot i % b: its tail (the post-tap pass of its
     z, run once on release; those blocks never move here), stats and target
-    to the hisgrad ring (slots j and j + b of 2b) and, when learning, its
-    share of the window gradient to a b-slot list. Once b records are in, the window
-    sum is taken left to right whenever the count n of released records is
-    a multiple of b; in between it gains the newest share and loses the one
-    whose slot that share took. Float addition is not associative, so the
-    periodic exact sum bounds the drift.
+    to the hisgrad ring (slots j and j + b of 2b) and its share of the
+    window gradient to a b-slot list. Once b records are in, the window sum
+    is taken left to right, name by name, whenever the count n of released
+    records is a multiple of b; in between it gains the newest share and
+    loses the one whose slot that share took. Float addition is not
+    associative, so the periodic exact sum bounds the drift.
 
-    _frozen is pretrain_adapter's: the run takes its encodings from it and,
-    once an earlier epoch has filled it, its hisgrads too, with no ring. A
-    moving head would make those hisgrads stale, so lr_head > 0 is refused.
+    _frozen is pretrain_adapter's: the run takes its steps from it, not from
+    stream, and once an earlier epoch has filled them, its hisgrads too,
+    with no ring. A moving head would make those hisgrads stale, so
+    lr_head > 0 is refused.
     """
     model = _deployed_copy(model, cfg)
     if _frozen is not None and cfg.lr_head > 0:
@@ -350,17 +329,12 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                          f"lr_head={cfg.lr_head!r}")
     replayed = _frozen.hisgrads if _frozen is not None and _frozen.hisgrads else None
     a = adapter_net.clone()
-    # a share holds the head (if lr_head > 0), then the adapter (if lr_adapter > 0)
-    layout = [(name, p.shape) for name, p in model.named_params()
-              if cfg.lr_head > 0 and name.startswith("head.")]
-    layout += [(name, p.shape) for name, p in a.named_params() if cfg.lr_adapter > 0]
     b = cfg.hist_batch
     hisgrad: Optional[np.ndarray] = None
     n = 0                                       # records released so far
     rings: List[np.ndarray] = []
-    shares: List[Optional[np.ndarray]] = [None] * b
-    acc: Optional[np.ndarray] = None
-    learning = cfg.lr_adapter > 0 or cfg.lr_head > 0
+    shares: List[Dict[str, np.ndarray]] = [{}] * b
+    acc: Dict[str, np.ndarray] = {}
 
     def correct(z, rec):
         nonlocal hisgrad
@@ -393,22 +367,22 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                                           NormStats(mean=mean, std=std), y)
                 if _frozen is not None:
                     _frozen.hisgrads.append(hisgrad)
-        if not learning:
-            return
-        left, shares[j] = shares[j], _record_share(model, layout, rec, b, cfg)
+        left, shares[j] = shares[j], _record_share(model, rec, b, cfg)
         if n < b:
             return
         if n % b == 0:                          # slots 0..b-1 hold the window in order
-            acc = shares[0].copy()
+            acc = {name: g.copy() for name, g in shares[0].items()}
             for share in shares[1:]:
-                acc += share
+                for name, g in share.items():
+                    acc[name] += g
         else:
-            acc += shares[j]
-            acc -= left
-        _window_update(model, a, layout, acc, cfg)
+            for name, g in shares[j].items():
+                acc[name] += g
+                acc[name] -= left[name]
+        _window_update(model, a, acc, cfg)
 
-    return _deploy("adaptz", model, stream, correct, learn, adapter_net=a,
-                   encoded=None if _frozen is None else _frozen.encoded)
+    steps = _front_end(model, stream) if _frozen is None else _frozen.steps
+    return _deploy("adaptz", model, steps, correct, learn, adapter_net=a)
 
 
 def run_fogd(model: ForecastModel, stream: Sequence[Sample],
@@ -428,8 +402,8 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
         g_delta = grad_wrt_feature(model, rec.head_tape, rec.g_y)
         delta = delta - cfg.lr_fogd * g_delta
 
-    live = cfg.lr_fogd > 0
-    return _deploy("fogd", model, stream, correct, learn if live else None)
+    return _deploy("fogd", model, _front_end(model, stream), correct,
+                   learn if cfg.lr_fogd > 0 else None)
 
 
 def run_ogd(model: ForecastModel, stream: Sequence[Sample],
@@ -443,8 +417,8 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
         _, g_y = mse_with_grad(yh_d, rec.y)     # re-scored under current params
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 
-    live = cfg.lr_ogd > 0
-    return _deploy("ogd", model, stream, None, learn if live else None)
+    return _deploy("ogd", model, _front_end(model, stream), None,
+                   learn if cfg.lr_ogd > 0 else None)
 
 
 def run_method(method: str, model: ForecastModel, adapter_net: Optional[AdapterNet],
@@ -470,10 +444,10 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     moves during deployment). The replay is chronological and fully
     deterministic, so `seed` is accepted for interface parity only.
 
-    The encoder and the head do not move here, so the first epoch's
-    encodings of the split and its hisgrad sequence hold for every epoch:
-    the later epochs replay them, byte for byte what they would compute.
-    They belong to this call alone and are dropped when it returns.
+    The encoder and the head do not move here, so the call encodes val
+    once, before the first epoch, and the first epoch's hisgrad sequence
+    holds for every epoch: the later epochs replay it, byte for byte what
+    they would compute. Both belong to this call alone.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -482,8 +456,9 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
         return a
     cfg = EngineConfig(method="adaptz", horizon=model.k, lookback=model.L,
                        hist_batch=hist_batch, lr_adapter=lr, lr_head=0.0,
-                       seed=seed)
-    frozen = _FrozenWork()
+                       seed=seed).validated()
+    frozen = _FrozenWork(steps=[(sample, None, z, stats) for sample, _, z, stats
+                                in _front_end(model, val_samples)])
     for _ in range(epochs):
         a = run_adaptz(model, a, val_samples, cfg, _frozen=frozen).final_adapter
     return a

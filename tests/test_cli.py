@@ -222,8 +222,8 @@ class TestParseConfig:
             parse_config(None, ["horizon"])
 
     @given(st.sampled_from(cli.VALID_KEYS),
-           st.sampled_from(["0", "-1", "nan", "inf", "1e9", "", str(10**400),
-                            ",", "\x00"]))
+           st.sampled_from(["0", "-1", "nan", "inf", "1e9", "1000000000", "",
+                            str(10**400), ",", "\x00"]))
     @settings(max_examples=400, deadline=None)
     def test_hostile_value_gives_a_plan_or_value_error(self, key, token):
         # 10**400 is too large for a float: length=10**400 must not overflow
@@ -461,6 +461,18 @@ class TestMainEntry:
         out = tmp_path / "x.csv"
         assert main(["gen", "--drift", spec, "--out", str(out)]) == 2
         assert "magnitude nan is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stream_over_max_cells_exit_two(self, tmp_path, capsys):
+        # refused while parsing, before a cell is generated
+        named = "length 1000000000 x channels 2 is over"
+        assert main(["run", "--set", "length=1000000000", "--set",
+                     f"out_dir={tmp_path / 'out'}"]) == 2
+        assert named in capsys.readouterr().err
+        spec = write_cfg(tmp_path, "length=1000000000\n", name="drift.cfg")
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--drift", spec, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_gen_deterministic_bytes(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from driftcast import (CONCEPT_A1, CONCEPT_A2, DriftSpec, SeriesFrame,
                        SplitSpec, chrono_split, concept_coefficients,
                        gen_concept_drift, gen_mean_shift, load_csv, write_csv)
+from driftcast.datastream import MAX_CELLS
 
 
 class TestCsvIO:
@@ -210,6 +211,17 @@ class TestDriftSpecValidation:
     def test_concept_needs_a_driver_channel(self):
         with pytest.raises(ValueError, match="channels"):
             DriftSpec(kind="concept_drift", channels=1)
+
+    @pytest.mark.parametrize("kw", [dict(length=10**9), dict(channels=10**8),
+                                    dict(length=10**400)])
+    def test_rejects_a_stream_over_max_cells(self, kw):
+        # checked before anything is allocated: length=10**9 would ask ~16 GB
+        with pytest.raises(ValueError, match=r"length \d+ x channels \d+ is over"):
+            DriftSpec(**kw)
+
+    def test_max_cells_itself_is_allowed(self):
+        spec = DriftSpec(length=MAX_CELLS // 2, channels=2)
+        assert spec.length * spec.channels == MAX_CELLS
 
     def test_change_points_sorted_in_range_matched(self):
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ class TestAffine:
 
 
 class TestParamProtocol:
-    """The adaptz share layout follows named_params order."""
+    """named_params lists each layer's weight then bias, in layer order."""
 
     def test_model_names_and_order(self):
         model = build_model(L=5, k=2, d=3, n_blocks=3, seed=0)

@@ -518,7 +518,7 @@ class TestChunkedNormalization:
             calls.update(encode=0, normalize=0)
             run_method(method, small_model(), live_adapter(), stream, small_cfg())
             assert calls == {"encode": self.N, "normalize": chunks}, method
-        # pretraining encodes and normalizes the split in its first epoch only
+        # pretraining encodes and normalizes the split once, before its first epoch
         trained, _, val, _ = small_trained
         assert len(val) > engine.CHUNK
         calls.update(encode=0, normalize=0)
@@ -658,9 +658,9 @@ class TestDelayOwnedByLoop:
         learns = []
         deploy = engine._deploy
 
-        def spy(method, model, stream, correct, learn, *args, **kw):
+        def spy(method, model, steps, correct, learn, *args, **kw):
             learns.append(learn)
-            return deploy(method, model, stream, correct, learn, *args, **kw)
+            return deploy(method, model, steps, correct, learn, *args, **kw)
 
         monkeypatch.setattr(engine, "_deploy", spy)
         model = small_model()
@@ -688,8 +688,9 @@ class TestDelayOwnedByLoop:
         stream = make_stream(12, L, K, C, seed=44)
         ori = run_ori(model, stream, small_cfg())
         monkeypatch.setattr(engine, "head_forward_with_tape", counted)
-        trace = engine._deploy("probe", model.clone(), stream, correct,
-                               lambda rec: None)
+        probe = model.clone()
+        trace = engine._deploy("probe", probe, engine._front_end(probe, stream),
+                               correct, lambda rec: None)
         assert seen == [(None, None)] * len(stream) and len(calls) == len(stream)
         assert trace.step_mse.tobytes() == ori.step_mse.tobytes()
 
@@ -917,7 +918,8 @@ class TestPretrain:
                                        dict(use_feat=False)],
                              ids=["full", "nograd", "nofeat"])
     def test_equals_chained_adaptz_passes(self, small_trained, flags, b):
-        # epochs after the first replay its encodings and hisgrads
+        # every epoch reads the encodings made before the first; later epochs
+        # replay the first epoch's hisgrads
         trained, _, val, _ = small_trained
         a = build_adapter(trained.d, seed=8, **flags)
         out = pretrain_adapter(trained, a, val, epochs=3, lr=0.001, hist_batch=b)
@@ -951,7 +953,7 @@ class TestPretrain:
                            lr_head=0.001).validated()
         with pytest.raises(ValueError, match="frozen head"):
             run_adaptz(trained, build_adapter(trained.d, seed=8), val, cfg,
-                       _frozen=engine._FrozenWork())
+                       _frozen=engine._FrozenWork(steps=[]))
 
     def test_base_model_stays_frozen(self, small_trained):
         trained, _, val, _ = small_trained
