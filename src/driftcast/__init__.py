@@ -22,10 +22,9 @@ from .engine import (EngineConfig, MetricsTrace, StepRecord, compute_hisgrad,
 from .forecaster import (STD_EPS, ForecastModel, NormStats, Sample, Tail,
                          Tape, build_model, denormalize, encode,
                          grad_wrt_feature, grad_wrt_feature_from_tail,
-                         grad_wrt_last_layer, head_forward,
-                         head_forward_from_tail, head_forward_with_tape,
-                         normalize, offline_train, param_grads, predict,
-                         predict_with_tape, tail_forward)
+                         grad_wrt_last_layer, head_forward_from_tail,
+                         head_forward_with_tape, normalize, offline_train,
+                         param_grads, predict, predict_with_tape, tail_forward)
 from .regret import (FAMILIES, REPORT_HEADER, BoundReport, OCOProblem, OCORun,
                      check_bound, make_problem, path_variation, project_ball,
                      report_rows, run_oco, run_sweep)
@@ -42,7 +41,7 @@ __all__ = [
     "run_method", "run_ogd", "run_ori", "write_trace_csv",
     "STD_EPS", "ForecastModel", "NormStats", "Sample", "Tail", "Tape",
     "build_model", "denormalize", "encode", "grad_wrt_feature",
-    "grad_wrt_feature_from_tail", "grad_wrt_last_layer", "head_forward",
+    "grad_wrt_feature_from_tail", "grad_wrt_last_layer",
     "head_forward_from_tail", "head_forward_with_tape", "normalize",
     "offline_train", "param_grads", "predict", "predict_with_tape",
     "tail_forward",

@@ -6,8 +6,8 @@ then pass ReLU, `hidden`, ReLU and `out`, which starts at zero so a fresh
 adapter is an exact no-op. These four named layers, in order, are its parameters.
 
 Ablation flags skip a path structurally: a disabled path is never
-evaluated, so the output is bit-exact independent of that input and the
-path's parameter gradients are exactly zero.
+evaluated, so the output is bit-exact independent of that input, and the
+backward pass names no gradient for it, so no step moves its arrays.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def adapter_forward_with_tape(a: AdapterNet, z, hisgrad
 
 
 def adapter_backward_tape(tape: AdapterTape, grad_delta) -> Dict[str, np.ndarray]:
-    """Parameter gradients for the pass recorded on `tape` (chain rule only;
-    works after the live adapter has been updated, since weights are snapshots)."""
+    """Parameter gradients for the pass on `tape`, none for a path it did not
+    run (chain rule only; weights are snapshots, so the live adapter may move)."""
     grad_delta = _as_matrix(grad_delta, "grad_delta")
     if grad_delta.shape != tape.z.shape:
         raise ValueError(f"grad_delta shape {grad_delta.shape} != {tape.z.shape}")
@@ -127,11 +127,11 @@ def adapter_backward_tape(tape: AdapterTape, grad_delta) -> Dict[str, np.ndarray
     grads["hidden.weight"] = g.T @ tape.r1
     grads["hidden.bias"] = g.sum(axis=0)
     g = (g @ tape.w_hidden) * (tape.s > 0.0)
-    d, h = tape.z.shape[1], tape.s.shape[1]
     for name, on, inp in (("path_feat", tape.use_feat, tape.z),
                           ("path_grad", tape.use_grad, tape.hisgrad)):
-        grads[f"{name}.weight"] = g.T @ inp if on else np.zeros((h, d))
-        grads[f"{name}.bias"] = g.sum(axis=0) if on else np.zeros(h)
+        if on:
+            grads[f"{name}.weight"] = g.T @ inp
+            grads[f"{name}.bias"] = g.sum(axis=0)
     return grads
 
 

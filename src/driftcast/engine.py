@@ -207,9 +207,9 @@ def compute_hisgrad(model: ForecastModel, tail: Tail, stats: NormStats,
 
 def _record_share(model: ForecastModel, rec: StepRecord, b: int,
                   cfg: EngineConfig) -> Dict[str, np.ndarray]:
-    """The record's term of the window-mean loss gradient by parameter name,
-    {} with both rates 0. Only the record's own tapes and g_y are read, so
-    the term is the same in every window the record enters."""
+    """The record's term of the window-mean loss gradient, keyed by the names
+    of the parameters that can move ({} with both rates 0). Only the record's
+    own tapes and g_y are read, so it is the same in every window."""
     g_y = rec.g_y / b                                       # window-mean loss
     grads: Dict[str, np.ndarray] = {}
     if cfg.lr_head > 0:
@@ -316,7 +316,8 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     is taken left to right, name by name, whenever the count n of released
     records is a multiple of b; in between it gains the newest share and
     loses the one whose slot that share took. Float addition is not
-    associative, so the periodic exact sum bounds the drift.
+    associative, so the periodic exact sum bounds the drift. A window over
+    the len(stream) - k releases never fills: it gets no slot, ring or share.
 
     _frozen is pretrain_adapter's: the run takes its steps from it, not from
     stream, and once an earlier epoch has filled them, its hisgrads too,
@@ -330,10 +331,11 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     replayed = _frozen.hisgrads if _frozen is not None and _frozen.hisgrads else None
     a = adapter_net.clone()
     b = cfg.hist_batch
+    fills = b <= len(stream) - model.k
     hisgrad: Optional[np.ndarray] = None
     n = 0                                       # records released so far
     rings: List[np.ndarray] = []
-    shares: List[Dict[str, np.ndarray]] = [{}] * b
+    shares: List[Dict[str, np.ndarray]] = [{}] * b if fills else []
     acc: Dict[str, np.ndarray] = {}
 
     def correct(z, rec):
@@ -345,6 +347,8 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
 
     def learn(rec):
         nonlocal hisgrad, acc, n, rings
+        if not fills:                           # no slot, ring or share to make
+            return
         j = n % b                               # this record's slot
         n += 1
         if replayed is not None:

@@ -5,19 +5,19 @@ as batch rows through affine blocks `blocks.<i>` (ReLU strictly between
 blocks), maps the last block to the horizon with a linear `head`, and
 denormalizes. Those named layers are its parameters, and descend steps
 them. One block output is exposed as the feature z; corrections are added
-there and head_forward resumes the rest of the pass.
+there and head_forward_with_tape resumes the rest of the pass.
 
 normalize takes one window or a stack of them, byte-equal either way,
 and encode and predict_with_tape take a window normalize already made
 when they are handed its stats, as the stream loop does.
 
-encode runs blocks 0..tap only and returns z with its stats: the
-post-tap blocks and the head run once per prediction, in
-head_forward_with_tape. Every pass that reaches the head, full from block 0
-(predict_with_tape) or resumed from the tap (head_forward_with_tape),
-records one Tape of block inputs, outputs and weight snapshots, so
-gradients are taken under the parameters that made the prediction. One
-backward pass serves feature and parameter gradients.
+encode runs blocks 0..tap only, in the block loop every pass shares, and
+returns z with its stats: the post-tap blocks and the head run once per
+prediction, in head_forward_with_tape. Every pass that reaches the head,
+full from block 0 (predict_with_tape) or resumed from the tap
+(head_forward_with_tape), records one Tape of block inputs, outputs and
+weight snapshots, so gradients are taken under the parameters that made
+the prediction. One backward pass serves feature and parameter gradients.
 
 tail_forward runs the post-tap blocks on z without the head and keeps a
 Tail of their inputs. While those blocks do not move, the head alone
@@ -173,15 +173,17 @@ def build_model(L: int, k: int, d: int = 64, n_blocks: int = 3,
     return ForecastModel(blocks, head, L, k, tap_index)
 
 
-def _blocks_from(model: ForecastModel, rows: np.ndarray, start: int
+def _blocks_from(model: ForecastModel, rows: np.ndarray, start: int,
+                 stop: Optional[int] = None
                  ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
-    """Run rows through blocks start..; ReLU between blocks only, so every
-    block but block 0 gets a rectified input. Returns the input and the
-    pre-activation output of each block it ran, and the head's input."""
+    """Run rows through blocks start..stop-1 (to the last block if stop is
+    None); ReLU between blocks only, so every block but block 0 gets a
+    rectified input. Returns the input and the pre-activation output of each
+    block it ran, and the last output (the head's input if it ran them all)."""
     ins: List[np.ndarray] = []
     pre: List[np.ndarray] = []
     h = rows
-    for i in range(start, len(model.blocks)):
+    for i in range(start, len(model.blocks) if stop is None else stop):
         blk = model.blocks[i]
         if i > 0:
             h = np.maximum(h, 0.0)
@@ -219,18 +221,13 @@ def encode(model: ForecastModel, x, stats: Optional[NormStats] = None
     """Feature z (C x d) of one lookback window, plus its stats.
 
     Runs blocks 0..tap and nothing past them, so it records no tape: the
-    rest of the pass is head_forward_with_tape's. The ops are those of the
-    full pass, so z is byte-equal to a full tape's pre[tap]. With stats, x
+    rest of the pass is head_forward_with_tape's. It runs them through the
+    full pass's block loop, so z is a full tape's pre[tap]. With stats, x
     is the window normalize already made (the stream loop normalizes a
     chunk of windows at once) and encode does not normalize it again.
     """
-    h, stats = _normalized_rows(model, x, stats)
-    for i in range(model.tap_index + 1):
-        blk = model.blocks[i]
-        if i > 0:
-            h = np.maximum(h, 0.0)
-        h = affine_apply(blk.weight, blk.bias, h)
-    return h, stats
+    rows, stats = _normalized_rows(model, x, stats)
+    return _blocks_from(model, rows, 0, model.tap_index + 1)[2], stats
 
 
 def predict_with_tape(model: ForecastModel, x, stats: Optional[NormStats] = None
@@ -272,15 +269,10 @@ def head_forward_from_tail(model: ForecastModel, tail: Tail,
     return denormalize(y_norm.T, stats)
 
 
-def head_forward(model: ForecastModel, z_adj, stats: NormStats) -> np.ndarray:
-    y_hat, _ = head_forward_with_tape(model, z_adj, stats)
-    return y_hat
-
-
 def predict(model: ForecastModel, x) -> np.ndarray:
-    """Full model output; literally encode followed by head_forward."""
+    """Full model output: encode, then head_forward_with_tape's prediction."""
     z, stats = encode(model, x)
-    return head_forward(model, z, stats)
+    return head_forward_with_tape(model, z, stats)[0]
 
 
 def _grad_into_norm(grad_yhat: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -18,8 +18,8 @@ from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape
 from driftcast.cli import parse_config, run_plan
 from driftcast.diffmath import mse_with_grad
 from driftcast.forecaster import (Sample, encode, grad_wrt_feature,
-                                  head_forward, head_forward_with_tape,
-                                  param_grads, predict, predict_with_tape)
+                                  head_forward_with_tape, param_grads, predict,
+                                  predict_with_tape)
 from driftcast.regret import make_problem, report_rows, run_oco, run_sweep
 from conftest import KINK_MARGIN, fd_grad, make_stream, rel_err, relu_margin
 
@@ -140,7 +140,7 @@ class TestCriterion1Gradients:
             analytic = grad_wrt_feature(model, tape, g_yhat)
 
             def loss():
-                return mse_with_grad(head_forward(model, z, stats), y)[0]
+                return mse_with_grad(head_forward_with_tape(model, z, stats)[0], y)[0]
 
             worst = max(worst, rel_err(analytic, fd_grad(loss, z)))
 
@@ -170,7 +170,11 @@ class TestCriterion1Gradients:
                 return mse_with_grad(delta, target)[0]
 
             for name, arr in a.named_params():
-                worst = max(worst, rel_err(grads[name], fd_grad(loss, arr)))
+                numeric = fd_grad(loss, arr)
+                if name in grads:
+                    worst = max(worst, rel_err(grads[name], numeric))
+                elif numeric.any():     # a path that is off has no gradient
+                    worst = np.inf
 
         elapsed = time.perf_counter() - t0
         verdict(1, "gradient correctness", worst < 1e-5 and elapsed < 30.0)
@@ -284,7 +288,7 @@ class TestCriterion7StationaryOffset:
             o = L - 1 + i
             x = series[o - L + 1:o + 1]
             z, stats = encode(model, x)
-            clean = head_forward(model, z + offset, stats)
+            clean = head_forward_with_tape(model, z + offset, stats)[0]
             eps = noise_std * rng.standard_normal((k, C))
             stream.append(Sample(x=x, y=clean + eps, origin=o))
             noises.append(eps)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,8 @@ from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, 
 from driftcast.diffmath import mse_with_grad
 from driftcast.forecaster import (NormStats, Sample, Tail, apply_param_step,
                                   encode, grad_wrt_feature, grad_wrt_last_layer,
-                                  head_forward, head_forward_with_tape,
-                                  normalize, param_grads, predict_with_tape,
-                                  tail_forward)
+                                  head_forward_with_tape, normalize, param_grads,
+                                  predict_with_tape, tail_forward)
 from conftest import (KINK_MARGIN, fd_grad, make_stream, reduction_inputs,
                       rel_err, relu_margin, same_bytes)
 
@@ -265,7 +266,8 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
             new, old = grads(window[-1]), grads(recs[s - k - b])
             acc = {name: acc[name] + new[name] - old[name] for name in acc}
         if cfg.lr_adapter > 0:
-            sgd_step(a, {n: acc[n] for n, _ in a.named_params()}, cfg.lr_adapter)
+            sgd_step(a, {n: g for n, g in acc.items() if not n.startswith("head.")},
+                     cfg.lr_adapter)
         if cfg.lr_head > 0:
             m.head.weight = m.head.weight - cfg.lr_head * acc["head.weight"]
             m.head.bias = m.head.bias - cfg.lr_head * acc["head.bias"]
@@ -363,6 +365,32 @@ class TestStoredShares:
             _, _, ref = replay_adaptz(trained, ref, val, cfg)
         assert_same_bytes((ref,), (out,))
 
+    @pytest.mark.parametrize("flags", [{}, dict(use_grad=False)],
+                             ids=["head+adapter", "no_grad"])
+    def test_window_longer_than_the_stream_allocates_nothing(self, flags):
+        # 28 records are released, so neither window ever fills; the longer
+        # one gets no slot list or ring, and the run is byte-equal
+        model, a = small_model(), live_adapter(**flags)
+        stream = make_stream(30, L, K, C, seed=94)
+        ref = run_adaptz(model, a, stream, small_cfg(hist_batch=len(stream)))
+        tracemalloc.start()
+        try:
+            trace = run_adaptz(model, a, stream, small_cfg(hist_batch=10**9))
+            pre = pretrain_adapter(model, a, stream, epochs=2, hist_batch=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert trace.step_mse.tobytes() == ref.step_mse.tobytes()
+        assert all(same_bytes(p, q) for p, q in zip(trace.preds, ref.preds))
+        assert trace.cache_reads == ref.cache_reads
+        assert_same_bytes((ref.final_model, ref.final_adapter),
+                          (trace.final_model, trace.final_adapter))
+        assert_same_bytes((pretrain_adapter(model, a, stream, epochs=2,
+                                            hist_batch=len(stream)),), (pre,))
+        mses, _, _ = replay_adaptz(model, a, stream, small_cfg(hist_batch=10**9))
+        assert trace.step_mse.tobytes() == mses.tobytes()
+
 
 class TestAdapterFlags:
     @pytest.mark.parametrize("flag", ["use_feat", "use_grad"])
@@ -376,6 +404,26 @@ class TestAdapterFlags:
         both = run_adaptz(model, live_adapter(), stream, cfg)
         assert getattr(off.final_adapter, flag) is False
         assert off.step_mse.tobytes() != both.step_mse.tobytes()
+
+    @pytest.mark.parametrize("flag, path", [("use_feat", "path_feat"),
+                                            ("use_grad", "path_grad")])
+    def test_disabled_path_keeps_its_arrays(self, monkeypatch, flag, path):
+        # a path that is off has no gradient, so no window step reallocates it
+        first = []
+
+        def spy(a, z, hisgrad):
+            if not first:                   # the run's adapter before any step
+                first.extend((name, layer.weight, layer.bias)
+                             for name, layer in a.named_layers())
+            return adapter_forward_with_tape(a, z, hisgrad)
+
+        monkeypatch.setattr(engine, "adapter_forward_with_tape", spy)
+        trace = run_adaptz(small_model(), live_adapter(**{flag: False}),
+                           make_stream(30, L, K, C, seed=96), small_cfg())
+        for name, weight, bias in first:
+            layer = getattr(trace.final_adapter, name)
+            kept = layer.weight is weight and layer.bias is bias
+            assert kept == (name == path), name
 
 
 class TestCausality:
@@ -776,8 +824,9 @@ class TestHisgrad:
             u = np.zeros((C, D))
 
             def loss():
-                return sum(mse_with_grad(head_forward(model, r.z + u, r.stats),
-                                         r.y)[0] for r in recs) / b
+                return sum(mse_with_grad(
+                    head_forward_with_tape(model, r.z + u, r.stats)[0], r.y)[0]
+                    for r in recs) / b
 
             assert rel_err(out, fd_grad(loss, u)) < 1e-5
             checked += 1
@@ -807,7 +856,7 @@ class TestHisgrad:
         z = rec.z.copy()
 
         def loss():
-            return mse_with_grad(head_forward(model, z, rec.stats), rec.y)[0]
+            return mse_with_grad(head_forward_with_tape(model, z, rec.stats)[0], rec.y)[0]
 
         assert rel_err(out, fd_grad(loss, z)) < 1e-5
 
@@ -839,7 +888,7 @@ class TestHisgrad:
         z = rec.z.copy()
 
         def loss():
-            return mse_with_grad(head_forward(moved, z, rec.stats), rec.y)[0]
+            return mse_with_grad(head_forward_with_tape(moved, z, rec.stats)[0], rec.y)[0]
 
         assert rel_err(after, fd_grad(loss, z)) < 1e-5
 

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from driftcast import (STD_EPS, NormStats, Sample, build_model, denormalize,
                        encode, grad_wrt_feature, grad_wrt_last_layer,
-                       head_forward, head_forward_with_tape, normalize,
-                       offline_train, param_grads, predict, predict_with_tape)
+                       head_forward_with_tape, normalize, offline_train,
+                       param_grads, predict, predict_with_tape)
 from driftcast.diffmath import AffineLayer, mse_with_grad
 from driftcast.engine import CHUNK
 from driftcast.forecaster import ForecastModel, apply_param_step
@@ -155,8 +155,9 @@ class TestForward:
         for tap in range(3):
             model = build_model(L=8, k=4, d=5, n_blocks=3, tap_index=tap, seed=3)
             z, stats = encode(model, x)
-            np.testing.assert_array_equal(head_forward(model, z, stats),
-                                          predict(model, x))
+            resumed = head_forward_with_tape(model, z, stats)[0]
+            np.testing.assert_array_equal(resumed, predict(model, x))
+            np.testing.assert_array_equal(resumed, predict_with_tape(model, x)[0])
 
     def test_encode_z_is_full_pass_pre_at_tap(self):
         # encode stops at the tap; its z and stats are the full pass's bytes
@@ -209,7 +210,7 @@ class TestGradients:
             analytic = grad_wrt_feature(model, tape, g_yhat)
 
             def loss():
-                return mse_with_grad(head_forward(model, z, stats), y)[0]
+                return mse_with_grad(head_forward_with_tape(model, z, stats)[0], y)[0]
 
             assert rel_err(analytic, fd_grad(loss, z)) < 1e-5
 
@@ -232,7 +233,7 @@ class TestGradients:
         gw, gb = grad_wrt_last_layer(model, tape, g_yhat)
 
         def loss():
-            return mse_with_grad(head_forward(model, z, stats), y)[0]
+            return mse_with_grad(head_forward_with_tape(model, z, stats)[0], y)[0]
 
         assert rel_err(gw, fd_grad(loss, model.head.weight)) < 1e-5
         assert rel_err(gb, fd_grad(loss, model.head.bias)) < 1e-5
