@@ -307,6 +307,12 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
                     train, val, test = splits[horizon]
                     if not test:
                         raise ValueError("test split is empty")
+                    released = max(len(val) - horizon, 0)
+                    if (method == "adaptz" and plan.pretrain_epochs > 0
+                            and released < cfg.hist_batch):
+                        raise ValueError(
+                            f"hist_batch {cfg.hist_batch} is above the {released} "
+                            f"records val releases, so pretraining cannot step")
                     if (horizon, seed) not in trained_models:
                         model = build_model(cfg.lookback, horizon,
                                             d=plan.model_width,

@@ -44,10 +44,10 @@ stream follows. A record carries its normalized window in place of the
 raw x, and ogd's re-score runs its full pass from it without normalizing
 again. Each step's z comes from encode, on the step's normalized window;
 encode stops at the tap, and the loop's one head_forward_with_tape is the
-only run of the blocks past it. In pretraining nothing before the adapter
-moves, so pretrain_adapter encodes val once, before the first epoch, and
-its later epochs replay the first epoch's hisgrad sequence (byte-equal,
-and kept only for that one call).
+only run of the blocks past it. In pretraining only the adapter moves, so
+pretrain_adapter draws val's steps once, before the first epoch, and its
+later epochs replay the first epoch's hisgrad sequence (byte-equal, and
+kept only for that one call).
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ from .forecaster import (ForecastModel, NormStats, Sample, Tail, Tape,
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
 CHUNK = 64          # windows per stacked normalize in _front_end, from step 0
-# (sample, x_norm, z, stats) of one step; x_norm is None in pretraining's replay
-Step = Tuple[Sample, Optional[np.ndarray], np.ndarray, NormStats]
+Step = Tuple[Sample, np.ndarray, np.ndarray, NormStats]   # (sample, x_norm, z, stats)
 
 
 @dataclass
@@ -106,8 +105,7 @@ class EngineConfig:
 class StepRecord:
     """A step's record, held until its release k steps later; y and g_y (the
     loss gradient) come after correct runs, and only adaptz sets adapter_tape.
-    x_norm is the step's normalized window (L x C) and stats its NormStats;
-    x_norm is None in pretraining's replay, which keeps only z and stats."""
+    x_norm is the step's normalized window (L x C) and stats its NormStats."""
 
     y: Optional[np.ndarray] = None
     g_y: Optional[np.ndarray] = None
@@ -255,8 +253,8 @@ def _deploy(method: str, model: ForecastModel, steps: Iterable[Step],
     k records before it and, from step k on, calls learn with the record of
     step s-k alone.
 
-    steps is _front_end's, or pretraining's list of them, encoded once
-    before the first epoch (valid while blocks 0..tap do not move)."""
+    steps is _front_end's, or pretraining's list of them, drawn once before
+    the first epoch (valid while blocks 0..tap do not move)."""
     pending: Deque[Tuple[int, StepRecord]] = deque()
     reads: List[Tuple[int, int]] = []
     origins: List[int] = []
@@ -289,25 +287,20 @@ def run_ori(model: ForecastModel, stream: Sequence[Sample],
     return _deploy("ori", model, _front_end(model, stream), None, None)
 
 
-@dataclass
-class _FrozenWork:
-    """Work each epoch of one pretrain_adapter call would redo: the split's
-    steps, encoded once before the first epoch (without x_norm, which adaptz
-    never reads), and the hisgrad after every release. With the head frozen,
-    both are fixed by the model, the split and b; hisgrad never reads the
-    adapter. The first epoch fills hisgrads and the later epochs read it."""
-
-    steps: List[Step]
-    hisgrads: List[np.ndarray] = field(default_factory=list)
-
-
 def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
-               stream: Sequence[Sample], cfg: EngineConfig, *,
-               _frozen: Optional[_FrozenWork] = None) -> MetricsTrace:
+               stream: Sequence[Sample], cfg: EngineConfig) -> MetricsTrace:
     """Adapter-corrected deployment with the delayed window update; the
     adapter's own use_feat/use_grad flags choose its input paths. A run
     with zero rates still learns, since the next hisgrad needs the window.
-    With the grad path off, hisgrad feeds nothing and stays zero.
+    With the grad path off, hisgrad feeds nothing and stays zero."""
+    model = _deployed_copy(model, cfg)
+    return _adaptz(model, adapter_net, _front_end(model, stream), len(stream), cfg)
+
+
+def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step],
+            n_steps: int, cfg: EngineConfig,
+            hisgrads: Optional[List[np.ndarray]] = None) -> MetricsTrace:
+    """The adaptz loop over n_steps steps of an already deployed model.
 
     Released record i goes to slot i % b: its tail (the post-tap pass of its
     z, run once on release; those blocks never move here), stats and target
@@ -317,21 +310,16 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
     records is a multiple of b; in between it gains the newest share and
     loses the one whose slot that share took. Float addition is not
     associative, so the periodic exact sum bounds the drift. A window over
-    the len(stream) - k releases never fills: it gets no slot, ring or share.
+    the n_steps - k releases never fills: it gets no slot, ring or share.
 
-    _frozen is pretrain_adapter's: the run takes its steps from it, not from
-    stream, and once an earlier epoch has filled them, its hisgrads too,
-    with no ring. A moving head would make those hisgrads stale, so
-    lr_head > 0 is refused.
+    hisgrads is pretrain_adapter's, whose head is frozen: an empty list is
+    filled with each hisgrad the run computes, and a filled one is read in
+    their place, with no ring.
     """
-    model = _deployed_copy(model, cfg)
-    if _frozen is not None and cfg.lr_head > 0:
-        raise ValueError(f"a pretraining replay needs a frozen head, got "
-                         f"lr_head={cfg.lr_head!r}")
-    replayed = _frozen.hisgrads if _frozen is not None and _frozen.hisgrads else None
+    replayed = hisgrads if hisgrads else None
     a = adapter_net.clone()
     b = cfg.hist_batch
-    fills = b <= len(stream) - model.k
+    fills = b <= n_steps - model.k
     hisgrad: Optional[np.ndarray] = None
     n = 0                                       # records released so far
     rings: List[np.ndarray] = []
@@ -369,8 +357,8 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                 *ins, head_in, mean, std, y = (ring[n % b:n % b + b] for ring in rings)
                 hisgrad = compute_hisgrad(model, Tail(ins=ins, head_in=head_in),
                                           NormStats(mean=mean, std=std), y)
-                if _frozen is not None:
-                    _frozen.hisgrads.append(hisgrad)
+                if hisgrads is not None:
+                    hisgrads.append(hisgrad)
         left, shares[j] = shares[j], _record_share(model, rec, b, cfg)
         if n < b:
             return
@@ -385,7 +373,6 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
                 acc[name] -= left[name]
         _window_update(model, a, acc, cfg)
 
-    steps = _front_end(model, stream) if _frozen is None else _frozen.steps
     return _deploy("adaptz", model, steps, correct, learn, adapter_net=a)
 
 
@@ -443,15 +430,16 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
                      hist_batch: int = 24) -> AdapterNet:
     """Calibrate the adapter by replaying the validation split.
 
-    Runs the adaptz loop over the split once per epoch from an empty ring,
+    Runs the adaptz loop over the split once per epoch from an empty window,
     carrying the adapter across epochs; the head stays frozen (it only
     moves during deployment). The replay is chronological and fully
     deterministic, so `seed` is accepted for interface parity only.
 
-    The encoder and the head do not move here, so the call encodes val
-    once, before the first epoch, and the first epoch's hisgrad sequence
-    holds for every epoch: the later epochs replay it, byte for byte what
-    they would compute. Both belong to this call alone.
+    Only the adapter moves here, so the call deploys one copy of the model
+    and draws val's steps from it once, before the first epoch, and the
+    first epoch's hisgrad sequence holds for every epoch: the later epochs
+    replay it, byte for byte what they would compute. All three belong to
+    this call alone.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -460,9 +448,10 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
         return a
     cfg = EngineConfig(method="adaptz", horizon=model.k, lookback=model.L,
                        hist_batch=hist_batch, lr_adapter=lr, lr_head=0.0,
-                       seed=seed).validated()
-    frozen = _FrozenWork(steps=[(sample, None, z, stats) for sample, _, z, stats
-                                in _front_end(model, val_samples)])
+                       seed=seed)
+    model = _deployed_copy(model, cfg)
+    steps = list(_front_end(model, val_samples))
+    hisgrads: List[np.ndarray] = []
     for _ in range(epochs):
-        a = run_adaptz(model, a, val_samples, cfg, _frozen=frozen).final_adapter
+        a = _adaptz(model, a, steps, len(steps), cfg, hisgrads).final_adapter
     return a

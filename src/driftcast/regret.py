@@ -44,10 +44,9 @@ class OCOProblem:
     gamma: float
     theta0: np.ndarray
     theta_star: np.ndarray          # T x dim optimal path
-    x_mode: str                     # "fixed" | "gaussian"
     noise_std: float
     seed: int
-    x_fixed: Optional[np.ndarray] = None
+    x_fixed: Optional[np.ndarray] = None    # every input if given, else N(0, I) draws
     mc_draws: int = 1000
 
     def __post_init__(self) -> None:
@@ -63,13 +62,9 @@ class OCOProblem:
         self.theta_star = np.asarray(self.theta_star, dtype=np.float64)
         if self.theta_star.shape != (self.T, self.dim):
             raise ValueError(f"theta_star shape {self.theta_star.shape} != (T, dim)")
-        if self.x_mode not in ("fixed", "gaussian"):
-            raise ValueError(f"unknown x_mode {self.x_mode!r}")
-        if self.x_mode == "fixed":
-            if self.x_fixed is None:
-                raise ValueError("x_mode 'fixed' needs x_fixed")
+        if self.x_fixed is not None:
             self.x_fixed = np.asarray(self.x_fixed, dtype=np.float64).reshape(-1)
-        vectors = ("theta0", "x_fixed") if self.x_mode == "fixed" else ("theta0",)
+        vectors = ("theta0",) if self.x_fixed is None else ("theta0", "x_fixed")
         for name in vectors:
             got = len(getattr(self, name))
             if got != self.dim:
@@ -112,18 +107,18 @@ def path_variation(theta_star: np.ndarray) -> float:
 
 
 def _draw_x(problem: OCOProblem, rng: np.random.Generator, m: int) -> np.ndarray:
-    if problem.x_mode == "fixed":
-        return np.tile(problem.x_fixed, (m, 1))
-    return rng.standard_normal((m, problem.dim))
+    if problem.x_fixed is None:
+        return rng.standard_normal((m, problem.dim))
+    return np.tile(problem.x_fixed, (m, 1))
 
 
 def _true_grad(problem: OCOProblem, theta: np.ndarray, t: int) -> np.ndarray:
     """Gradient of the expected loss: 2 * E[x x^T] (theta - theta*_t)."""
     err = theta - problem.theta_star[t]
-    if problem.x_mode == "fixed":
-        x0 = problem.x_fixed
-        return 2.0 * x0 * float(x0 @ err)
-    return 2.0 * err                        # E[x x^T] = I for standard normal
+    if problem.x_fixed is None:
+        return 2.0 * err                    # E[x x^T] = I for standard normal
+    x0 = problem.x_fixed
+    return 2.0 * x0 * float(x0 @ err)
 
 
 def _row_sq_norms(a: np.ndarray) -> np.ndarray:
@@ -211,7 +206,7 @@ def make_problem(family: str, seed: int, T: Optional[int] = None,
         T = 40 if T is None else T
         return OCOProblem(family=family, dim=1, T=T, r=1.0, gamma=0.25,
                           theta0=np.array([1.0]),
-                          theta_star=np.zeros((T, 1)), x_mode="fixed",
+                          theta_star=np.zeros((T, 1)),
                           x_fixed=np.array([1.0]), noise_std=0.0, seed=seed,
                           mc_draws=mc_draws)
     if family == "static":
@@ -219,7 +214,7 @@ def make_problem(family: str, seed: int, T: Optional[int] = None,
         star = np.tile(np.array([1.0, -0.5]), (T, 1))
         return OCOProblem(family=family, dim=2, T=T, r=2.0, gamma=0.05,
                           theta0=np.zeros(2), theta_star=star,
-                          x_mode="gaussian", noise_std=0.1, seed=seed,
+                          noise_std=0.1, seed=seed,
                           mc_draws=mc_draws)
     if family == "piecewise":
         T = 200 if T is None else T
@@ -231,7 +226,7 @@ def make_problem(family: str, seed: int, T: Optional[int] = None,
             star[t] = a if flips % 2 == 0 else -a
         return OCOProblem(family=family, dim=2, T=T, r=1.0, gamma=0.1,
                           theta0=np.zeros(2), theta_star=star,
-                          x_mode="gaussian", noise_std=0.05, seed=seed,
+                          noise_std=0.05, seed=seed,
                           mc_draws=mc_draws)
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 

@@ -995,14 +995,17 @@ class TestPretrain:
         assert calls == {"encode": len(val), "tail_forward": len(val) - trained.k,
                          "compute_hisgrad": len(val) - trained.k - b + 1}
 
-    def test_replay_refuses_a_moving_head(self, small_trained):
+    def test_deploys_one_copy_for_every_epoch(self, monkeypatch, small_trained):
         trained, _, val, _ = small_trained
-        cfg = EngineConfig(method="adaptz", horizon=trained.k,
-                           lookback=trained.L, hist_batch=4, lr_adapter=0.001,
-                           lr_head=0.001).validated()
-        with pytest.raises(ValueError, match="frozen head"):
-            run_adaptz(trained, build_adapter(trained.d, seed=8), val, cfg,
-                       _frozen=engine._FrozenWork(steps=[]))
+        copies = []
+
+        def counted(model, cfg, _fn=engine._deployed_copy):
+            copies.append(cfg.lr_head)
+            return _fn(model, cfg)
+        monkeypatch.setattr(engine, "_deployed_copy", counted)
+        pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
+                         epochs=3, hist_batch=4)
+        assert copies == [0.0]
 
     def test_base_model_stays_frozen(self, small_trained):
         trained, _, val, _ = small_trained

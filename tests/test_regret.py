@@ -64,13 +64,12 @@ def oco_problems(draw):
     r = draw(st.floats(0.1, 5.0))
     rng = np.random.default_rng(seed)
     inside = r / np.sqrt(dim)                 # a cube that fits in the ball
-    x_mode = draw(st.sampled_from(["gaussian", "fixed"]))
+    fixed = draw(st.booleans())
     return OCOProblem(family="direct", dim=dim, T=T, r=r,
                       gamma=draw(st.floats(0.01, 1.0)),
                       theta0=rng.uniform(-inside, inside, dim),
                       theta_star=rng.uniform(-inside, inside, (T, dim)),
-                      x_mode=x_mode, seed=seed,
-                      x_fixed=rng.standard_normal(dim) if x_mode == "fixed" else None,
+                      seed=seed, x_fixed=rng.standard_normal(dim) if fixed else None,
                       noise_std=draw(st.sampled_from([0.0, 0.05, 1.0])),
                       mc_draws=draw(st.integers(1, 64)))
 
@@ -228,13 +227,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="ball"):
             OCOProblem(family="x", dim=1, T=3, r=1.0, gamma=0.1,
                        theta0=np.zeros(1), theta_star=np.full((3, 1), 5.0),
-                       x_mode="gaussian", noise_std=0.0, seed=0)
-
-    def test_fixed_mode_needs_x(self):
-        with pytest.raises(ValueError, match="x_fixed"):
-            OCOProblem(family="x", dim=1, T=3, r=1.0, gamma=0.1,
-                       theta0=np.zeros(1), theta_star=np.zeros((3, 1)),
-                       x_mode="fixed", noise_std=0.0, seed=0)
+                       noise_std=0.0, seed=0)
 
     @pytest.mark.parametrize("field, value", [
         ("gamma", 0.0), ("gamma", -0.1), ("gamma", np.inf), ("gamma", np.nan),
@@ -245,7 +238,7 @@ class TestProblemValidation:
         # gamma=0 raised ZeroDivisionError after the whole run, gamma<0 ran
         # gradient ascent and passed check_bound, mc_draws=0 gave R_d=nan,
         # and T=0 or dim=0 passed with a bound of 0
-        kw = dict(family="x", dim=2, T=3, r=1.0, gamma=0.1, x_mode="gaussian",
+        kw = dict(family="x", dim=2, T=3, r=1.0, gamma=0.1,
                   noise_std=0.1, seed=0, mc_draws=10)
         kw[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -258,7 +251,7 @@ class TestProblemValidation:
         # a length-1 vector was broadcast into every coordinate and ran; other
         # lengths failed inside run_oco with a message naming no field
         kw = dict(family="x", dim=2, T=3, r=1.0, gamma=0.1, theta0=np.zeros(2),
-                  theta_star=np.zeros((3, 2)), x_mode="fixed",
+                  theta_star=np.zeros((3, 2)),
                   x_fixed=np.ones(2), noise_std=0.0, seed=0, mc_draws=10)
         kw[field] = np.zeros(length)
         with pytest.raises(ValueError,
