@@ -307,12 +307,16 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
                     train, val, test = splits[horizon]
                     if not test:
                         raise ValueError("test split is empty")
-                    released = max(len(val) - horizon, 0)
-                    if (method == "adaptz" and plan.pretrain_epochs > 0
-                            and released < cfg.hist_batch):
-                        raise ValueError(
-                            f"hist_batch {cfg.hist_batch} is above the {released} "
-                            f"records val releases, so pretraining cannot step")
+                    # each split an adaptz window steps on must fill it once
+                    stepped = [("test", test, "the deployed adapter")]
+                    if plan.pretrain_epochs > 0:
+                        stepped.insert(0, ("val", val, "pretraining"))
+                    for name, split, what in stepped:
+                        released = max(len(split) - horizon, 0)
+                        if method == "adaptz" and released < cfg.hist_batch:
+                            raise ValueError(
+                                f"hist_batch {cfg.hist_batch} is above the {released} "
+                                f"records {name} releases, so {what} cannot step")
                     if (horizon, seed) not in trained_models:
                         model = build_model(cfg.lookback, horizon,
                                             d=plan.model_width,

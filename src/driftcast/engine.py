@@ -38,16 +38,18 @@ the current head.
 
 The loop consumes steps from one front end (_front_end). It checks the
 samples in stream order and normalizes their windows CHUNK at a time, in
-chunks counted from step 0, by one stacked normalize that gives each
-window the bytes of its own call, so no step's bytes depend on how much
-stream follows. A record carries its normalized window in place of the
-raw x, and ogd's re-score runs its full pass from it without normalizing
-again. Each step's z comes from encode, on the step's normalized window;
-encode stops at the tap, and the loop's one head_forward_with_tape is the
-only run of the blocks past it. In pretraining only the adapter moves, so
-pretrain_adapter draws val's steps once, before the first epoch, and its
-later epochs replay the first epoch's hisgrad sequence (byte-equal, and
-kept only for that one call).
+chunks counted from step 0, by one normalize of the chunk's stack, which
+reduces the windows side by side when there is more than one channel and
+gives each window the bytes of its own call, so no step's bytes depend on
+how much stream follows. A record carries its normalized window, a view
+into the chunk's result, in place of the raw x, and ogd's re-score runs
+its full pass from it without normalizing again. Each step's z comes
+from encode, on the step's normalized window; encode stops at the tap,
+and the loop's one head_forward_with_tape is the only run of the blocks
+past it. In pretraining only the adapter moves, so pretrain_adapter
+draws val's steps once, before the first epoch, and its later epochs
+replay the first epoch's hisgrad sequence (byte-equal, and kept only for
+that one call).
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .forecaster import (ForecastModel, NormStats, Sample, Tail, Tape,
                          normalize, param_grads, predict_with_tape, tail_forward)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
-CHUNK = 64          # windows per stacked normalize in _front_end, from step 0
+CHUNK = 64          # windows per normalize call in _front_end, from step 0
 Step = Tuple[Sample, np.ndarray, np.ndarray, NormStats]   # (sample, x_norm, z, stats)
 
 

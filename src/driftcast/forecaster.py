@@ -7,9 +7,11 @@ denormalizes. Those named layers are its parameters, and descend steps
 them. One block output is exposed as the feature z; corrections are added
 there and head_forward_with_tape resumes the rest of the pass.
 
-normalize takes one window or a stack of them, byte-equal either way,
-and encode and predict_with_tape take a window normalize already made
-when they are handed its stats, as the stream loop does.
+normalize takes one window or a stack of them, byte-equal either way; a
+stack with more than one channel is reduced side by side, and its
+windows come back as strided views. encode and predict_with_tape take a
+window normalize already made when they are handed its stats, as the
+stream loop does.
 
 encode runs blocks 0..tap only, in the block loop every pass shares, and
 returns z with its stats: the post-tap blocks and the head run once per
@@ -70,17 +72,32 @@ def normalize(x) -> Tuple[np.ndarray, NormStats]:
     stats are byte-equal to its own call. NumPy sums in memory order, so x
     is made C-contiguous first (a no-op if it is): its bytes then depend on
     its values only.
+
+    A stack with C > 1 is reduced side by side, as one C-contiguous
+    L x (n*C) copy: NumPy's inner loops run over n*C columns, not C, and
+    still add row by row down the lookback, as a window's own call does.
+    It comes back as an (n x L x C) view, each window with row stride n*C.
+    A one-channel window's call sums its column pairwise, so a C = 1 stack
+    is reduced stacked.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ValueError(f"x must be 2-D (L x C) or 3-D (n x L x C), got shape {x.shape}")
-    n = x.shape[-2]
-    if n < 2:
-        raise ValueError(f"lookback needs at least 2 rows, got {n}")
-    mean = np.add.reduce(x, axis=-2) / n
+    L, C = x.shape[-2:]
+    if L < 2:
+        raise ValueError(f"lookback needs at least 2 rows, got {L}")
+    side = x.ndim == 3 and C > 1
+    if side:
+        n = x.shape[0]
+        x = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(L, n * C)
+    mean = np.add.reduce(x, axis=-2) / L
     dev = x - mean[..., None, :]
-    std = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=-2) / n), STD_EPS)
-    return dev / std[..., None, :], NormStats(mean=mean, std=std)
+    std = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=-2) / L), STD_EPS)
+    x_norm = dev / std[..., None, :]
+    if side:
+        return (x_norm.reshape(L, n, C).transpose(1, 0, 2),
+                NormStats(mean=mean.reshape(n, C), std=std.reshape(n, C)))
+    return x_norm, NormStats(mean=mean, std=std)
 
 
 def denormalize(y_norm, stats: NormStats) -> np.ndarray:

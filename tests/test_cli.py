@@ -424,6 +424,19 @@ class TestPlumbing:
         assert "[ok] concept_drift ori" in out
         assert "hist_batch 40 is above the 34 records val releases" in err
 
+    def test_deployment_whose_window_never_fills_is_an_error(self, tmp_path, capsys):
+        # test releases 118 records, fewer than one window of 200; ori still runs
+        code = main(["run"] + [f"--set={kv}" for kv in (
+            "length=420", "change_point=320", "magnitude=1.0", "lookback=16",
+            "horizon=4", "width=8", "blocks=2", "train_epochs=1",
+            "pretrain_epochs=0", "hist_batch=200", "method=adaptz", "method=ori",
+            f"out_dir={tmp_path}")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "[error] concept_drift adaptz" in out
+        assert "[ok] concept_drift ori" in out
+        assert "hist_batch 200 is above the 118 records test releases" in err
+
     def test_results_rows_blank_mse_on_error(self):
         from driftcast.cli import RunResult
         rows = results_rows([RunResult("d", "ori", 1, 0, None, "error", "abc")])

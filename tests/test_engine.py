@@ -33,8 +33,8 @@ def small_model(seed=3):
     return build_model(L=L, k=K, d=D, n_blocks=3, seed=seed)
 
 
-def live_adapter(seed=4, **flags):
-    a = build_adapter(D, seed=seed, **flags)
+def live_adapter(seed=4, d=D, **flags):
+    a = build_adapter(d, seed=seed, **flags)
     rng = np.random.default_rng(seed + 50)
     a.out.weight = 0.3 * rng.standard_normal(a.out.weight.shape)
     a.out.bias = 0.05 * rng.standard_normal(a.out.bias.shape)
@@ -541,6 +541,30 @@ class TestChunkedNormalization:
         a = live_adapter()
         stream = make_stream(self.N, L, K, C, seed=103)
         cfg = small_cfg(hist_batch=3)
+        trace = run_adaptz(model, a, stream, cfg)
+        mses, m_ref, a_ref = replay_adaptz(model, a, stream, cfg)
+        assert trace.step_mse.tobytes() == mses.tobytes()
+        assert_same_bytes((m_ref, a_ref), (trace.final_model, trace.final_adapter))
+
+    @pytest.mark.parametrize("channels", [1, 2, 16])
+    def test_bytes_equal_loop_normalizing_every_step_at_bench_width(self, channels):
+        # the bench's L, k, d and blocks; C = 1 keeps the stacked reduction,
+        # C > 1 reduces side by side and hands encode strided windows
+        L_b, k_b, d_b = 96, 24, 64
+        model = build_model(L=L_b, k=k_b, d=d_b, n_blocks=3, seed=5)
+        a = live_adapter(d=d_b)
+        stream = make_stream(self.N, L_b, k_b, channels, seed=106)
+        cfg = EngineConfig(method="adaptz", horizon=k_b, lookback=L_b, hist_batch=4,
+                           lr_adapter=0.01, lr_head=0.001, lr_fogd=0.05,
+                           lr_ogd=0.001, seed=1).validated()
+        for method in ("ori", "fogd", "ogd"):
+            trace = run_method(method, model, None, stream, cfg)
+            mses, preds, m = replay_plain(method, model, stream, cfg)
+            assert np.all(np.isfinite(mses)), method
+            assert trace.step_mse.tobytes() == mses.tobytes(), method
+            assert [p.tobytes() for p in trace.preds] == \
+                [p.tobytes() for p in preds], method
+            assert_same_bytes((m,), (trace.final_model,))
         trace = run_adaptz(model, a, stream, cfg)
         mses, m_ref, a_ref = replay_adaptz(model, a, stream, cfg)
         assert trace.step_mse.tobytes() == mses.tobytes()

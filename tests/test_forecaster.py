@@ -172,6 +172,29 @@ class TestForward:
             assert stats.mean.tobytes() == full.stats.mean.tobytes()
             assert stats.std.tobytes() == full.stats.std.tobytes()
 
+    @pytest.mark.parametrize("C", [2, 16])
+    def test_strided_window_bytes_equal_its_contiguous_copy(self, C):
+        # a side-by-side stack hands out (L x C) windows with row stride n*C;
+        # the passes take them through the same BLAS call as a C-ordered copy
+        rng = np.random.default_rng(C)
+        model = build_model(L=96, k=24, d=64, n_blocks=3, seed=2)
+        xn, stats = normalize(rng.standard_normal((CHUNK, 96, C)))
+        for i in (0, CHUNK // 2, CHUNK - 1):
+            window, copy = xn[i], np.ascontiguousarray(xn[i])
+            assert window.strides == (CHUNK * C * 8, 8)
+            row = NormStats(stats.mean[i], stats.std[i])
+            assert same_bytes(encode(model, window, row)[0],
+                              encode(model, copy, row)[0])
+            (y_w, tape_w), (y_c, tape_c) = (predict_with_tape(model, w, row)
+                                            for w in (window, copy))
+            assert same_bytes(y_w, y_c)
+            g_y = rng.standard_normal(y_w.shape)
+            grads_w = param_grads(model, tape_w, g_y)
+            grads_c = param_grads(model, tape_c, g_y)
+            assert grads_w.keys() == grads_c.keys()
+            for name in grads_w:
+                assert same_bytes(grads_w[name], grads_c[name]), name
+
     def test_default_tap_is_second_last_block(self):
         assert build_model(4, 1, d=2, n_blocks=3, seed=0).tap_index == 1
         assert build_model(4, 1, d=2, n_blocks=1, seed=0).tap_index == 0
