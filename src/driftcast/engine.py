@@ -49,7 +49,9 @@ and the loop's one head_forward_with_tape is the only run of the blocks
 past it. In pretraining only the adapter moves, so pretrain_adapter
 draws val's steps once, before the first epoch, and its later epochs
 replay the first epoch's hisgrad sequence (byte-equal, and kept only for
-that one call).
+that one call). The steps it holds keep each sample, z and stats but not
+the normalized window, which only ogd reads: a window is a view that
+would keep its whole chunk alive.
 """
 
 from __future__ import annotations
@@ -65,14 +67,16 @@ from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
                       adapter_forward_with_tape, sgd_step)
 from .diffmath import descend, mse_with_grad
 from .forecaster import (ForecastModel, NormStats, Sample, Tail, Tape,
-                         apply_param_step, encode, grad_wrt_feature,
+                         _check_shape, apply_param_step, encode, grad_wrt_feature,
                          grad_wrt_feature_from_tail, grad_wrt_last_layer,
                          head_forward_from_tail, head_forward_with_tape,
                          normalize, param_grads, predict_with_tape, tail_forward)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
 CHUNK = 64          # windows per normalize call in _front_end, from step 0
-Step = Tuple[Sample, np.ndarray, np.ndarray, NormStats]   # (sample, x_norm, z, stats)
+# (sample, x_norm, z, stats); pretraining's steps hold no x_norm (None),
+# since only ogd reads a record's window and pretraining never runs ogd
+Step = Tuple[Sample, Optional[np.ndarray], np.ndarray, NormStats]
 
 
 @dataclass
@@ -107,7 +111,8 @@ class EngineConfig:
 class StepRecord:
     """A step's record, held until its release k steps later; y and g_y (the
     loss gradient) come after correct runs, and only adaptz sets adapter_tape.
-    x_norm is the step's normalized window (L x C) and stats its NormStats."""
+    x_norm is the step's normalized window (L x C), None in pretraining, and
+    stats its NormStats."""
 
     y: Optional[np.ndarray] = None
     g_y: Optional[np.ndarray] = None
@@ -145,33 +150,20 @@ def write_trace_csv(trace: MetricsTrace, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _check_sample(model: ForecastModel, sample: Sample, prev_origin: Optional[int],
-                  channels: Optional[int]) -> int:
-    x, y = sample.x, sample.y
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError(f"sample at origin {sample.origin}: x and y must be 2-D")
-    if x.shape[0] != model.L:
-        raise ValueError(f"sample x rows {x.shape[0]} != lookback {model.L}")
-    if channels is not None and x.shape[1] != channels:
-        raise ValueError(f"channel count changed: {x.shape[1]} != {channels}")
-    if y.shape != (model.k, x.shape[1]):
-        raise ValueError(f"sample y shape {y.shape} != ({model.k}, {x.shape[1]})")
-    if prev_origin is not None and sample.origin <= prev_origin:
-        raise ValueError(
-            f"out-of-order stream timestamps: {sample.origin} after {prev_origin}")
-    return x.shape[1]
-
-
 def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]:
     """Each step of the stream as (sample, x_norm, z, stats). The samples are
-    checked in stream order CHUNK at a time, from step 0, and each chunk is
-    then stacked and normalized in one call. z is encoded when its step is
-    drawn, so it sees the model as it is then (ogd moves the blocks)."""
+    checked in stream order CHUNK at a time, from step 0 (the shape check is
+    offline_train's too), and each chunk is then stacked and normalized in
+    one call. z is encoded when its step is drawn, so it sees the model as
+    it is then (ogd moves the blocks)."""
     prev = channels = None
     for lo in range(0, len(stream), CHUNK):
         chunk = [stream[s] for s in range(lo, min(lo + CHUNK, len(stream)))]
         for sample in chunk:
-            channels = _check_sample(model, sample, prev, channels)
+            channels = _check_shape(model, sample, channels)
+            if prev is not None and sample.origin <= prev:
+                raise ValueError(
+                    f"out-of-order stream timestamps: {sample.origin} after {prev}")
             prev = sample.origin
         x_norm, stats = normalize(np.stack([sample.x for sample in chunk]))
         for i, sample in enumerate(chunk):
@@ -452,7 +444,8 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
                        hist_batch=hist_batch, lr_adapter=lr, lr_head=0.0,
                        seed=seed)
     model = _deployed_copy(model, cfg)
-    steps = list(_front_end(model, val_samples))
+    # z and stats only: a step's x_norm would pin its whole chunk
+    steps = [(s, None, z, st) for s, _, z, st in _front_end(model, val_samples)]
     hisgrads: List[np.ndarray] = []
     for _ in range(epochs):
         a = _adaptz(model, a, steps, len(steps), cfg, hisgrads).final_adapter

@@ -26,6 +26,11 @@ Tail of their inputs. While those blocks do not move, the head alone
 resumes from it (head_forward_from_tail), and grad_wrt_feature_from_tail
 backpropagates to z under the current head, folding the head into the
 last block.
+
+offline_train checks its samples as the stream loop does (_check_shape)
+and normalizes each batch when it draws it, with one normalize of the
+batch's stack: the fit holds O(batch*L*C) of normalized data, never a
+normalized copy of the train split.
 """
 
 from __future__ import annotations
@@ -98,6 +103,24 @@ def normalize(x) -> Tuple[np.ndarray, NormStats]:
         return (x_norm.reshape(L, n, C).transpose(1, 0, 2),
                 NormStats(mean=mean.reshape(n, C), std=std.reshape(n, C)))
     return x_norm, NormStats(mean=mean, std=std)
+
+
+def _check_shape(model: ForecastModel, sample: Sample,
+                 channels: Optional[int]) -> int:
+    """Check that a sample fits the model, x (L x C) and y (k x C), with the
+    channel count C of the samples before it (any C if channels is None);
+    return its C. Each error names the sample's origin."""
+    x, y = sample.x, sample.y
+    where = f"sample at origin {sample.origin}"
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError(f"{where}: x and y must be 2-D")
+    if x.shape[0] != model.L:
+        raise ValueError(f"{where}: x rows {x.shape[0]} != lookback {model.L}")
+    if channels is not None and x.shape[1] != channels:
+        raise ValueError(f"{where}: channel count changed: {x.shape[1]} != {channels}")
+    if y.shape != (model.k, x.shape[1]):
+        raise ValueError(f"{where}: y shape {y.shape} != ({model.k}, {x.shape[1]})")
+    return x.shape[1]
 
 
 def denormalize(y_norm, stats: NormStats) -> np.ndarray:
@@ -377,8 +400,13 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
                   seed: int = 0) -> ForecastModel:
     """Mini-batch SGD on MSE over the shuffled train split; returns a clone.
 
-    Channel rows of a batch are stacked into one matrix per layer call, so a
-    batch of m samples with C channels runs as (m*C) rows.
+    Every sample is checked first, as the stream loop checks them (x is
+    L x C and y is k x C, with one C across the split). Each batch is
+    normalized when it is drawn, by one normalize of its stack, which
+    gives each window the bytes of its own call; nothing normalized
+    outlives its batch, so the fit holds O(batch*L*C) of normalized data
+    on top of the split. A batch of m samples with C channels runs as one
+    C-contiguous (m*C) x L matrix of channel rows per layer call.
     """
     if not train_samples:
         raise ValueError("train_samples is empty")
@@ -386,24 +414,25 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
         raise ValueError(f"epochs must be >= 0 and batch >= 1, got {epochs}, {batch}")
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be >= 0 and finite, got {lr!r}")
+    C = None
+    for s in train_samples:
+        C = _check_shape(model, s, C)
     out = model.clone()
     if epochs == 0:
         return out
-    normed = [normalize(s.x) for s in train_samples]
-    x_rows = [xn.T for xn, _ in normed]                    # each C x L
     y_rows = [np.asarray(s.y, dtype=np.float64).T for s in train_samples]
-    stds = [st.std for _, st in normed]
-    means = [st.mean for _, st in normed]
     rng = np.random.default_rng(seed)
     n = len(train_samples)
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch):
             idx = order[lo:lo + batch]
-            rows = np.vstack([x_rows[j] for j in idx])
+            x_norm, stats = normalize(np.stack([train_samples[j].x for j in idx]))
+            # the vstack of each window's C x L rows, window by window
+            rows = np.ascontiguousarray(x_norm.transpose(0, 2, 1)).reshape(-1, model.L)
             targ = np.vstack([y_rows[j] for j in idx])
-            std_col = np.concatenate([stds[j] for j in idx])[:, None]
-            mean_col = np.concatenate([means[j] for j in idx])[:, None]
+            std_col = stats.std.reshape(-1, 1)
+            mean_col = stats.mean.reshape(-1, 1)
             tape = _forward(out, rows, 0, None)
             _, g_y = mse_with_grad(tape.y_norm * std_col + mean_col, targ)
             g_norm = g_y * std_col

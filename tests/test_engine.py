@@ -611,10 +611,10 @@ class TestChunkedNormalization:
             want = f"out-of-order stream timestamps: {o - 1} after {o - 1}"
         elif bad == "channels":
             stream[at] = Sample(x=np.ones((L, C + 1)), y=np.ones((K, C + 1)), origin=o)
-            want = f"channel count changed: {C + 1} != {C}"
+            want = f"sample at origin {o}: channel count changed: {C + 1} != {C}"
         elif bad == "lookback":
             stream[at] = Sample(x=np.ones((L + 1, C)), y=s.y, origin=o)
-            want = f"sample x rows {L + 1} != lookback {L}"
+            want = f"sample at origin {o}: x rows {L + 1} != lookback {L}"
         else:
             stream[at] = Sample(x=np.ones(L), y=s.y, origin=o)
             want = f"sample at origin {o}: x and y must be 2-D"

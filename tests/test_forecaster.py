@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from driftcast import (STD_EPS, NormStats, Sample, build_model, denormalize,
                        param_grads, predict, predict_with_tape)
 from driftcast.diffmath import AffineLayer, mse_with_grad
 from driftcast.engine import CHUNK
-from driftcast.forecaster import ForecastModel, apply_param_step
+from driftcast.forecaster import (ForecastModel, _backward, _forward,
+                                  apply_param_step)
 from conftest import fd_grad, reduction_inputs, rel_err, same_bytes
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False, width=64)
@@ -328,6 +332,35 @@ class TestParamStep:
             np.testing.assert_allclose(a, b, atol=1e-15)
 
 
+def offline_train_oracle(model, samples, epochs, lr, batch, seed):
+    """The fit with every window normalized on its own, all before the first
+    epoch, and each batch's rows stacked window by window from those."""
+    out = model.clone()
+    normed = [normalize(s.x) for s in samples]
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(len(samples))
+        for lo in range(0, len(samples), batch):
+            idx = order[lo:lo + batch]
+            rows = np.vstack([normed[j][0].T for j in idx])
+            targ = np.vstack([np.asarray(samples[j].y, dtype=np.float64).T
+                              for j in idx])
+            std_col = np.concatenate([normed[j][1].std for j in idx])[:, None]
+            mean_col = np.concatenate([normed[j][1].mean for j in idx])[:, None]
+            tape = _forward(out, rows, 0, None)
+            _, g_y = mse_with_grad(tape.y_norm * std_col + mean_col, targ)
+            grads = {}
+            _backward(tape, g_y * std_col, 0, grads)
+            apply_param_step(out, grads, lr)
+    return out
+
+
+def windows_of(series, L, k):
+    """Every (L, k) sample of a (T x C) series, in time order."""
+    return [Sample(x=series[o - L + 1:o + 1], y=series[o + 1:o + 1 + k], origin=o)
+            for o in range(L - 1, len(series) - k)]
+
+
 class TestOfflineTrain:
     def _one_sample(self, seed):
         rng = np.random.default_rng(seed)
@@ -411,3 +444,59 @@ class TestOfflineTrain:
         model = build_model(L=5, k=2, d=3, seed=4)
         with pytest.raises(ValueError, match="lr must be >= 0 and finite"):
             offline_train(model, [self._one_sample(83)], epochs=1, lr=lr)
+
+    @given(st.integers(1, 16), st.integers(2, 24), st.integers(1, 4),
+           st.integers(2, 8), st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_params_bytes_equal_per_window_oracle(self, C, L, k, batch, full, data):
+        # full batches, then a partial last one of r < batch samples
+        n = full * batch + data.draw(st.integers(1, batch - 1))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        series = np.cumsum(rng.standard_normal((n + L + k - 1, C)), axis=0) * scale
+        if data.draw(st.booleans()):     # a channel constant over every window
+            series[:, data.draw(st.integers(0, C - 1))] = scale
+        samples = windows_of(series, L, k)
+        assert len(samples) == n
+        model = build_model(L=L, k=k, d=6, n_blocks=2, seed=data.draw(st.integers(0, 99)))
+        lr = 1e-3 / scale ** 2           # steps of one size in every unit
+        seed = data.draw(st.integers(0, 99))
+        got = offline_train(model, samples, epochs=2, lr=lr, batch=batch, seed=seed)
+        want = offline_train_oracle(model, samples, 2, lr, batch, seed)
+        for (name, a), (_, b) in zip(got.named_params(), want.named_params()):
+            assert same_bytes(a, b), name
+
+    def test_normalized_data_held_is_bounded_by_batch(self):
+        n, L, k, C = 2000, 96, 4, 16
+        rng = np.random.default_rng(12)
+        samples = windows_of(rng.standard_normal((n + L + k - 1, C)), L, k)
+        model = build_model(L=L, k=k, d=8, n_blocks=2, seed=3)
+        tracemalloc.start()
+        try:
+            offline_train(model, samples, epochs=1, lr=1e-3, batch=32, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one normalized copy of the split would be n*L*C*8 B = 24.6 MB
+        assert peak < n * L * C * 8 / 4, peak
+
+    def _fit_rejects(self, samples, message):
+        model = build_model(L=5, k=2, d=3, seed=4)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            offline_train(model, samples, epochs=1, batch=2)
+
+    def test_mixed_channel_counts_rejected(self):
+        good = [self._one_sample(s) for s in range(84, 87)]
+        odd = Sample(x=np.ones((5, 3)), y=np.ones((2, 3)), origin=11)
+        self._fit_rejects(good[:2] + [odd] + good[2:],
+                          "sample at origin 11: channel count changed: 3 != 2")
+
+    def test_wrong_lookback_rejected(self):
+        good = self._one_sample(87)
+        bad = Sample(x=np.ones((6, 2)), y=good.y, origin=12)
+        self._fit_rejects([good, bad], "sample at origin 12: x rows 6 != lookback 5")
+
+    def test_wrong_horizon_rejected(self):
+        good = self._one_sample(88)
+        bad = Sample(x=good.x, y=np.ones((3, 2)), origin=13)
+        self._fit_rejects([good, bad], "sample at origin 13: y shape (3, 2) != (2, 2)")
