@@ -5,15 +5,17 @@ the batched historical feature-gradient (a much smaller scale), are summed,
 then pass ReLU, `hidden`, ReLU and `out`, which starts at zero so a fresh
 adapter is an exact no-op. These four named layers, in order, are its parameters.
 
-Ablation flags skip a path structurally: a disabled path is never
-evaluated, so the output is bit-exact independent of that input, and the
-backward pass names no gradient for it, so no step moves its arrays.
+build_adapter makes the hidden width d; AdapterNet's constructor takes
+other widths. Ablation flags skip a path structurally: a disabled path is
+never evaluated, so the output is bit-exact independent of that input,
+and the backward pass names no gradient for it, so no step moves its
+arrays. At least one path stays on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -34,6 +36,9 @@ class AdapterNet(Layered):
             raise ValueError("out layer in_dim != hidden width")
         if path_feat.in_dim != path_grad.in_dim or out.out_dim != path_feat.in_dim:
             raise ValueError("adapter must map d -> d")
+        if not (use_feat or use_grad):
+            raise ValueError("adapter needs at least one input path: "
+                             "use_feat and use_grad are both off")
         self.path_feat = path_feat
         self.path_grad = path_grad
         self.hidden = hidden
@@ -57,16 +62,14 @@ class AdapterNet(Layered):
         return list(zip(_LAYERS, (self.path_feat, self.path_grad, self.hidden, self.out)))
 
 
-def build_adapter(d: int, h: Optional[int] = None, use_feat: bool = True,
-                  use_grad: bool = True, seed: int = 0) -> AdapterNet:
-    """Seeded adapter; hidden width defaults to d; out layer starts at zero."""
-    if h is None:
-        h = d
+def build_adapter(d: int, use_feat: bool = True, use_grad: bool = True,
+                  seed: int = 0) -> AdapterNet:
+    """Seeded adapter of hidden width d; out layer starts at zero."""
     rng = np.random.default_rng(seed)
-    path_feat = AffineLayer.seeded(h, d, rng)
-    path_grad = AffineLayer.seeded(h, d, rng)
-    hidden = AffineLayer.seeded(h, h, rng)
-    out = AffineLayer(np.zeros((d, h)), np.zeros(d))
+    path_feat = AffineLayer.seeded(d, d, rng)
+    path_grad = AffineLayer.seeded(d, d, rng)
+    hidden = AffineLayer.seeded(d, d, rng)
+    out = AffineLayer(np.zeros((d, d)), np.zeros(d))
     return AdapterNet(path_feat, path_grad, hidden, out, use_feat, use_grad)
 
 
@@ -100,10 +103,8 @@ def adapter_forward_with_tape(a: AdapterNet, z, hisgrad
              + affine_apply(a.path_grad.weight, a.path_grad.bias, hisgrad))
     elif a.use_feat:
         s = affine_apply(a.path_feat.weight, a.path_feat.bias, z)
-    elif a.use_grad:
-        s = affine_apply(a.path_grad.weight, a.path_grad.bias, hisgrad)
     else:
-        s = np.zeros((z.shape[0], a.h))
+        s = affine_apply(a.path_grad.weight, a.path_grad.bias, hisgrad)
     r1 = np.maximum(s, 0.0)
     hh = affine_apply(a.hidden.weight, a.hidden.bias, r1)
     r2 = np.maximum(hh, 0.0)

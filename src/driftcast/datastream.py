@@ -80,7 +80,9 @@ class DriftSpec:
             raise ValueError("ar_coeff must lie in (-1, 1)")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be >= 0 and finite")
-        if self.channels < 1 or (self.kind == "concept_drift" and self.channels < 2):
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if self.kind == "concept_drift" and self.channels < 2:
             raise ValueError("concept_drift needs >= 2 channels (driver + target)")
         if self.length < 1:
             raise ValueError("length must be >= 1")

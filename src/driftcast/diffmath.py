@@ -41,6 +41,9 @@ class AffineLayer:
     def seeded(cls, out_dim: int, in_dim: int, rng: np.random.Generator,
                scale: Optional[float] = None) -> "AffineLayer":
         """He-scaled random weights (suits the ReLU stacks built on top)."""
+        if in_dim < 1 or out_dim < 1:
+            raise ValueError(f"layer widths must be >= 1, got in_dim {in_dim}, "
+                             f"out_dim {out_dim}")
         if scale is None:
             scale = np.sqrt(2.0 / in_dim)
         weight = scale * rng.standard_normal((out_dim, in_dim))

@@ -167,8 +167,8 @@ def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]
             prev = sample.origin
         x_norm, stats = normalize(np.stack([sample.x for sample in chunk]))
         for i, sample in enumerate(chunk):
-            z, row = encode(model, x_norm[i], NormStats(stats.mean[i], stats.std[i]))
-            yield sample, x_norm[i], z, row
+            yield (sample, x_norm[i], encode(model, x_norm[i]),
+                   NormStats(stats.mean[i], stats.std[i]))
 
 
 def compute_hisgrad(model: ForecastModel, tail: Tail, stats: NormStats,
@@ -398,7 +398,7 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
 
     def learn(rec):
         # the full pass from the record's window, already normalized
-        yh_d, ftape = predict_with_tape(model, rec.x_norm, stats=rec.stats)
+        yh_d, ftape = predict_with_tape(model, rec.x_norm, rec.stats)
         _, g_y = mse_with_grad(yh_d, rec.y)     # re-scored under current params
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 

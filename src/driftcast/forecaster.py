@@ -9,14 +9,15 @@ there and head_forward_with_tape resumes the rest of the pass.
 
 normalize takes one window or a stack of them, byte-equal either way; a
 stack with more than one channel is reduced side by side, and its
-windows come back as strided views. encode and predict_with_tape take a
-window normalize already made when they are handed its stats, as the
-stream loop does.
+windows come back as strided views. Normalization is a step of its own:
+encode and predict_with_tape take a window normalize already made (the
+stream loop normalizes a chunk of windows at once), and predict is the
+one entry that takes a raw window.
 
 encode runs blocks 0..tap only, in the block loop every pass shares, and
-returns z with its stats: the post-tap blocks and the head run once per
-prediction, in head_forward_with_tape. Every pass that reaches the head,
-full from block 0 (predict_with_tape) or resumed from the tap
+returns z: the post-tap blocks and the head run once per prediction, in
+head_forward_with_tape. Every pass that reaches the head, full from
+block 0 (predict_with_tape) or resumed from the tap
 (head_forward_with_tape), records one Tape of block inputs, outputs and
 weight snapshots, so gradients are taken under the parameters that made
 the prediction. One backward pass serves feature and parameter gradients.
@@ -244,38 +245,30 @@ def _forward(model: ForecastModel, rows: np.ndarray, start: int,
                 stats=stats)
 
 
-def _normalized_rows(model: ForecastModel, x, stats: Optional[NormStats]
-                     ) -> Tuple[np.ndarray, NormStats]:
-    """One lookback window, checked and normalized (unless stats says it
-    already is), as (C x L) channel rows."""
-    x = _as_matrix(x, "x")
-    if x.shape[0] != model.L:
-        raise ValueError(f"x has {x.shape[0]} rows, model expects L={model.L}")
-    if stats is None:
-        x, stats = normalize(x)
-    return x.T, stats
+def _window_rows(model: ForecastModel, x_norm) -> np.ndarray:
+    """One normalized lookback window, checked, as (C x L) channel rows."""
+    x_norm = _as_matrix(x_norm, "x_norm")
+    if x_norm.shape[0] != model.L:
+        raise ValueError(
+            f"x_norm has {x_norm.shape[0]} rows, model expects L={model.L}")
+    return x_norm.T
 
 
-def encode(model: ForecastModel, x, stats: Optional[NormStats] = None
-           ) -> Tuple[np.ndarray, NormStats]:
-    """Feature z (C x d) of one lookback window, plus its stats.
+def encode(model: ForecastModel, x_norm) -> np.ndarray:
+    """Feature z (C x d) of one normalized lookback window.
 
     Runs blocks 0..tap and nothing past them, so it records no tape: the
     rest of the pass is head_forward_with_tape's. It runs them through the
-    full pass's block loop, so z is a full tape's pre[tap]. With stats, x
-    is the window normalize already made (the stream loop normalizes a
-    chunk of windows at once) and encode does not normalize it again.
+    full pass's block loop, so z is a full tape's pre[tap].
     """
-    rows, stats = _normalized_rows(model, x, stats)
-    return _blocks_from(model, rows, 0, model.tap_index + 1)[2], stats
+    return _blocks_from(model, _window_rows(model, x_norm), 0, model.tap_index + 1)[2]
 
 
-def predict_with_tape(model: ForecastModel, x, stats: Optional[NormStats] = None
+def predict_with_tape(model: ForecastModel, x_norm, stats: NormStats
                       ) -> Tuple[np.ndarray, Tape]:
-    """Prediction plus the full tape of the same pass (for parameter grads);
-    stats says that x is already normalized, as in encode."""
-    rows, stats = _normalized_rows(model, x, stats)
-    tape = _forward(model, rows, 0, stats)
+    """Prediction plus the full tape of the same pass (for parameter grads)
+    from one normalized window and the stats normalize gave it."""
+    tape = _forward(model, _window_rows(model, x_norm), 0, stats)
     return denormalize(tape.y_norm.T, stats), tape
 
 
@@ -310,9 +303,10 @@ def head_forward_from_tail(model: ForecastModel, tail: Tail,
 
 
 def predict(model: ForecastModel, x) -> np.ndarray:
-    """Full model output: encode, then head_forward_with_tape's prediction."""
-    z, stats = encode(model, x)
-    return head_forward_with_tape(model, z, stats)[0]
+    """Full model output (k x C) of one raw lookback window: normalize, then
+    encode, then head_forward_with_tape's prediction."""
+    x_norm, stats = normalize(_as_matrix(x, "x"))
+    return head_forward_with_tape(model, encode(model, x_norm), stats)[0]
 
 
 def _grad_into_norm(grad_yhat: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from driftcast import DriftSpec, Sample, SplitSpec, build_model, chrono_split
-from driftcast import gen_concept_drift, offline_train
+from driftcast import (AdapterNet, DriftSpec, Sample, SplitSpec, build_model,
+                       chrono_split, gen_concept_drift, offline_train)
+from driftcast.diffmath import AffineLayer
 
 FD_H = 1e-6
 
@@ -24,6 +25,16 @@ def fd_grad(fn, arr, h=FD_H):
         out[idx] = (up - down) / (2.0 * h)
         it.iternext()
     return out
+
+
+def adapter_of_width(d, h, use_feat=True, use_grad=True, seed=0):
+    """A d -> d adapter with hidden width h, seeded as build_adapter seeds
+    its width-d one; a zero out layer makes it a no-op."""
+    rng = np.random.default_rng(seed)
+    layers = [AffineLayer.seeded(h, d, rng), AffineLayer.seeded(h, d, rng),
+              AffineLayer.seeded(h, h, rng),
+              AffineLayer(np.zeros((d, h)), np.zeros(d))]
+    return AdapterNet(*layers, use_feat, use_grad)
 
 
 def rel_err(analytic, numeric, floor=1e-4):

@@ -6,12 +6,13 @@ the same information) and enforces the stated tolerance and runtime budget.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftcast import (DriftSpec, EngineConfig, SplitSpec, build_adapter,
-                       build_model, chrono_split, gen_concept_drift,
+                       build_model, chrono_split, gen_concept_drift, normalize,
                        offline_train, pretrain_adapter, run_adaptz, run_fogd,
                        run_method, run_ogd, run_ori, write_trace_csv)
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape
@@ -21,7 +22,8 @@ from driftcast.forecaster import (Sample, encode, grad_wrt_feature,
                                   head_forward_with_tape, param_grads, predict,
                                   predict_with_tape)
 from driftcast.regret import make_problem, report_rows, run_oco, run_sweep
-from conftest import KINK_MARGIN, fd_grad, make_stream, rel_err, relu_margin
+from conftest import (KINK_MARGIN, adapter_of_width, fd_grad, make_stream,
+                      rel_err, relu_margin)
 
 SEEDS = (2025, 2026, 2027, 2028, 2029)
 
@@ -103,7 +105,7 @@ class TestCriterion1Gradients:
                                 seed=int(rng.integers(0, 10000)))
             x = rng.standard_normal((L, C))
             y = rng.standard_normal((k, C))
-            yhat, tape = predict_with_tape(model, x)
+            yhat, tape = predict_with_tape(model, *normalize(x))
             if relu_margin(tape.pre[:-1]) < KINK_MARGIN:
                 continue
             done += 1
@@ -129,8 +131,9 @@ class TestCriterion1Gradients:
                                 seed=int(rng.integers(0, 10000)))
             x = rng.standard_normal((L, C))
             y = rng.standard_normal((k, C))
-            z, stats = encode(model, x)
-            _, full = predict_with_tape(model, x)
+            x_norm, stats = normalize(x)
+            z = encode(model, x_norm)
+            _, full = predict_with_tape(model, *normalize(x))
             if relu_margin(full.pre[model.tap_index:-1]) < KINK_MARGIN:
                 continue
             done += 1
@@ -150,9 +153,9 @@ class TestCriterion1Gradients:
             assert attempts < 1000
             d = int(rng.integers(2, 6))
             C = int(rng.integers(1, 4))
-            a = build_adapter(d, h=int(rng.integers(2, 7)),
-                              use_feat=bool(rng.integers(0, 2)),
-                              use_grad=True, seed=int(rng.integers(0, 10000)))
+            a = adapter_of_width(d, h=int(rng.integers(2, 7)),
+                                 use_feat=bool(rng.integers(0, 2)),
+                                 use_grad=True, seed=int(rng.integers(0, 10000)))
             a.out.weight = 0.4 * rng.standard_normal(a.out.weight.shape)
             a.out.bias = 0.1 * rng.standard_normal(a.out.bias.shape)
             z = rng.standard_normal((C, d))
@@ -287,7 +290,8 @@ class TestCriterion7StationaryOffset:
         for i in range(T):
             o = L - 1 + i
             x = series[o - L + 1:o + 1]
-            z, stats = encode(model, x)
+            x_norm, stats = normalize(x)
+            z = encode(model, x_norm)
             clean = head_forward_with_tape(model, z + offset, stats)[0]
             eps = noise_std * rng.standard_normal((k, C))
             stream.append(Sample(x=x, y=clean + eps, origin=o))
@@ -350,7 +354,7 @@ class TestCriterion10Determinism:
         p1, p2 = str(tmp_path / "t1.csv"), str(tmp_path / "t2.csv")
         write_trace_csv(first, p1)
         write_trace_csv(again, p2)
-        ok = ok and open(p1, "rb").read() == open(p2, "rb").read()
+        ok = ok and Path(p1).read_bytes() == Path(p2).read_bytes()
         # full experiment plan rerun
         overrides = ["length=420", "change_point=320", "magnitude=1.0",
                      "lookback=16", "hist_batch=4", "horizon=4", "width=8",
@@ -360,10 +364,9 @@ class TestCriterion10Determinism:
         for sub in ("a", "b"):
             plan = parse_config(None, overrides + [f"out_dir={tmp_path / sub}"])
             results, path = run_plan(plan)
-            blob = open(path, "rb").read()
+            blob = Path(path).read_bytes()
             for r in results:
-                blob += open(tmp_path / sub / f"trace_{r.run_id}.csv",
-                             "rb").read()
+                blob += (tmp_path / sub / f"trace_{r.run_id}.csv").read_bytes()
             outs.append(blob)
         ok = ok and outs[0] == outs[1]
         # regret report rerun

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from driftcast import (AdapterNet, AdapterTape, adapter_backward_tape,
-                       adapter_forward_with_tape, build_adapter, sgd_step)
+from driftcast import AdapterNet, build_adapter
+from driftcast.adapter import (AdapterTape, adapter_backward_tape,
+                               adapter_forward_with_tape, sgd_step)
 from driftcast.diffmath import AffineLayer
-from conftest import fd_grad, rel_err
+from conftest import adapter_of_width, fd_grad, rel_err
 
 
 def delta_oracle(a, z, hisgrad):
@@ -34,7 +35,7 @@ class TestForward:
         np.testing.assert_array_equal(delta, np.zeros((3, 6)))
 
     def test_matches_loop_oracle_after_perturbation(self):
-        a = build_adapter(d=4, h=5, seed=3)
+        a = adapter_of_width(d=4, h=5, seed=3)
         rng = np.random.default_rng(4)
         a.out.weight = rng.standard_normal(a.out.weight.shape)
         a.out.bias = rng.standard_normal(a.out.bias.shape)
@@ -61,13 +62,11 @@ class TestForward:
         d2, _ = adapter_forward_with_tape(a, z1 - 42.0, g)
         np.testing.assert_array_equal(d1, d2)
 
-    def test_both_paths_disabled_gives_input_independent_output(self):
-        a = build_adapter(d=3, use_feat=False, use_grad=False, seed=12)
-        z1, g1 = rand_inputs(3, 2, 13)
-        z2, g2 = rand_inputs(3, 2, 14)
-        d1, _ = adapter_forward_with_tape(a, z1, g1)
-        d2, _ = adapter_forward_with_tape(a, z2, g2)
-        np.testing.assert_array_equal(d1, d2)
+    def test_both_paths_disabled_rejected(self):
+        # an adapter reads z, hisgrad or both; with neither it has no input
+        layers = [AffineLayer.seeded(3, 3, np.random.default_rng(12)) for _ in range(4)]
+        with pytest.raises(ValueError, match="at least one input path"):
+            AdapterNet(*layers, use_feat=False, use_grad=False)
 
     def test_shape_validation(self):
         a = build_adapter(d=4, seed=0)
@@ -93,7 +92,7 @@ class TestForward:
 
 class TestBackward:
     def _trained_adapter(self, seed, **flags):
-        a = build_adapter(d=4, h=5, seed=seed, **flags)
+        a = adapter_of_width(d=4, h=5, seed=seed, **flags)
         rng = np.random.default_rng(seed + 100)
         a.out.weight = 0.5 * rng.standard_normal(a.out.weight.shape)
         a.out.bias = 0.1 * rng.standard_normal(a.out.bias.shape)
@@ -183,7 +182,7 @@ class TestSgdStep:
 
 class TestPersistence:
     def test_round_trip_bit_exact(self):
-        a = build_adapter(d=5, h=7, use_grad=False, seed=70)
+        a = adapter_of_width(d=5, h=7, use_grad=False, seed=70)
         rng = np.random.default_rng(71)
         a.out.weight = rng.standard_normal(a.out.weight.shape)
         b = a.clone()

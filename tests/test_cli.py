@@ -152,6 +152,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("setting, message", [
         ("width=0", "width must be >= 1"),
         ("blocks=0", "blocks must be >= 1"),
+        ("channels=0", "channels must be >= 1, got 0"),
         ("tap_index=5", "tap_index must be in"),
         ("train_epochs=-1", "train_epochs must be >= 0"),
         ("train_lr=-1", "train_lr must be > 0"),
@@ -292,7 +293,7 @@ class TestRunPlan:
 
     def test_results_csv_layout(self, small_results):
         _, results, path = small_results
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "dataset,method,horizon,seed,mse,status,imp"
         assert len(lines) == 3
         ori = lines[1].split(",")
@@ -302,7 +303,7 @@ class TestRunPlan:
 
     def test_improvement_column_on_adapted_row(self, small_results):
         _, results, path = small_results
-        adapt = open(path).read().splitlines()[2].split(",")
+        adapt = Path(path).read_text().splitlines()[2].split(",")
         expect = (results[0].mse - results[1].mse) / results[0].mse
         assert float(adapt[6]) == pytest.approx(expect, rel=1e-15)
 
@@ -310,7 +311,7 @@ class TestRunPlan:
         plan, results, _ = small_results
         for r in results:
             trace_path = os.path.join(plan.out_dir, f"trace_{r.run_id}.csv")
-            lines = open(trace_path).read().splitlines()
+            lines = Path(trace_path).read_text().splitlines()
             assert lines[0] == "t,step_mse,cum_mse"
             step = np.array([float(l.split(",")[1]) for l in lines[1:]])
             assert float(np.mean(step)) == pytest.approx(r.mse, rel=1e-12)
@@ -321,13 +322,13 @@ class TestRunPlan:
         plan, results, path = small_results
         plan2 = ExperimentPlan(**{**plan.__dict__, "out_dir": str(tmp_path)})
         _, path2 = run_plan(plan2)
-        assert open(path).read().split("\n", 1)[1] \
-            == open(path2).read().split("\n", 1)[1]
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert Path(path).read_text().split("\n", 1)[1] \
+            == Path(path2).read_text().split("\n", 1)[1]
+        assert Path(path).read_bytes() == Path(path2).read_bytes()
         for r in results:
             a = os.path.join(plan.out_dir, f"trace_{r.run_id}.csv")
             b = os.path.join(str(tmp_path), f"trace_{r.run_id}.csv")
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_run_ids_differ_across_runs(self, small_results):
         _, results, _ = small_results
@@ -383,7 +384,7 @@ class TestPlumbing:
         by_h = {r.horizon: r for r in results}
         assert by_h[4].status == "ok" and by_h[400].status == "error"
         assert by_h[400].mse is None
-        line = [l for l in open(path).read().splitlines() if ",400," in l][0]
+        line = [l for l in Path(path).read_text().splitlines() if ",400," in l][0]
         assert line.endswith(",error,")
 
     def test_empty_test_split_is_an_error(self, tmp_path):
@@ -395,7 +396,7 @@ class TestPlumbing:
             f"out_dir={tmp_path}"])
         results, path = run_plan(plan)
         assert [(r.status, r.mse) for r in results] == [("error", None)]
-        assert open(path).read().splitlines()[1].endswith(",error,")
+        assert Path(path).read_text().splitlines()[1].endswith(",error,")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_mse_is_an_error(self, tmp_path):
@@ -409,7 +410,7 @@ class TestPlumbing:
         assert [(r.method, r.status) for r in results] == [
             ("adaptz", "error"), ("ori", "ok")]
         assert results[0].mse is None and results[0].trace is None
-        assert open(path).read().splitlines()[1].endswith(",error,")
+        assert Path(path).read_text().splitlines()[1].endswith(",error,")
 
     def test_pretraining_that_cannot_step_is_an_error(self, tmp_path, capsys):
         # val releases 34 records, fewer than one window of 40; ori still runs
@@ -507,7 +508,7 @@ class TestMainEntry:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["gen", "--drift", spec, "--out", a])
         main(["gen", "--drift", spec, "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_regret_prints_report_and_writes_file(self, tmp_path, capsys):
         out = str(tmp_path / "report.csv")
@@ -516,7 +517,7 @@ class TestMainEntry:
         assert code == 0
         printed = capsys.readouterr().out
         assert printed.startswith("family,seed,T,gamma,R_d,V,")
-        assert printed == open(out).read()
+        assert printed == Path(out).read_text()
         assert len(printed.splitlines()) == 3
 
     def test_regret_without_seeds_exit_two(self, capsys):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast import (CONCEPT_A1, CONCEPT_A2, DriftSpec, SeriesFrame,
-                       SplitSpec, chrono_split, concept_coefficients,
+from driftcast import (DriftSpec, SeriesFrame, SplitSpec, chrono_split,
                        gen_concept_drift, gen_mean_shift, load_csv, write_csv)
-from driftcast.datastream import MAX_CELLS
+from driftcast.datastream import (CONCEPT_A1, CONCEPT_A2, MAX_CELLS,
+                                  concept_coefficients)
 
 
 class TestCsvIO:
@@ -209,8 +209,14 @@ class TestDriftSpecValidation:
             DriftSpec(seed=-1)
 
     def test_concept_needs_a_driver_channel(self):
-        with pytest.raises(ValueError, match="channels"):
+        with pytest.raises(ValueError, match=re.escape(
+                "concept_drift needs >= 2 channels (driver + target)")):
             DriftSpec(kind="concept_drift", channels=1)
+
+    @pytest.mark.parametrize("kind", ["mean_shift", "concept_drift"])
+    def test_no_channels_names_the_field(self, kind):
+        with pytest.raises(ValueError, match=r"^channels must be >= 1, got 0$"):
+            DriftSpec(kind=kind, channels=0)
 
     @pytest.mark.parametrize("kw", [dict(length=10**9), dict(channels=10**8),
                                     dict(length=10**400)])

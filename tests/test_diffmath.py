@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast import build_adapter, build_model, sgd_step
+from driftcast import build_adapter, build_model
+from driftcast.adapter import sgd_step
 from driftcast.diffmath import AffineLayer, affine_apply, descend, mse_with_grad
 from driftcast.forecaster import apply_param_step
 from conftest import fd_grad, reduction_inputs, rel_err, same_bytes
@@ -37,6 +38,18 @@ class TestAffine:
         c = a.clone()
         c.weight[0, 0] += 1.0
         assert a.weight[0, 0] != c.weight[0, 0]
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: AffineLayer.seeded(3, 0, np.random.default_rng(0)), "in_dim 0"),
+        (lambda: AffineLayer.seeded(0, 3, np.random.default_rng(0)), "out_dim 0"),
+        (lambda: build_model(16, 4, d=0), "out_dim 0"),
+        (lambda: build_model(16, 4, d=0, n_blocks=1), "out_dim 0"),
+        (lambda: build_model(0, 4), "in_dim 0"),
+        (lambda: build_adapter(0), "in_dim 0"),
+    ], ids=["in", "out", "model_width", "one_block_width", "lookback", "adapter"])
+    def test_zero_width_rejected(self, make, field):
+        with pytest.raises(ValueError, match=f"layer widths must be >= 1, .*{field}"):
+            make()
 
     def test_bias_length_must_match_weight_rows(self):
         with pytest.raises(ValueError, match="bias length 3 != weight rows 2"):

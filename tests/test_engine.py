@@ -1,14 +1,16 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcast import (EngineConfig, StepRecord, build_adapter, build_model,
-                       compute_hisgrad, pretrain_adapter, run_adaptz, run_fogd,
-                       run_method, run_ogd, run_ori, write_trace_csv)
+from driftcast import (EngineConfig, build_adapter, build_model,
+                       pretrain_adapter, run_adaptz, run_fogd, run_method,
+                       run_ogd, run_ori, write_trace_csv)
 from driftcast import engine, forecaster
+from driftcast.engine import StepRecord, compute_hisgrad
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
 from driftcast.forecaster import (NormStats, Sample, Tail, apply_param_step,
@@ -94,12 +96,13 @@ class TestFrozenEquivalence:
 
 def replay_plain(method, model, stream, cfg):
     """ori, fogd or ogd written out step by step, each window normalized by
-    its own encode call (ogd's re-score by its own predict_with_tape);
+    its own normalize call (ogd's re-score by another one);
     returns the step losses, the predictions and the final model."""
     m = model.clone()
     delta, held, mses, preds = None, {}, [], []
     for s, sample in enumerate(stream):
-        z, stats = encode(m, sample.x)
+        x_norm, stats = normalize(sample.x)
+        z = encode(m, x_norm)
         if delta is None:
             delta = np.zeros_like(z)
         yhat, tape = head_forward_with_tape(m, z + delta if method == "fogd" else z,
@@ -114,7 +117,7 @@ def replay_plain(method, model, stream, cfg):
         if method == "fogd":
             delta = delta - cfg.lr_fogd * grad_wrt_feature(m, old_tape, old_g)
         else:
-            yh, ftape = predict_with_tape(m, old.x)
+            yh, ftape = predict_with_tape(m, *normalize(old.x))
             apply_param_step(m, param_grads(m, ftape, mse_with_grad(yh, old.y)[1]),
                              cfg.lr_ogd)
     return np.asarray(mses), preds, m
@@ -137,7 +140,8 @@ class TestSequencingOracles:
         hisgrad = None
         mses = []
         for s, sample in enumerate(stream):
-            z, stats = encode(m, sample.x)
+            x_norm, stats = normalize(sample.x)
+            z = encode(m, x_norm)
             if hisgrad is None:
                 hisgrad = np.zeros_like(z)
             delta, atape = adapter_forward_with_tape(a, z, hisgrad)
@@ -213,7 +217,8 @@ def encoded_records(model, stream):
     the tap, so these are the values its hisgrad window holds."""
     recs = []
     for sample in stream:
-        z, stats = encode(model, sample.x)
+        x_norm, stats = normalize(sample.x)
+        z = encode(model, x_norm)
         recs.append(StepRecord(y=sample.y, z=z, stats=stats))
     return recs
 
@@ -232,7 +237,8 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
     mses = []
     acc = {}
     for s, sample in enumerate(stream):
-        z, stats = encode(m, sample.x)
+        x_norm, stats = normalize(sample.x)
+        z = encode(m, x_norm)
         if hisgrad is None:
             hisgrad = np.zeros_like(z)
         delta, a_tape = adapter_forward_with_tape(a, z, hisgrad)
@@ -840,8 +846,8 @@ class TestHisgrad:
             model = build_model(L=L, k=K, d=D, n_blocks=3, tap_index=tap, seed=seed)
             stream = make_stream(b, L, K, C, seed=seed + 500)
             # the ReLU inputs past the tap: z, then each block's output but the last
-            if min(relu_margin(predict_with_tape(model, s.x)[1].pre[tap:-1])
-                   for s in stream) < KINK_MARGIN:
+            tapes = [predict_with_tape(model, *normalize(s.x))[1] for s in stream]
+            if min(relu_margin(t.pre[tap:-1]) for t in tapes) < KINK_MARGIN:
                 continue
             recs = encoded_records(model, stream)
             out = compute_hisgrad(model, *stack(model, recs))
@@ -1097,7 +1103,7 @@ class TestCacheAndTrace:
         trace = run_ori(model, stream, small_cfg())
         path = str(tmp_path / "trace.csv")
         write_trace_csv(trace, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "t,step_mse,cum_mse"
         assert len(lines) == 9
         sm = np.array([float(l.split(",")[1]) for l in lines[1:]])

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast import (STD_EPS, NormStats, Sample, build_model, denormalize,
-                       encode, grad_wrt_feature, grad_wrt_last_layer,
-                       head_forward_with_tape, normalize, offline_train,
-                       param_grads, predict, predict_with_tape)
+from driftcast import (NormStats, Sample, build_model, normalize,
+                       offline_train, predict)
 from driftcast.diffmath import AffineLayer, mse_with_grad
 from driftcast.engine import CHUNK
-from driftcast.forecaster import (ForecastModel, _backward, _forward,
-                                  apply_param_step)
+from driftcast.forecaster import (STD_EPS, ForecastModel, _backward, _forward,
+                                  apply_param_step, denormalize, encode,
+                                  grad_wrt_feature, grad_wrt_last_layer,
+                                  head_forward_with_tape, param_grads,
+                                  predict_with_tape)
 from conftest import fd_grad, reduction_inputs, rel_err, same_bytes
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False, width=64)
@@ -158,19 +159,23 @@ class TestForward:
         x = rng.standard_normal((8, 2))
         for tap in range(3):
             model = build_model(L=8, k=4, d=5, n_blocks=3, tap_index=tap, seed=3)
-            z, stats = encode(model, x)
+            x_norm, stats = normalize(x)
+            z = encode(model, x_norm)
             resumed = head_forward_with_tape(model, z, stats)[0]
             np.testing.assert_array_equal(resumed, predict(model, x))
-            np.testing.assert_array_equal(resumed, predict_with_tape(model, x)[0])
+            np.testing.assert_array_equal(resumed,
+                                          predict_with_tape(model, x_norm, stats)[0])
 
     def test_encode_z_is_full_pass_pre_at_tap(self):
-        # encode stops at the tap; its z and stats are the full pass's bytes
+        # encode stops at the tap; its z is the full pass's bytes, and so are
+        # the stats of one normalize call and of another
         rng = np.random.default_rng(7)
         x = rng.standard_normal((8, 3))
         for tap in range(3):
             model = build_model(L=8, k=4, d=5, n_blocks=3, tap_index=tap, seed=4)
-            z, stats = encode(model, x)
-            _, full = predict_with_tape(model, x)
+            x_norm, stats = normalize(x)
+            z = encode(model, x_norm)
+            _, full = predict_with_tape(model, *normalize(x))
             assert full.start == 0 and len(full.pre) == 3
             assert z.tobytes() == full.pre[tap].tobytes()
             assert stats.mean.tobytes() == full.stats.mean.tobytes()
@@ -187,8 +192,8 @@ class TestForward:
             window, copy = xn[i], np.ascontiguousarray(xn[i])
             assert window.strides == (CHUNK * C * 8, 8)
             row = NormStats(stats.mean[i], stats.std[i])
-            assert same_bytes(encode(model, window, row)[0],
-                              encode(model, copy, row)[0])
+            assert same_bytes(encode(model, window),
+                              encode(model, copy))
             (y_w, tape_w), (y_c, tape_c) = (predict_with_tape(model, w, row)
                                             for w in (window, copy))
             assert same_bytes(y_w, y_c)
@@ -231,7 +236,8 @@ class TestGradients:
     def test_feature_grad_matches_fd(self):
         for tap in (0, 1, 2):
             model, x, y = self._setup(10 + tap, tap)
-            z, stats = encode(model, x)
+            x_norm, stats = normalize(x)
+            z = encode(model, x_norm)
             y_hat, tape = head_forward_with_tape(model, z, stats)
             _, g_yhat = mse_with_grad(y_hat, y)
             analytic = grad_wrt_feature(model, tape, g_yhat)
@@ -245,7 +251,8 @@ class TestGradients:
         # tap at the last block: resume path is the head alone, so the
         # gradient is just (g_yhat * std)^T @ W_head
         model, x, y = self._setup(20, tap=2)
-        z, stats = encode(model, x)
+        x_norm, stats = normalize(x)
+        z = encode(model, x_norm)
         y_hat, tape = head_forward_with_tape(model, z, stats)
         _, g_yhat = mse_with_grad(y_hat, y)
         hand = (g_yhat * stats.std).T @ model.head.weight
@@ -254,7 +261,8 @@ class TestGradients:
 
     def test_last_layer_grad_matches_fd(self):
         model, x, y = self._setup(30)
-        z, stats = encode(model, x)
+        x_norm, stats = normalize(x)
+        z = encode(model, x_norm)
         y_hat, tape = head_forward_with_tape(model, z, stats)
         _, g_yhat = mse_with_grad(y_hat, y)
         gw, gb = grad_wrt_last_layer(model, tape, g_yhat)
@@ -267,7 +275,7 @@ class TestGradients:
 
     def test_param_grads_match_fd_everywhere(self):
         model, x, y = self._setup(40)
-        y_hat, tape = predict_with_tape(model, x)
+        y_hat, tape = predict_with_tape(model, *normalize(x))
         _, g_yhat = mse_with_grad(y_hat, y)
         grads = param_grads(model, tape, g_yhat)
 
@@ -287,7 +295,8 @@ class TestGradients:
     def test_param_grads_reject_tape_resumed_from_tap(self):
         # a resumed pass never ran the blocks up to the tap
         model, x, y = self._setup(60)
-        z, stats = encode(model, x)
+        x_norm, stats = normalize(x)
+        z = encode(model, x_norm)
         y_hat, tape = head_forward_with_tape(model, z, stats)
         _, g_yhat = mse_with_grad(y_hat, y)
         with pytest.raises(ValueError, match="starts at block 2"):
@@ -296,8 +305,9 @@ class TestGradients:
     def test_feature_grad_same_from_full_and_resumed_tape(self):
         for tap in (0, 1, 2):
             model, x, y = self._setup(70 + tap, tap)
-            _, full = predict_with_tape(model, x)
-            z, stats = encode(model, x)
+            _, full = predict_with_tape(model, *normalize(x))
+            x_norm, stats = normalize(x)
+            z = encode(model, x_norm)
             y_hat, tape = head_forward_with_tape(model, z, stats)
             _, g_yhat = mse_with_grad(y_hat, y)
             np.testing.assert_array_equal(grad_wrt_feature(model, full, g_yhat),
