@@ -342,6 +342,7 @@ def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
                         raise ValueError(f"non-finite mse {trace.mse!r}")
                     results.append(RunResult(plan.dataset, token, horizon, seed,
                                              trace.mse, "ok", run_id, trace))
+                    trace.preds = []    # write_trace_csv reads steps and step_mse
                 except Exception:
                     traceback.print_exc(file=sys.stderr)
                     results.append(RunResult(plan.dataset, token, horizon, seed,

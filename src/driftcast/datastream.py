@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .forecaster import Sample
+from .forecaster import WindowSplit
 
 DRIFT_KINDS = ("mean_shift", "concept_drift")
 MAX_CELLS = 10**7       # length * channels of a generated stream, at most
@@ -27,15 +27,18 @@ CONCEPT_A2 = 0.5
 
 @dataclass
 class SeriesFrame:
-    """Raw multivariate series: values (T x C), one name per channel."""
+    """Raw multivariate series: values (T x C), one name per channel.
+    values is kept C-contiguous (copied into C order if it is not), so the
+    splits' windows are strided views of it."""
 
     values: np.ndarray
     columns: List[str]
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError(f"series values must be 2-D, got {self.values.shape}")
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2:
+            raise ValueError(f"series values must be 2-D, got {values.shape}")
+        self.values = np.ascontiguousarray(values)
         if len(self.columns) != self.values.shape[1]:
             raise ValueError("column count != value columns")
 
@@ -183,13 +186,17 @@ def min_series_length(L: int, k: int) -> int:
 
 
 def chrono_split(frame: SeriesFrame, spec: SplitSpec, L: int, k: int
-                 ) -> Tuple[List[Sample], List[Sample], List[Sample]]:
+                 ) -> Tuple[WindowSplit, WindowSplit, WindowSplit]:
     """Dense stride-1 sliding-window samples split chronologically.
 
     Region boundaries sit at floor(train*T) and floor((train+val)*T).
     A fitting sample (train or val) is dropped if its target rows would
     cross into a later region; lookbacks may borrow earlier rows. Test
     samples run to the end of the series in strict origin order.
+
+    Each split is a WindowSplit over frame.values: a Sequence[Sample] whose
+    size does not grow with its length, and whose windows are views of the
+    frame.
     """
     T = frame.T
     min_len = min_series_length(L, k)
@@ -198,19 +205,14 @@ def chrono_split(frame: SeriesFrame, spec: SplitSpec, L: int, k: int
     b1 = int(np.floor(spec.train_frac * T))
     b2 = int(np.floor((spec.train_frac + spec.val_frac) * T))
 
-    def build(lo: int, hi: int) -> List[Sample]:
-        out = []
-        for o in range(lo, hi + 1):
-            if o - L + 1 < 0:
-                continue
-            out.append(Sample(x=frame.values[o - L + 1:o + 1],
-                              y=frame.values[o + 1:o + 1 + k], origin=o))
-        return out
+    def window_range(lo: int, hi: int) -> WindowSplit:
+        # origins lo..hi that have a full lookback; an empty range starts
+        # no later than the last origin with a full target
+        start = min(max(lo, L - 1), T - k)
+        return WindowSplit(frame.values, L, k, start, max(start, hi + 1))
 
-    train = build(L - 1, b1 - 1 - k)
-    val = build(b1, b2 - 1 - k)
-    test = build(b2, T - 1 - k)
-    return train, val, test
+    return (window_range(L - 1, b1 - 1 - k), window_range(b1, b2 - 1 - k),
+            window_range(b2, T - 1 - k))
 
 
 def gen_mean_shift(spec: DriftSpec) -> SeriesFrame:
@@ -272,11 +274,14 @@ def gen_concept_drift(spec: DriftSpec) -> SeriesFrame:
     for t in range(1, T):
         drivers[t] = spec.ar_coeff * drivers[t - 1] + innov[t]
     target = np.empty(T)
-    for t in range(T):
-        if t < 2:
-            target[t] = spec.noise_std * eps[t]
-            continue
-        a1, a2 = concept_coefficients(spec, t)
+    target[:2] = spec.noise_std * eps[:2]
+    # each segment's coefficients once: concept_coefficients at t = 2, then
+    # its multiplication by -magnitude at each later change point
+    a1, a2 = concept_coefficients(spec, 2)
+    later = [(cp, mag) for cp, mag in zip(spec.change_points, spec.magnitudes) if cp > 2]
+    for t in range(2, T):
+        while later and t >= later[0][0]:
+            a1[0] *= -later.pop(0)[1]
         target[t] = (a1 @ drivers[t - 1] + a2 @ drivers[t - 2]
                      + spec.noise_std * eps[t])
     values = np.column_stack([drivers, target])

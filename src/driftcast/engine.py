@@ -36,22 +36,25 @@ record is released: in adaptz only the head and the adapter move, so that
 pass is fixed from then on, and hisgrad runs only the head on it, under
 the current head.
 
-The loop consumes steps from one front end (_front_end). It checks the
-samples in stream order and normalizes their windows CHUNK at a time, in
-chunks counted from step 0, by one normalize of the chunk's stack, which
-reduces the windows side by side when there is more than one channel and
-gives each window the bytes of its own call, so no step's bytes depend on
-how much stream follows. A record carries its normalized window, a view
-into the chunk's result, in place of the raw x, and ogd's re-score runs
-its full pass from it without normalizing again. Each step's z comes
-from encode, on the step's normalized window; encode stops at the tap,
-and the loop's one head_forward_with_tape is the only run of the blocks
-past it. In pretraining only the adapter moves, so pretrain_adapter
-draws val's steps once, before the first epoch, and its later epochs
-replay the first epoch's hisgrad sequence (byte-equal, and kept only for
-that one call). The steps it holds keep each sample, z and stats but not
-the normalized window, which only ogd reads: a window is a view that
-would keep its whole chunk alive.
+The loop consumes steps from one front end (_front_end). It normalizes
+the stream's windows CHUNK at a time, in chunks counted from step 0, by
+one reduction per chunk, which runs the windows side by side when there
+is more than one channel and gives each window the bytes of its own call,
+so no step's bytes depend on how much stream follows. A WindowSplit
+(what chrono_split returns) is checked once and each chunk reduces from
+a view of its array; any other sequence of samples is checked in stream
+order and each chunk is stacked first. A step carries its origin, its
+target y (a view) and its normalized window, a view into the chunk's
+result; ogd's re-score runs its full pass from that window without
+normalizing again. Each step's z comes from encode, on the step's
+normalized window; encode stops at the tap, and the loop's one
+head_forward_with_tape is the only run of the blocks past it. In
+pretraining only the adapter moves, so pretrain_adapter draws val's
+steps once, before the first epoch, and its later epochs replay the
+first epoch's hisgrad sequence (byte-equal, and kept only for that one
+call). The steps it holds keep each origin, y, z and stats but not the
+normalized window, which only ogd reads: a window is a view that would
+keep its whole chunk alive.
 """
 
 from __future__ import annotations
@@ -67,16 +70,17 @@ from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
                       adapter_forward_with_tape, sgd_step)
 from .diffmath import descend, mse_with_grad
 from .forecaster import (ForecastModel, NormStats, Sample, Tail, Tape,
-                         _check_shape, apply_param_step, encode, grad_wrt_feature,
-                         grad_wrt_feature_from_tail, grad_wrt_last_layer,
-                         head_forward_from_tail, head_forward_with_tape,
-                         normalize, param_grads, predict_with_tape, tail_forward)
+                         WindowSplit, _check_shape, _check_split, apply_param_step,
+                         encode, grad_wrt_feature, grad_wrt_feature_from_tail,
+                         grad_wrt_last_layer, head_forward_from_tail,
+                         head_forward_with_tape, normalize, param_grads,
+                         predict_with_tape, tail_forward)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
 CHUNK = 64          # windows per normalize call in _front_end, from step 0
-# (sample, x_norm, z, stats); pretraining's steps hold no x_norm (None),
+# (origin, y, x_norm, z, stats); pretraining's steps hold no x_norm (None),
 # since only ogd reads a record's window and pretraining never runs ogd
-Step = Tuple[Sample, Optional[np.ndarray], np.ndarray, NormStats]
+Step = Tuple[int, np.ndarray, Optional[np.ndarray], np.ndarray, NormStats]
 
 
 @dataclass
@@ -150,12 +154,25 @@ def write_trace_csv(trace: MetricsTrace, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]:
-    """Each step of the stream as (sample, x_norm, z, stats). The samples are
-    checked in stream order CHUNK at a time, from step 0 (the shape check is
-    offline_train's too), and each chunk is then stacked and normalized in
-    one call. z is encoded when its step is drawn, so it sees the model as
-    it is then (ogd moves the blocks)."""
+def _chunks(model: ForecastModel, stream: Sequence[Sample]
+            ) -> Iterator[Tuple[Sequence[int], Sequence[np.ndarray], np.ndarray,
+                                NormStats]]:
+    """Each CHUNK of the stream, counted from step 0, as its origins, its
+    targets, its normalized windows (n x L x C) and their (n x C) stats, by
+    one normalize per chunk.
+
+    A WindowSplit is checked once, and each chunk is a slice of it, which
+    normalize reduces from views of its array. Any other sequence is
+    checked in stream order a chunk at a time (the shape check is
+    offline_train's too), and each chunk's windows are stacked. Both reduce
+    by the same body, so a chunk's bytes do not depend on its form.
+    """
+    if isinstance(stream, WindowSplit):
+        _check_split(model, stream)
+        for lo in range(0, len(stream), CHUNK):
+            chunk = stream[lo:lo + CHUNK]
+            yield range(chunk.start, chunk.stop), chunk.targets(), *normalize(chunk)
+        return
     prev = channels = None
     for lo in range(0, len(stream), CHUNK):
         chunk = [stream[s] for s in range(lo, min(lo + CHUNK, len(stream)))]
@@ -165,9 +182,17 @@ def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]
                 raise ValueError(
                     f"out-of-order stream timestamps: {sample.origin} after {prev}")
             prev = sample.origin
-        x_norm, stats = normalize(np.stack([sample.x for sample in chunk]))
-        for i, sample in enumerate(chunk):
-            yield (sample, x_norm[i], encode(model, x_norm[i]),
+        yield ([sample.origin for sample in chunk], [sample.y for sample in chunk],
+               *normalize(np.stack([sample.x for sample in chunk])))
+
+
+def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]:
+    """Each step of the stream as (origin, y, x_norm, z, stats), a chunk of
+    _chunks at a time. z is encoded when its step is drawn, so it sees the
+    model as it is then (ogd moves the blocks)."""
+    for origins, ys, x_norm, stats in _chunks(model, stream):
+        for i, origin in enumerate(origins):
+            yield (origin, ys[i], x_norm[i], encode(model, x_norm[i]),
                    NormStats(stats.mean[i], stats.std[i]))
 
 
@@ -254,16 +279,16 @@ def _deploy(method: str, model: ForecastModel, steps: Iterable[Step],
     origins: List[int] = []
     mses: List[float] = []
     preds: List[np.ndarray] = []
-    for s, (sample, x_norm, z, stats) in enumerate(steps):
+    for s, (origin, y, x_norm, z, stats) in enumerate(steps):
         rec = StepRecord(x_norm=x_norm, z=z, stats=stats)   # views, no copy
         z_in = z if correct is None else z + correct(z, rec)
         yhat, rec.head_tape = head_forward_with_tape(model, z_in, stats)
-        loss, g_y = mse_with_grad(yhat, sample.y)
-        origins.append(sample.origin)
+        loss, g_y = mse_with_grad(yhat, y)
+        origins.append(origin)
         mses.append(loss)
         preds.append(yhat)
         if learn is not None:
-            rec.y, rec.g_y = sample.y, g_y          # released at step s + k
+            rec.y, rec.g_y = y, g_y                 # released at step s + k
             pending.append((s, rec))
             if len(pending) > model.k:
                 t, released = pending.popleft()
@@ -445,7 +470,7 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
                        seed=seed)
     model = _deployed_copy(model, cfg)
     # z and stats only: a step's x_norm would pin its whole chunk
-    steps = [(s, None, z, st) for s, _, z, st in _front_end(model, val_samples)]
+    steps = [(o, y, None, z, st) for o, y, _, z, st in _front_end(model, val_samples)]
     hisgrads: List[np.ndarray] = []
     for _ in range(epochs):
         a = _adaptz(model, a, steps, len(steps), cfg, hisgrads).final_adapter

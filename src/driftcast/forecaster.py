@@ -7,7 +7,11 @@ denormalizes. Those named layers are its parameters, and descend steps
 them. One block output is exposed as the feature z; corrections are added
 there and head_forward_with_tape resumes the rest of the pass.
 
-normalize takes one window or a stack of them, byte-equal either way; a
+A WindowSplit is a split of the stream as the stride-1 windows of one
+array: a Sequence[Sample] that holds the array, not a Sample per window.
+
+normalize takes one window, a stack of them or a WindowSplit (the stack
+of its windows, read from a view of its array), byte-equal either way; a
 stack with more than one channel is reduced side by side, and its
 windows come back as strided views. Normalization is a step of its own:
 encode and predict_with_tape take a window normalize already made (the
@@ -28,18 +32,20 @@ resumes from it (head_forward_from_tail), and grad_wrt_feature_from_tail
 backpropagates to z under the current head, folding the head into the
 last block.
 
-offline_train checks its samples as the stream loop does (_check_shape)
-and normalizes each batch when it draws it, with one normalize of the
-batch's stack: the fit holds O(batch*L*C) of normalized data, never a
-normalized copy of the train split.
+offline_train checks its samples as the stream loop does (_check_shape,
+once for a WindowSplit) and draws each batch when it needs it, a split's
+by one gather from its array, with one normalize of the batch's stack:
+the fit holds O(batch*L*C) of drawn data, never a copy of the train split.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .diffmath import (AffineLayer, Layered, _as_matrix, affine_apply, descend,
                        mse_with_grad)
@@ -64,6 +70,26 @@ class Sample:
     origin: int
 
 
+def _standardize(x: np.ndarray) -> Tuple[np.ndarray, NormStats]:
+    """The reductions of normalize, over x's lookback axis (axis -2)."""
+    L = x.shape[-2]
+    if L < 2:
+        raise ValueError(f"lookback needs at least 2 rows, got {L}")
+    mean = np.add.reduce(x, axis=-2) / L
+    dev = x - mean[..., None, :]
+    std = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=-2) / L), STD_EPS)
+    return dev / std[..., None, :], NormStats(mean=mean, std=std)
+
+
+def _side_by_side(x: np.ndarray, n: int, C: int) -> Tuple[np.ndarray, NormStats]:
+    """Standardize n windows of C channels laid side by side as one
+    L x (n*C) array, row l holding row l of every window in turn; return
+    them as an (n x L x C) view with (n x C) stats."""
+    x_norm, stats = _standardize(x)
+    return (x_norm.reshape(x.shape[0], n, C).transpose(1, 0, 2),
+            NormStats(mean=stats.mean.reshape(n, C), std=stats.std.reshape(n, C)))
+
+
 def normalize(x) -> Tuple[np.ndarray, NormStats]:
     """Per-channel standardization over the lookback window.
 
@@ -85,25 +111,94 @@ def normalize(x) -> Tuple[np.ndarray, NormStats]:
     It comes back as an (n x L x C) view, each window with row stride n*C.
     A one-channel window's call sums its column pairwise, so a C = 1 stack
     is reduced stacked.
+
+    x may also be a WindowSplit, normalized as the stack of its lookbacks,
+    byte for byte, without the stack. With C > 1, row l of the side-by-side
+    matrix is the contiguous run of rows l .. l+n-1 of the windows' span,
+    so the L x (n*C) matrix is a strided view of the split's array and
+    neither a stack nor a transpose is copied.
     """
+    if isinstance(x, WindowSplit):
+        n, C = len(x), x.values.shape[1]
+        if C == 1:
+            return _standardize(np.ascontiguousarray(x.lookbacks()))
+        side = as_strided(x.values[x.start - x.L + 1:], (x.L, n * C),
+                          x.values.strides, writeable=False)
+        return _side_by_side(side, n, C)
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ValueError(f"x must be 2-D (L x C) or 3-D (n x L x C), got shape {x.shape}")
-    L, C = x.shape[-2:]
-    if L < 2:
-        raise ValueError(f"lookback needs at least 2 rows, got {L}")
-    side = x.ndim == 3 and C > 1
-    if side:
-        n = x.shape[0]
-        x = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(L, n * C)
-    mean = np.add.reduce(x, axis=-2) / L
-    dev = x - mean[..., None, :]
-    std = np.maximum(np.sqrt(np.add.reduce(dev * dev, axis=-2) / L), STD_EPS)
-    x_norm = dev / std[..., None, :]
-    if side:
-        return (x_norm.reshape(L, n, C).transpose(1, 0, 2),
-                NormStats(mean=mean.reshape(n, C), std=std.reshape(n, C)))
-    return x_norm, NormStats(mean=mean, std=std)
+    if x.ndim == 3 and x.shape[2] > 1:
+        n, L, C = x.shape
+        return _side_by_side(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(L, n * C),
+                             n, C)
+    return _standardize(x)
+
+
+class WindowSplit(Sequence[Sample]):
+    """The stride-1 windows of one C-contiguous (T x C) float64 array whose
+    origins run from start to stop - 1, as a sequence of Samples: window o
+    has lookback x = values[o-L+1 : o+1] and target y = values[o+1 : o+1+k].
+
+    It holds the array and four integers, not an object per window.
+    Indexing builds a Sample of views into the array, and a slice of step 1
+    is another split over the same array (any other step gives a list).
+    Every window is L x C and k x C and the origins rise by one, so a
+    split is checked once (_check_split), not window by window, and its
+    lookbacks and targets are strided views of the array, copied only by a
+    gather (offline_train) or a reduction (normalize).
+    """
+
+    def __init__(self, values: np.ndarray, L: int, k: int, start: int,
+                 stop: int) -> None:
+        if not (isinstance(values, np.ndarray) and values.ndim == 2
+                and values.dtype == np.float64 and values.flags.c_contiguous):
+            raise ValueError("values must be a C-contiguous 2-D float64 array")
+        if not (1 <= L <= start + 1 and k >= 1
+                and start <= stop <= values.shape[0] - k):
+            raise ValueError(f"origins [{start}, {stop}) with L={L} and k={k} "
+                             f"do not fit {values.shape[0]} rows")
+        self.values, self.L, self.k = values, L, k
+        self.start, self.stop = start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def _sample(self, o: int) -> Sample:
+        return Sample(x=self.values[o - self.L + 1:o + 1],
+                      y=self.values[o + 1:o + 1 + self.k], origin=o)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(len(self))
+            if step != 1:
+                return [self._sample(self.start + j) for j in range(lo, hi, step)]
+            return WindowSplit(self.values, self.L, self.k, self.start + lo,
+                               self.start + max(lo, hi))
+        j = operator.index(i)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError(f"window {i} outside a split of {len(self)}")
+        return self._sample(self.start + j)
+
+    def __iter__(self) -> Iterator[Sample]:
+        return map(self._sample, range(self.start, self.stop))
+
+    def _strided(self, first: int, rows: int) -> np.ndarray:
+        """The len(self) windows of `rows` rows whose first starts at row
+        `first`, as a read-only (n x rows x C) view."""
+        s0, s1 = self.values.strides
+        return as_strided(self.values[first:], (len(self), rows, self.values.shape[1]),
+                          (s0, s0, s1), writeable=False)
+
+    def lookbacks(self) -> np.ndarray:
+        """Every window's x, as an (n x L x C) view of the array."""
+        return self._strided(self.start - self.L + 1, self.L)
+
+    def targets(self) -> np.ndarray:
+        """Every window's y, as an (n x k x C) view of the array."""
+        return self._strided(self.start + 1, self.k)
 
 
 def _check_shape(model: ForecastModel, sample: Sample,
@@ -122,6 +217,14 @@ def _check_shape(model: ForecastModel, sample: Sample,
     if y.shape != (model.k, x.shape[1]):
         raise ValueError(f"{where}: y shape {y.shape} != ({model.k}, {x.shape[1]})")
     return x.shape[1]
+
+
+def _check_split(model: ForecastModel, split: WindowSplit) -> None:
+    """Check a split against the model. Its windows share one shape, so
+    its first window's check (with _check_shape's error, naming that
+    window's origin) holds for every window."""
+    if len(split):
+        _check_shape(model, split[0], None)
 
 
 def denormalize(y_norm, stats: NormStats) -> np.ndarray:
@@ -394,12 +497,14 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
                   seed: int = 0) -> ForecastModel:
     """Mini-batch SGD on MSE over the shuffled train split; returns a clone.
 
-    Every sample is checked first, as the stream loop checks them (x is
-    L x C and y is k x C, with one C across the split). Each batch is
-    normalized when it is drawn, by one normalize of its stack, which
-    gives each window the bytes of its own call; nothing normalized
-    outlives its batch, so the fit holds O(batch*L*C) of normalized data
-    on top of the split. A batch of m samples with C channels runs as one
+    The samples are checked first, as the stream loop checks them (x is
+    L x C and y is k x C, with one C across the split): a WindowSplit once,
+    any other sequence sample by sample. Each batch is drawn when it is
+    needed, straight from the split's array by one gather each for x and y
+    (by np.stack of the samples otherwise), and normalized by one normalize
+    of its stack, which gives each window the bytes of its own call;
+    nothing drawn outlives its batch, so the fit holds O(batch*L*C) on top
+    of the split. A batch of m samples with C channels runs as one
     C-contiguous (m*C) x L matrix of channel rows per layer call.
     """
     if not train_samples:
@@ -408,23 +513,34 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
         raise ValueError(f"epochs must be >= 0 and batch >= 1, got {epochs}, {batch}")
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be >= 0 and finite, got {lr!r}")
-    C = None
-    for s in train_samples:
-        C = _check_shape(model, s, C)
+    if isinstance(train_samples, WindowSplit):
+        _check_split(model, train_samples)
+        xs, ys = train_samples.lookbacks(), train_samples.targets()
+
+        def draw(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return xs[idx], ys[idx]
+    else:
+        C = None
+        for s in train_samples:
+            C = _check_shape(model, s, C)
+
+        def draw(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return (np.stack([train_samples[j].x for j in idx]),
+                    np.stack([train_samples[j].y for j in idx]))
     out = model.clone()
     if epochs == 0:
         return out
-    y_rows = [np.asarray(s.y, dtype=np.float64).T for s in train_samples]
     rng = np.random.default_rng(seed)
     n = len(train_samples)
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch):
-            idx = order[lo:lo + batch]
-            x_norm, stats = normalize(np.stack([train_samples[j].x for j in idx]))
+            x, y = draw(order[lo:lo + batch])
+            x_norm, stats = normalize(x)
             # the vstack of each window's C x L rows, window by window
             rows = np.ascontiguousarray(x_norm.transpose(0, 2, 1)).reshape(-1, model.L)
-            targ = np.vstack([y_rows[j] for j in idx])
+            # and of each target's C x k rows
+            targ = np.asarray(y, dtype=np.float64).transpose(0, 2, 1).reshape(-1, model.k)
             std_col = stats.std.reshape(-1, 1)
             mean_col = stats.mean.reshape(-1, 1)
             tape = _forward(out, rows, 0, None)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftcast.cli as cli
-from driftcast import DriftSpec, EngineConfig, SplitSpec, load_csv
+from driftcast import (DriftSpec, EngineConfig, SplitSpec, load_csv,
+                       write_trace_csv)
 from driftcast.cli import (ExperimentPlan, execute_plan, main, parse_config,
                            read_kv_file, results_rows, run_plan)
 
@@ -329,6 +330,30 @@ class TestRunPlan:
             a = os.path.join(plan.out_dir, f"trace_{r.run_id}.csv")
             b = os.path.join(str(tmp_path), f"trace_{r.run_id}.csv")
             assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    def test_kept_traces_drop_preds_and_write_the_same_csv(self, small_results,
+                                                           tmp_path, monkeypatch):
+        # each trace's CSV as written while the trace still held its preds
+        plan, results, _ = small_results
+        real = cli.run_method
+        full = {}
+
+        def spy(method, model, adapter_net, stream, cfg):
+            trace = real(method, model, adapter_net, stream, cfg)
+            assert len(trace.preds) == len(trace.steps) > 0
+            full[method] = tmp_path / f"full_{method}.csv"
+            write_trace_csv(trace, str(full[method]))
+            return trace
+
+        monkeypatch.setattr(cli, "run_method", spy)
+        plan2 = ExperimentPlan(**{**plan.__dict__, "out_dir": str(tmp_path)})
+        results2, _ = run_plan(plan2)
+        assert [r.status for r in results2] == ["ok", "ok"]
+        for r in results + results2:
+            assert r.trace.preds == []
+        for r in results2:
+            kept = tmp_path / f"trace_{r.run_id}.csv"
+            assert kept.read_bytes() == full[r.method].read_bytes()
 
     def test_run_ids_differ_across_runs(self, small_results):
         _, results, _ = small_results

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from driftcast import (DriftSpec, SeriesFrame, SplitSpec, chrono_split,
                        gen_concept_drift, gen_mean_shift, load_csv, write_csv)
 from driftcast.datastream import (CONCEPT_A1, CONCEPT_A2, MAX_CELLS,
                                   concept_coefficients)
+from driftcast.forecaster import Sample, WindowSplit
 
 
 class TestCsvIO:
@@ -162,8 +164,38 @@ class TestChronoSplit:
     def test_train_only_split(self):
         frame = SeriesFrame(np.zeros((60, 1)), ["a"])
         train, val, test = chrono_split(frame, SplitSpec(1.0, 0.0, 0.0), L=8, k=2)
-        assert val == [] and test == []
+        assert len(val) == 0 and len(test) == 0
         assert [s.origin for s in train] == list(range(7, 58))
+
+    def test_frame_values_kept_c_contiguous(self):
+        values = np.asfortranarray(np.arange(40.0).reshape(20, 2))
+        frame = SeriesFrame(values, ["a", "b"])
+        assert frame.values.flags.c_contiguous
+        np.testing.assert_array_equal(frame.values, values)
+        same = np.arange(40.0).reshape(20, 2)
+        assert SeriesFrame(same, ["a", "b"]).values is same
+
+    def test_windows_alias_frame_values(self):
+        frame = SeriesFrame(np.arange(200.0).reshape(100, 2), ["a", "b"])
+        for split in chrono_split(frame, SplitSpec(), L=10, k=5):
+            assert isinstance(split, WindowSplit)
+            assert split.values is frame.values
+            for s in (split[0], split[-1]):
+                assert np.shares_memory(s.x, frame.values)
+                assert np.shares_memory(s.y, frame.values)
+
+    def test_split_holds_under_50_bytes_per_window(self):
+        # a 100k-row, two-channel frame: 99,833 windows across the splits
+        frame = SeriesFrame(np.zeros((100_000, 2)), ["a", "b"])
+        tracemalloc.start()
+        try:
+            splits = chrono_split(frame, SplitSpec(), L=96, k=24)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        windows = sum(len(s) for s in splits)
+        assert windows > 99_000
+        assert held / windows < 50
 
     def test_too_short_series_rejected(self):
         frame = SeriesFrame(np.zeros((20, 1)), ["a"])
@@ -180,6 +212,76 @@ class TestChronoSplit:
     def test_nan_fraction_rejected(self, field):
         with pytest.raises(ValueError, match="split fraction nan must be >= 0"):
             SplitSpec(**{field: float("nan")})
+
+
+class TestWindowSplitSequence:
+    # origins 9..54 of a 100 x 2 frame, L = 10, k = 5
+    frame = SeriesFrame(np.arange(200.0).reshape(100, 2), ["a", "b"])
+
+    def split(self):
+        return chrono_split(self.frame, SplitSpec(), L=10, k=5)[0]
+
+    def test_len_and_indexing(self):
+        split = self.split()
+        assert len(split) == 46
+        s = split[3]
+        assert isinstance(s, Sample) and s.origin == 12
+        np.testing.assert_array_equal(s.x, self.frame.values[3:13])
+        np.testing.assert_array_equal(s.y, self.frame.values[13:18])
+        assert split[np.int64(3)].origin == 12
+
+    def test_negative_indices(self):
+        split = self.split()
+        assert split[-1].origin == 54
+        assert split[-46].origin == 9
+        assert [s.origin for s in split] == [split[i].origin for i in range(-46, 0)]
+
+    @pytest.mark.parametrize("i", [46, 47, -47, -100])
+    def test_index_past_the_end_raises(self, i):
+        with pytest.raises(IndexError):
+            self.split()[i]
+
+    def test_step_one_slice_is_a_split(self):
+        split = self.split()
+        for cut in (slice(5), slice(2, 9), slice(-4, None), slice(None, None, 1),
+                    slice(40, 100), slice(9, 2)):
+            part = split[cut]
+            assert isinstance(part, WindowSplit), cut
+            want = list(range(9, 55))[cut]
+            assert [s.origin for s in part] == want, cut
+            assert len(part) == len(want), cut
+        assert split[2:9][1:3][0].origin == 12
+
+    @pytest.mark.parametrize("cut", [slice(None, None, 2), slice(None, None, -1),
+                                     slice(10, 2, -3)])
+    def test_other_steps_give_a_list(self, cut):
+        part = self.split()[cut]
+        assert isinstance(part, list)
+        assert [s.origin for s in part] == list(range(9, 55))[cut]
+
+    def test_empty_split_is_falsy(self):
+        split = self.split()
+        assert split
+        assert not split[5:5]
+        assert not chrono_split(self.frame, SplitSpec(1.0, 0.0, 0.0), L=10, k=5)[2]
+        assert list(split[5:5]) == [] and len(split[7:3]) == 0
+
+    def test_views_match_the_samples(self):
+        split = self.split()[3:11]
+        xs, ys = split.lookbacks(), split.targets()
+        assert xs.shape == (8, 10, 2) and ys.shape == (8, 5, 2)
+        for i, s in enumerate(split):
+            assert xs[i].tobytes() == s.x.tobytes()
+            assert ys[i].tobytes() == s.y.tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(8, 20), (9, 96), (30, 20)])
+    def test_range_must_fit_the_array(self, start, stop):
+        with pytest.raises(ValueError, match="do not fit"):
+            WindowSplit(self.frame.values, 10, 5, start, stop)
+
+    def test_array_must_be_c_contiguous_float64(self):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            WindowSplit(np.asfortranarray(self.frame.values), 10, 5, 9, 20)
 
 
 class TestDriftSpecValidation:
@@ -302,6 +404,36 @@ class TestConceptDrift:
             a1, a2 = concept_coefficients(spec, t)
             assert target[t] == pytest.approx(
                 a1 @ drivers[t - 1] + a2 @ drivers[t - 2], abs=1e-12)
+
+    @pytest.mark.parametrize("points, mags", [
+        ([], []),                                   # no change point
+        ([1, 40], [1.0, 1.0]),                      # one at t <= 2, one later
+        ([0, 2, 57, 58, 140], [0.5, 3.0, 1.5, 0.25, 2.0]),
+        ([2.5, 99.5], [2.0, 0.5]),                  # between rows
+    ])
+    def test_matches_per_row_coefficients(self, points, mags):
+        # the generator takes each segment's coefficients once; the oracle
+        # asks concept_coefficients for every row, as the map's definition does
+        spec = DriftSpec(kind="concept_drift", length=200, channels=3,
+                         change_points=points, magnitudes=mags, seed=11)
+        frame = gen_concept_drift(spec)
+        rng = np.random.default_rng(spec.seed)
+        innov = rng.standard_normal((200, 2))
+        eps = rng.standard_normal(200)
+        drivers = np.empty((200, 2))
+        drivers[0] = innov[0]
+        for t in range(1, 200):
+            drivers[t] = spec.ar_coeff * drivers[t - 1] + innov[t]
+        target = np.empty(200)
+        for t in range(200):
+            if t < 2:
+                target[t] = spec.noise_std * eps[t]
+                continue
+            a1, a2 = concept_coefficients(spec, t)
+            target[t] = (a1 @ drivers[t - 1] + a2 @ drivers[t - 2]
+                         + spec.noise_std * eps[t])
+        want = np.column_stack([drivers, target])
+        assert frame.values.tobytes() == want.tobytes()
 
     def test_columns_and_shape(self):
         frame = gen_concept_drift(DriftSpec(length=30, channels=4, seed=2))

@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcast import (EngineConfig, build_adapter, build_model,
-                       pretrain_adapter, run_adaptz, run_fogd, run_method,
-                       run_ogd, run_ori, write_trace_csv)
+from driftcast import (EngineConfig, SeriesFrame, SplitSpec, build_adapter,
+                       build_model, chrono_split, offline_train, pretrain_adapter,
+                       run_adaptz, run_fogd, run_method, run_ogd, run_ori,
+                       write_trace_csv)
 from driftcast import engine, forecaster
 from driftcast.engine import StepRecord, compute_hisgrad
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
-from driftcast.forecaster import (NormStats, Sample, Tail, apply_param_step,
-                                  encode, grad_wrt_feature, grad_wrt_last_layer,
-                                  head_forward_with_tape, normalize, param_grads,
-                                  predict_with_tape, tail_forward)
-from conftest import (KINK_MARGIN, fd_grad, make_stream, reduction_inputs,
-                      rel_err, relu_margin, same_bytes)
+from driftcast.forecaster import (NormStats, Sample, Tail, WindowSplit,
+                                  apply_param_step, encode, grad_wrt_feature,
+                                  grad_wrt_last_layer, head_forward_with_tape,
+                                  normalize, param_grads, predict_with_tape,
+                                  tail_forward)
+from conftest import (KINK_MARGIN, ar_series, fd_grad, make_stream,
+                      reduction_inputs, rel_err, relu_margin, same_bytes)
 
 L, K, C, D = 6, 2, 2, 3
 
@@ -628,6 +630,103 @@ class TestChunkedNormalization:
             with pytest.raises(ValueError) as err:
                 run_method(method, small_model(), live_adapter(), stream, small_cfg())
             assert str(err.value) == want, method
+
+
+def frame_splits(channels, seed, T=400):
+    """chrono_split of an AR(1) frame: 73 train, 118 val and 198 test
+    windows at L = 6, k = 2, so val and test cross chunk boundaries."""
+    values = ar_series(T, channels, np.random.default_rng(seed))
+    frame = SeriesFrame(values, [f"c{c}" for c in range(channels)])
+    return chrono_split(frame, SplitSpec(0.2, 0.3, 0.5), L=L, k=K)
+
+
+def assert_same_trace(ref, tr):
+    assert tr.steps == ref.steps
+    assert tr.step_mse.tobytes() == ref.step_mse.tobytes()
+    assert [p.tobytes() for p in tr.preds] == [p.tobytes() for p in ref.preds]
+    assert tr.cache_reads == ref.cache_reads
+    objs = [o for o in (ref.final_model, ref.final_adapter) if o is not None]
+    assert_same_bytes(objs, [o for o in (tr.final_model, tr.final_adapter)
+                             if o is not None])
+
+
+class TestWindowSplitEquivalence:
+    # a split reduces each chunk from views of its array, a list of its
+    # samples from their stack: every byte must agree
+    CHANNELS = [1, 2, 3, 16]
+
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_every_method_same_bytes_as_list(self, channels):
+        _, _, test = frame_splits(channels, seed=200 + channels)
+        assert isinstance(test, WindowSplit) and len(test) > 3 * engine.CHUNK
+        cfg = small_cfg(hist_batch=3)
+        for method in engine.METHODS:
+            ref = run_method(method, small_model(), live_adapter(), list(test), cfg)
+            tr = run_method(method, small_model(), live_adapter(), test, cfg)
+            assert np.all(np.isfinite(tr.step_mse)), method
+            assert_same_trace(ref, tr)
+
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_fit_and_pretraining_same_bytes_as_list(self, channels):
+        train, val, _ = frame_splits(channels, seed=300 + channels)
+        assert len(val) > engine.CHUNK
+        fits = [offline_train(small_model(), s, epochs=2, lr=0.01, batch=16, seed=4)
+                for s in (list(train), train)]
+        assert_same_bytes(fits[:1], fits[1:])
+        a = build_adapter(D, seed=8)
+        pre = [pretrain_adapter(fits[0], a, s, epochs=2, lr=0.01, hist_batch=3)
+               for s in (list(val), val)]
+        assert_same_bytes(pre[:1], pre[1:])
+
+    @pytest.mark.parametrize("channels", CHANNELS)
+    @pytest.mark.parametrize("bad", ["lookback", "horizon"])
+    def test_model_mismatch_same_error_as_list(self, channels, bad):
+        # a split's windows share one shape, so the channel count cannot
+        # change inside one; a model with another L or k must fail alike
+        train, val, test = frame_splits(channels, seed=400)
+        lk = dict(L=L + 1, k=K) if bad == "lookback" else dict(L=L, k=K + 1)
+        model = build_model(d=D, n_blocks=3, seed=3, **lk)
+        cfg = small_cfg(lookback=lk["L"], horizon=lk["k"])
+        calls = [lambda s: offline_train(model, s, epochs=1),
+                 lambda s: pretrain_adapter(model, build_adapter(D, seed=8), s,
+                                            epochs=1, hist_batch=3)]
+        calls += [lambda s, m=m: run_method(m, model, live_adapter(), s, cfg)
+                  for m in engine.METHODS]
+        for split, call in zip([train, val] + [test] * 4, calls):
+            texts = []
+            for stream in (list(split), split):
+                with pytest.raises(ValueError) as err:
+                    call(stream)
+                texts.append(str(err.value))
+            assert texts[0] == texts[1]
+            assert texts[1].startswith(f"sample at origin {split.start}: ")
+
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_prefix_invariant_on_split_path(self, channels):
+        _, _, test = frame_splits(channels, seed=500 + channels)
+        full = run_all(L, K, 3, channels, test, live_adapter())
+        for cut in (engine.CHUNK - 1, engine.CHUNK, engine.CHUNK + 1, 150):
+            part = test[:cut]
+            assert isinstance(part, WindowSplit) and len(part) == cut
+            short = run_all(L, K, 3, channels, part, live_adapter())
+            for method, tr in short.items():
+                assert tr.step_mse.tobytes() == \
+                    full[method].step_mse[:cut].tobytes(), (method, cut)
+                assert [p.tobytes() for p in tr.preds] == \
+                    [p.tobytes() for p in full[method].preds[:cut]], (method, cut)
+
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_chunk_normalize_same_bytes_as_stack(self, channels):
+        _, _, test = frame_splits(channels, seed=600 + channels)
+        for lo in range(0, len(test), engine.CHUNK):
+            chunk = test[lo:lo + engine.CHUNK]
+            xn, st = normalize(chunk)
+            ref_xn, ref_st = normalize(np.stack([s.x for s in chunk]))
+            assert xn.shape == ref_xn.shape
+            assert np.ascontiguousarray(xn).tobytes() == \
+                np.ascontiguousarray(ref_xn).tobytes()
+            assert st.mean.tobytes() == ref_st.mean.tobytes()
+            assert st.std.tobytes() == ref_st.std.tobytes()
 
 
 def assert_within_drift(ref_objs, objs, rel=1e-12):
