@@ -29,12 +29,14 @@ backpropagated once, when its label is released. The window sum slides,
 name by name: each window adds its newest share and subtracts the one its
 slot held, and it is re-summed exactly whenever n % b == 0, when slots
 0..b-1 hold the window in order. The hisgrad window is read as one slice
-of a ring that holds each released record's tail, stats and target twice,
-so neither per-step cost grows with b. The tail is the record's pass
-through the blocks past the tap (tail_forward of its z), run once when the
-record is released: in adaptz only the head and the adapter move, so that
-pass is fixed from then on, and hisgrad runs only the head on it, under
-the current head.
+of a ring that holds each released record's hisgrad_terms twice, so
+neither per-step cost grows with b. In adaptz only the head and the
+adapter move, so a record's pass through the blocks past the tap is fixed
+once it is released, and so is every part of its hisgrad that the head
+does not touch: the head's input, the post-tap ReLU masks and the loss
+coefficients that fold the denormalization, the target and the MSE
+scale. hisgrad_terms makes them once, on release, and each step's hisgrad
+runs the current head on them, then its GEMMs and masks back to the tap.
 
 The loop consumes steps from one front end (_front_end). It normalizes
 the stream's windows CHUNK at a time, in chunks counted from step 0, by
@@ -69,10 +71,9 @@ import numpy as np
 from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
                       adapter_forward_with_tape, sgd_step)
 from .diffmath import descend, mse_with_grad
-from .forecaster import (ForecastModel, NormStats, Sample, Tail, Tape,
-                         WindowSplit, _check_shape, _check_split, apply_param_step,
-                         encode, grad_wrt_feature, grad_wrt_feature_from_tail,
-                         grad_wrt_last_layer, head_forward_from_tail,
+from .forecaster import (ForecastModel, NormStats, Sample, Tape, WindowSplit,
+                         _check_shape, _check_split, apply_param_step, encode,
+                         grad_wrt_feature, grad_wrt_last_layer,
                          head_forward_with_tape, normalize, param_grads,
                          predict_with_tape, tail_forward)
 
@@ -196,30 +197,53 @@ def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]
                    NormStats(stats.mean[i], stats.std[i]))
 
 
-def compute_hisgrad(model: ForecastModel, tail: Tail, stats: NormStats,
-                    y: np.ndarray) -> np.ndarray:
+def hisgrad_terms(model: ForecastModel, rec: StepRecord) -> Tuple[np.ndarray, ...]:
+    """The parts of a released record's hisgrad that the moving head cannot
+    change, as (head_in, a, c, *masks): the head's input (C x width) from
+    the record's post-tap pass (tail_forward of its z), a = 2*std**2/(k*C)
+    (C x 1), c = 2*std*(mean - y)/(k*C) (C x k) and each post-tap block's
+    ReLU mask as float64 0/1. The record's loss gradient in normalized
+    units is y_norm * a + c, y_norm (C x k) the head's output on head_in."""
+    tail = tail_forward(model, rec.z)
+    k, C = rec.y.shape
+    scale = 2.0 * rec.stats.std / (k * C)
+    return (tail.head_in, (scale * rec.stats.std)[:, None],
+            scale[:, None] * (rec.stats.mean[:, None] - rec.y.T),
+            *((h > 0.0).astype(np.float64) for h in tail.ins))
+
+
+def compute_hisgrad(model: ForecastModel, head_in: np.ndarray, a: np.ndarray,
+                    c: np.ndarray, *masks: np.ndarray) -> np.ndarray:
     """Average over b released records of the per-sample gradient of the
     squared forecast error with respect to the record's feature, evaluated
     under the model's current parameters.
 
-    The records come stacked on a leading axis: tail holds their post-tap
-    passes (tail_forward of each z, every array (b, C, width)), stats holds
-    (b, C) means and stds and y is (b, k, C). Only the head runs, on the
-    stored head inputs, and the backward folds it into the last post-tap
-    block: the post-tap blocks are the record's own pass while they do not
-    move. The records run as one (b*C)-row pass: the model is channel
-    independent, so b*C rows behave like one sample with b*C channels.
+    It takes the records' hisgrad_terms stacked on a leading axis of b,
+    each C-contiguous, and runs them as one (b*C)-row pass: the model is
+    channel independent. Only the head runs, on the stored head inputs;
+    in place, its bias, a and c make the loss gradient in normalized units.
+    No ReLU sits between the last block and the head, so one GEMM through
+    H @ W_last and that block's mask reach its input, and each earlier
+    post-tap block takes a GEMM and its mask (with the tap at the last
+    block, one GEMM through H).
     """
-    b, C, _ = tail.head_in.shape
-    rows = Tail(ins=[h.reshape(b * C, -1) for h in tail.ins],
-                head_in=tail.head_in.reshape(b * C, -1))
-    flat = NormStats(mean=stats.mean.reshape(b * C), std=stats.std.reshape(b * C))
-    yhat = head_forward_from_tail(model, rows, flat)
-    err = yhat.reshape(model.k, b, C) - y.transpose(1, 0, 2)
-    # per-record MSE grad, k x (b*C) like yhat; a stacked mse_with_grad is 1/b of it
-    g_yhat = (2.0 * err / (model.k * C)).reshape(model.k, b * C)
-    g_rows = grad_wrt_feature_from_tail(model, rows, flat, g_yhat)
-    return np.add.reduce(g_rows.reshape(b, C, model.d), axis=0) / b
+    b, C, _ = head_in.shape
+    rows, H = b * C, model.head.weight
+    # a C-ordered copy of H.T: BLAS runs this narrow product faster from it
+    g = head_in.reshape(rows, -1) @ np.ascontiguousarray(H.T)
+    g += model.head.bias
+    g *= a.reshape(rows, 1)
+    g += c.reshape(rows, model.k)
+    if not masks:
+        g = g @ H
+    else:
+        g = g @ (H @ model.blocks[-1].weight)
+        g *= masks[-1].reshape(rows, -1)
+        start = model.tap_index + 1
+        for j in range(len(masks) - 2, -1, -1):
+            g = g @ model.blocks[start + j].weight
+            g *= masks[j].reshape(rows, -1)
+    return np.add.reduce(g.reshape(b, C, model.d), axis=0) / b
 
 
 def _record_share(model: ForecastModel, rec: StepRecord, b: int,
@@ -263,7 +287,8 @@ def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
 def _deploy(method: str, model: ForecastModel, steps: Iterable[Step],
             correct: Optional[Callable[[np.ndarray, StepRecord], np.ndarray]],
             learn: Optional[Callable[[StepRecord], None]],
-            adapter_net: Optional[AdapterNet] = None) -> MetricsTrace:
+            adapter_net: Optional[AdapterNet] = None,
+            keep_preds: bool = True) -> MetricsTrace:
     """The one stream loop, owner of the prediction, the k-step delay and the
     score: at step s it runs the head on z + correct(z, rec) (on z if correct
     is None) for a record rec of the step's normalized window, z and stats,
@@ -273,7 +298,8 @@ def _deploy(method: str, model: ForecastModel, steps: Iterable[Step],
     step s-k alone.
 
     steps is _front_end's, or pretraining's list of them, drawn once before
-    the first epoch (valid while blocks 0..tap do not move)."""
+    the first epoch (valid while blocks 0..tap do not move). Pretraining
+    reads no prediction, so its trace keeps none (keep_preds=False)."""
     pending: Deque[Tuple[int, StepRecord]] = deque()
     reads: List[Tuple[int, int]] = []
     origins: List[int] = []
@@ -286,7 +312,8 @@ def _deploy(method: str, model: ForecastModel, steps: Iterable[Step],
         loss, g_y = mse_with_grad(yhat, y)
         origins.append(origin)
         mses.append(loss)
-        preds.append(yhat)
+        if keep_preds:
+            preds.append(yhat)
         if learn is not None:
             rec.y, rec.g_y = y, g_y                 # released at step s + k
             pending.append((s, rec))
@@ -321,11 +348,11 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
             hisgrads: Optional[List[np.ndarray]] = None) -> MetricsTrace:
     """The adaptz loop over n_steps steps of an already deployed model.
 
-    Released record i goes to slot i % b: its tail (the post-tap pass of its
-    z, run once on release; those blocks never move here), stats and target
-    to the hisgrad ring (slots j and j + b of 2b) and its share of the
-    window gradient to a b-slot list. Once b records are in, the window sum
-    is taken left to right, name by name, whenever the count n of released
+    Released record i goes to slot i % b: its hisgrad_terms (made once on
+    release; the post-tap blocks never move here) to the hisgrad ring
+    (slots j and j + b of 2b) and its share of the window gradient to a
+    b-slot list. Once b records are in, the window sum is taken left to
+    right, name by name, whenever the count n of released
     records is a multiple of b; in between it gains the newest share and
     loses the one whose slot that share took. Float addition is not
     associative, so the periodic exact sum bounds the drift. A window over
@@ -333,7 +360,7 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
 
     hisgrads is pretrain_adapter's, whose head is frozen: an empty list is
     filled with each hisgrad the run computes, and a filled one is read in
-    their place, with no ring.
+    their place, with no ring. Its runs keep no predictions.
     """
     replayed = hisgrads if hisgrads else None
     a = adapter_net.clone()
@@ -362,20 +389,17 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
             if n >= b:
                 hisgrad = replayed[n - b]
         elif a.use_grad:
-            # the record's post-tap pass, run once: those blocks never move
-            tail = tail_forward(model, rec.z)
-            # each field written twice, at j and j + b, so the last b records
+            # each term written twice, at j and j + b, so the last b records
             # are one contiguous slice, oldest first, as compute_hisgrad takes them
-            fields = (*tail.ins, tail.head_in, rec.stats.mean, rec.stats.std, rec.y)
+            terms = hisgrad_terms(model, rec)
             if not rings:
-                rings = [np.empty((2 * b,) + f.shape) for f in fields]
-            for ring, value in zip(rings, fields):
+                rings = [np.empty((2 * b,) + t.shape) for t in terms]
+            for ring, value in zip(rings, terms):
                 ring[j] = ring[j + b] = value
             if n >= b:
                 # next step's hisgrad, evaluated before this step's update
-                *ins, head_in, mean, std, y = (ring[n % b:n % b + b] for ring in rings)
-                hisgrad = compute_hisgrad(model, Tail(ins=ins, head_in=head_in),
-                                          NormStats(mean=mean, std=std), y)
+                hisgrad = compute_hisgrad(model, *(ring[n % b:n % b + b]
+                                                   for ring in rings))
                 if hisgrads is not None:
                     hisgrads.append(hisgrad)
         left, shares[j] = shares[j], _record_share(model, rec, b, cfg)
@@ -392,7 +416,8 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
                 acc[name] -= left[name]
         _window_update(model, a, acc, cfg)
 
-    return _deploy("adaptz", model, steps, correct, learn, adapter_net=a)
+    return _deploy("adaptz", model, steps, correct, learn, adapter_net=a,
+                   keep_preds=hisgrads is None)
 
 
 def run_fogd(model: ForecastModel, stream: Sequence[Sample],

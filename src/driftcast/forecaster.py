@@ -27,10 +27,9 @@ weight snapshots, so gradients are taken under the parameters that made
 the prediction. One backward pass serves feature and parameter gradients.
 
 tail_forward runs the post-tap blocks on z without the head and keeps a
-Tail of their inputs. While those blocks do not move, the head alone
-resumes from it (head_forward_from_tail), and grad_wrt_feature_from_tail
-backpropagates to z under the current head, folding the head into the
-last block.
+Tail of their inputs and the head's input: while those blocks do not
+move, it fixes every part of z's pass that the head does not touch (the
+stream loop's hisgrad keeps those parts and reruns only the head).
 
 offline_train checks its samples as the stream loop does (_check_shape,
 once for a WindowSplit) and draws each batch when it needs it, a split's
@@ -257,8 +256,7 @@ class Tail:
     """The pass of a feature z through the blocks past the tap, without the
     head: each post-tap block's input and the head's input, as _forward
     records them from tap + 1 (no ins when the tap is the last block). It
-    stays valid while those blocks do not move. compute_hisgrad takes a
-    window's tails stacked on a leading record axis.
+    stays valid while those blocks do not move.
     """
 
     ins: List[np.ndarray]
@@ -398,13 +396,6 @@ def tail_forward(model: ForecastModel, z) -> Tail:
     return Tail(ins=ins, head_in=head_in)
 
 
-def head_forward_from_tail(model: ForecastModel, tail: Tail,
-                           stats: NormStats) -> np.ndarray:
-    """Prediction (k x rows) of the head alone on a tail's head input."""
-    y_norm = affine_apply(model.head.weight, model.head.bias, tail.head_in)
-    return denormalize(y_norm.T, stats)
-
-
 def predict(model: ForecastModel, x) -> np.ndarray:
     """Full model output (k x C) of one raw lookback window: normalize, then
     encode, then head_forward_with_tape's prediction."""
@@ -444,28 +435,6 @@ def grad_wrt_feature(model: ForecastModel, tape, grad_yhat) -> np.ndarray:
         raise ValueError("grad_wrt_feature needs a forward tape")
     return _backward(tape, _grad_into_norm(grad_yhat, tape.stats),
                      model.tap_index + 1)
-
-
-def grad_wrt_feature_from_tail(model: ForecastModel, tail: Tail, stats: NormStats,
-                              grad_yhat) -> np.ndarray:
-    """Backpropagate dL/dy_hat (k x rows) of head_forward_from_tail to the
-    tap feature, under the model's current head and post-tap blocks.
-
-    No ReLU sits between the last block and the head, so the head folds
-    into that block: H @ W_last (k x its input width) is formed once and the
-    rows take one GEMM through both. Earlier post-tap blocks follow through
-    their masks as _backward does; with the tap at the last block the
-    gradient is g_norm @ H.
-    """
-    g_norm = _grad_into_norm(grad_yhat, stats)
-    if not tail.ins:
-        return g_norm @ model.head.weight
-    start = model.tap_index + 1
-    folded = model.head.weight @ model.blocks[-1].weight
-    g = (g_norm @ folded) * (tail.ins[-1] > 0.0)
-    for j in range(len(tail.ins) - 2, -1, -1):
-        g = (g @ model.blocks[start + j].weight) * (tail.ins[j] > 0.0)
-    return g
 
 
 def grad_wrt_last_layer(model: ForecastModel, tape, grad_yhat

@@ -31,10 +31,9 @@ MODULE_NAMES = {
                 "adapter_forward_with_tape", "sgd_step"],
     "datastream": ["CONCEPT_A1", "CONCEPT_A2", "concept_coefficients"],
     "diffmath": ["AffineLayer", "affine_apply", "mse_with_grad"],
-    "engine": ["StepRecord", "compute_hisgrad"],
+    "engine": ["StepRecord", "compute_hisgrad", "hisgrad_terms"],
     "forecaster": ["STD_EPS", "Tail", "Tape", "denormalize", "encode",
-                   "grad_wrt_feature", "grad_wrt_feature_from_tail",
-                   "grad_wrt_last_layer", "head_forward_from_tail",
+                   "grad_wrt_feature", "grad_wrt_last_layer",
                    "head_forward_with_tape", "param_grads",
                    "predict_with_tape", "tail_forward"],
     "regret": ["BoundReport", "path_variation", "project_ball"],

@@ -11,14 +11,13 @@ from driftcast import (EngineConfig, SeriesFrame, SplitSpec, build_adapter,
                        run_adaptz, run_fogd, run_method, run_ogd, run_ori,
                        write_trace_csv)
 from driftcast import engine, forecaster
-from driftcast.engine import StepRecord, compute_hisgrad
+from driftcast.engine import StepRecord, compute_hisgrad, hisgrad_terms
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
-from driftcast.forecaster import (NormStats, Sample, Tail, WindowSplit,
+from driftcast.forecaster import (STD_EPS, NormStats, Sample, WindowSplit,
                                   apply_param_step, encode, grad_wrt_feature,
                                   grad_wrt_last_layer, head_forward_with_tape,
-                                  normalize, param_grads, predict_with_tape,
-                                  tail_forward)
+                                  normalize, param_grads, predict_with_tape)
 from conftest import (KINK_MARGIN, ar_series, fd_grad, make_stream,
                       reduction_inputs, rel_err, relu_margin, same_bytes)
 
@@ -204,14 +203,9 @@ class TestSequencingOracles:
 
 
 def stack(model, recs):
-    """The records' tails, stats and targets stacked as compute_hisgrad takes
-    them; each tail is tail_forward of the record's z, as the ring stores it."""
-    tails = [tail_forward(model, r.z) for r in recs]
-    return (Tail(ins=[np.stack(h) for h in zip(*(t.ins for t in tails))],
-                 head_in=np.stack([t.head_in for t in tails])),
-            NormStats(mean=np.stack([r.stats.mean for r in recs]),
-                      std=np.stack([r.stats.std for r in recs])),
-            np.stack([r.y for r in recs]))
+    """The records' hisgrad_terms stacked as compute_hisgrad takes them, each
+    made as the ring makes it on the record's release."""
+    return [np.stack(t) for t in zip(*(hisgrad_terms(model, r) for r in recs))]
 
 
 def encoded_records(model, stream):
@@ -225,12 +219,13 @@ def encoded_records(model, stream):
     return recs
 
 
-def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
+def replay_adaptz(model, adapter_net, stream, cfg, exact=False, rerun=False):
     """Reference adaptz loop that backpropagates every record again in each
     window it enters. It sums the gradients per parameter name by the
     engine's schedule: left to right on window 0 and every b-th window, and
     otherwise the previous sum plus the newest record's gradient minus that
-    of the record that left. exact=True re-sums every window."""
+    of the record that left. exact=True re-sums every window; rerun=True
+    takes each hisgrad from hisgrad_by_rerun."""
     m = model.clone()
     a = adapter_net.clone()
     k, b = m.k, cfg.hist_batch
@@ -252,7 +247,8 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False):
         if s < k + b - 1:                   # hisgrad stays zero until then
             continue
         window = [recs[i] for i in range(s - k - b + 1, s - k + 1)]
-        hisgrad = compute_hisgrad(m, *stack(m, window))
+        hisgrad = (hisgrad_by_rerun(m, window) if rerun
+                   else compute_hisgrad(m, *stack(m, window)))
 
         def grads(rec):
             g_y = rec.g_y / b
@@ -796,13 +792,12 @@ class TestDelayAudit:
         recs = encoded_records(model, stream)
         windows = []
 
-        def as_bytes(tail, stats, y):
-            return tuple(a.tobytes() for a in (*tail.ins, tail.head_in,
-                                               stats.mean, stats.std, y))
+        def as_bytes(*terms):
+            return tuple(t.tobytes() for t in terms)
 
-        def spy(model, tail, stats, y):
-            windows.append(as_bytes(tail, stats, y))
-            return compute_hisgrad(model, tail, stats, y)
+        def spy(model, *terms):
+            windows.append(as_bytes(*terms))
+            return compute_hisgrad(model, *terms)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "compute_hisgrad", spy)
@@ -816,9 +811,10 @@ class TestDelayOwnedByLoop:
     def test_hisgrad_computed_from_first_full_window_on(self, monkeypatch):
         sizes = []
 
-        def spy(model, tail, stats, y):
-            sizes.append(len(tail.head_in))
-            return compute_hisgrad(model, tail, stats, y)
+        def spy(model, head_in, *terms):
+            sizes.append(len(head_in))
+            assert all(len(t) == len(head_in) for t in terms)
+            return compute_hisgrad(model, head_in, *terms)
 
         monkeypatch.setattr(engine, "compute_hisgrad", spy)
         k, b, n = 2, 3, 20
@@ -896,9 +892,9 @@ class TestDelayOwnedByLoop:
 
 
 def hisgrad_by_rerun(model, recs):
-    """hisgrad by the route the stored tails replace: the post-tap blocks and
-    the head rerun on the window's stacked z, then backpropagated through
-    both unfolded, then the window mean."""
+    """hisgrad by the route the stored terms replace: the post-tap blocks and
+    the head rerun on the window's stacked z, the prediction denormalized and
+    scored, then backpropagated through both unfolded, then the window mean."""
     b, (C, d) = len(recs), recs[0].z.shape
     flat = NormStats(mean=np.stack([r.stats.mean for r in recs]).reshape(b * C),
                      std=np.stack([r.stats.std for r in recs]).reshape(b * C))
@@ -909,16 +905,35 @@ def hisgrad_by_rerun(model, recs):
     return grad_wrt_feature(model, tape, g_yhat).reshape(b, C, d).mean(axis=0)
 
 
+def rounding_scale(model, rec):
+    """The norms of a record's feature gradient from its prediction and from
+    its target (the gradient is their difference), summed: the size its
+    rounding follows, whatever the difference cancels."""
+    yhat, tape = head_forward_with_tape(model, rec.z, rec.stats)
+    k, C = rec.y.shape
+    return sum(np.linalg.norm(grad_wrt_feature(
+        model, tape, 2.0 * (part - rec.stats.mean) / (k * C))) for part in (yhat, rec.y))
+
+
 @st.composite
 def tap_windows(draw):
     """A model of 1-4 blocks tapped at any of them (0-3 post-tap blocks) and
-    a window of b records of C channels at horizon k."""
+    a window of b records of C channels at horizon k, maybe with one channel
+    constant over every lookback (its std clamped at STD_EPS)."""
     blocks = draw(st.integers(1, 4))
     tap = draw(st.integers(0, blocks - 1))
-    b, C = draw(st.sampled_from([1, 2, 5])), draw(st.integers(1, 4))
+    b, C = draw(st.sampled_from([1, 2, 5])), draw(st.sampled_from([1, 2, 3, 4, 16]))
     k, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
     model = build_model(L=L, k=k, d=D, n_blocks=blocks, tap_index=tap, seed=seed)
-    return model, encoded_records(model, make_stream(b, L, k, C, seed=seed + 1))
+    stream = make_stream(b, L, k, C, seed=seed + 1)
+    flat = draw(st.one_of(st.none(), st.integers(0, C - 1)))
+    if flat is not None:
+        for sample in stream:
+            sample.x = sample.x.copy()
+            sample.x[:, flat] = 3.0
+    recs = encoded_records(model, stream)
+    assert flat is None or all(r.stats.std[flat] == STD_EPS for r in recs)
+    return model, recs
 
 
 class TestHisgrad:
@@ -929,11 +944,33 @@ class TestHisgrad:
     @settings(max_examples=200, deadline=None)
     def test_tails_within_drift_of_rerun_at_every_tap(self, window):
         # a block GEMM over C rows is not byte-equal to the same rows inside a
-        # (b*C)-row stack, and the fold reorders the head's product
+        # (b*C)-row stack, the fold reorders the head's product, and
+        # y_norm * a + c sums the denormalized error in another order.
+        # Rounding follows the size of the records' own gradients, not of
+        # their mean, which can cancel to a far smaller norm (2.9e-12 of it
+        # was seen on a correct tree); and a record's gradient cancels too
+        # where its prediction nearly meets its target, so each record is
+        # sized by its prediction's and its target's parts
         model, recs = window
         out = compute_hisgrad(model, *stack(model, recs))
         want = hisgrad_by_rerun(model, recs)
-        assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+        scale = np.mean([rounding_scale(model, r) for r in recs])
+        assert np.linalg.norm(out - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("C", [2, 16])
+    @pytest.mark.parametrize("tap", [2, 1, 0],
+                             ids=["0_post_tap", "1_post_tap", "2_post_tap"])
+    def test_stream_within_drift_of_rerun_hisgrad(self, tap, C):
+        # a whole run against a replay whose every hisgrad reruns the post-tap
+        # pass: the summation orders differ, so the losses agree to rounding
+        # only, and a rerun of the run agrees to the byte
+        model = build_model(L=L, k=K, d=D, n_blocks=3, tap_index=tap, seed=3)
+        stream = make_stream(80, L, K, C, seed=95)
+        a, cfg = live_adapter(), small_cfg(hist_batch=3)
+        one, two = (run_adaptz(model, a, stream, cfg) for _ in range(2))
+        assert one.step_mse.tobytes() == two.step_mse.tobytes()
+        mses, _, _ = replay_adaptz(model, a, stream, cfg, rerun=True)
+        np.testing.assert_allclose(one.step_mse, mses, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("tap", [2, 1, 0],
                              ids=["0_post_tap", "1_post_tap", "2_post_tap"])
@@ -966,16 +1003,23 @@ class TestHisgrad:
     @given(reduction_inputs(cols=st.integers(1, 20).map(lambda c: c * D)))
     @settings(max_examples=200, deadline=None)
     def test_window_mean_bytes_equal_numpy_mean(self, g):
-        # g holds b records' feature gradients, each (C x D) flattened to a row
+        # g holds b records' feature gradients, each (C x D) flattened to a row.
+        # One post-tap block, a zero head input and a = 0 make the loss
+        # gradient c = e_0 in every row; with head row 0 all ones and the
+        # block's weight the identity, the fold H @ W takes it to a row of
+        # ones exactly, so the last mask, set to g, is what the mean reduces
         b, C = g.shape[0], g.shape[1] // D
-        g_rows = g.reshape(b * C, D)
-        tail = Tail(ins=[np.zeros((b, C, D))], head_in=np.zeros((b, C, D)))
-        stats = NormStats(mean=np.zeros((b, C)), std=np.ones((b, C)))
-        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-            mp.setattr(engine, "grad_wrt_feature_from_tail",
-                       lambda model, tail, stats, g_yhat: g_rows)
-            out = compute_hisgrad(small_model(), tail, stats, np.zeros((b, K, C)))
-            want = g_rows.reshape(b, C, D).mean(axis=0)
+        model = build_model(L=L, k=K, d=D, n_blocks=2, tap_index=0, seed=3)
+        model.head.weight = np.zeros((K, D))
+        model.head.weight[0] = 1.0
+        model.head.bias = np.zeros(K)
+        model.blocks[1].weight = np.eye(D)
+        c = np.zeros((b, C, K))
+        c[..., 0] = 1.0
+        with np.errstate(all="ignore"):
+            out = compute_hisgrad(model, np.zeros((b, C, D)), np.zeros((b, C, 1)),
+                                  c, g.reshape(b, C, D))
+            want = g.reshape(b, C, D).mean(axis=0)
         assert same_bytes(out, want)
 
     def test_single_record_matches_fd(self):
@@ -1112,7 +1156,7 @@ class TestPretrain:
     def test_encodes_val_and_computes_hisgrads_once(self, monkeypatch,
                                                     small_trained):
         trained, _, val, _ = small_trained
-        calls = {"encode": 0, "tail_forward": 0, "compute_hisgrad": 0}
+        calls = {"encode": 0, "hisgrad_terms": 0, "compute_hisgrad": 0}
         for name in calls:
             def counted(*args, _fn=getattr(engine, name), _name=name):
                 calls[_name] += 1
@@ -1121,7 +1165,7 @@ class TestPretrain:
         b = 4
         pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
                          epochs=3, hist_batch=b)
-        assert calls == {"encode": len(val), "tail_forward": len(val) - trained.k,
+        assert calls == {"encode": len(val), "hisgrad_terms": len(val) - trained.k,
                          "compute_hisgrad": len(val) - trained.k - b + 1}
 
     def test_deploys_one_copy_for_every_epoch(self, monkeypatch, small_trained):
@@ -1135,6 +1179,22 @@ class TestPretrain:
         pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
                          epochs=3, hist_batch=4)
         assert copies == [0.0]
+
+    def test_epochs_keep_no_predictions(self, monkeypatch, small_trained):
+        # nothing reads a pretraining epoch's preds; a deployed run keeps its own
+        trained, _, val, test = small_trained
+        traces = []
+
+        def spy(*args, _fn=engine._deploy, **kw):
+            traces.append(_fn(*args, **kw))
+            return traces[-1]
+        monkeypatch.setattr(engine, "_deploy", spy)
+        pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
+                         epochs=2, hist_batch=4)
+        assert [(len(t.step_mse), t.preds) for t in traces] == [(len(val), [])] * 2
+        cfg = EngineConfig(horizon=trained.k, lookback=trained.L, hist_batch=4)
+        assert len(run_adaptz(trained, build_adapter(trained.d, seed=8), test,
+                              cfg).preds) == len(test)
 
     def test_base_model_stays_frozen(self, small_trained):
         trained, _, val, _ = small_trained
