@@ -38,19 +38,18 @@ coefficients that fold the denormalization, the target and the MSE
 scale. hisgrad_terms makes them once, on release, and each step's hisgrad
 runs the current head on them, then its GEMMs and masks back to the tap.
 
-The loop consumes steps from one front end (_front_end). It normalizes
-the stream's windows CHUNK at a time, in chunks counted from step 0, by
-one reduction per chunk, which runs the windows side by side when there
-is more than one channel and gives each window the bytes of its own call,
-so no step's bytes depend on how much stream follows. A WindowSplit
-(what chrono_split returns) is checked once and each chunk reduces from
-a view of its array; any other sequence of samples is checked in stream
-order and each chunk is stacked first. A step carries its origin, its
-target y (a view) and its normalized window, a view into the chunk's
-result; ogd's re-score runs its full pass from that window without
-normalizing again. Each step's z comes from encode, on the step's
-normalized window; encode stops at the tap, and the loop's one
-head_forward_with_tape is the only run of the blocks past it. In
+The loop consumes steps from one front end (_front_end). It reads the
+stream's windows through forecaster._windows, which checks the samples,
+and checks the origins rise, all before step 0. It then draws and
+normalizes the windows CHUNK at a time, in chunks counted from step 0,
+by one reduction per chunk, which runs the windows side by side when
+there is more than one channel and gives each window the bytes of its
+own call, so no step's bytes depend on how much stream follows. A step
+carries its origin, its target y (a view) and its normalized window, a
+view into the chunk's result; ogd's re-score runs its full pass from
+that window without normalizing again. Each step's z comes from encode,
+on the step's normalized window; encode stops at the tap, and the loop's
+one head_forward_with_tape is the only run of the blocks past it. In
 pretraining only the adapter moves, so pretrain_adapter draws val's
 steps once, before the first epoch, and its later epochs replay the
 first epoch's hisgrad sequence (byte-equal, and kept only for that one
@@ -71,11 +70,10 @@ import numpy as np
 from .adapter import (AdapterNet, AdapterTape, adapter_backward_tape,
                       adapter_forward_with_tape, sgd_step)
 from .diffmath import descend, mse_with_grad
-from .forecaster import (ForecastModel, NormStats, Sample, Tape, WindowSplit,
-                         _check_shape, _check_split, apply_param_step, encode,
-                         grad_wrt_feature, grad_wrt_last_layer,
-                         head_forward_with_tape, normalize, param_grads,
-                         predict_with_tape, tail_forward)
+from .forecaster import (ForecastModel, NormStats, Sample, Tape, _windows,
+                         apply_param_step, encode, grad_wrt_feature,
+                         grad_wrt_last_layer, head_forward_with_tape, normalize,
+                         param_grads, predict_with_tape, tail_forward)
 
 METHODS = ("ori", "fogd", "ogd", "adaptz")
 CHUNK = 64          # windows per normalize call in _front_end, from step 0
@@ -155,44 +153,19 @@ def write_trace_csv(trace: MetricsTrace, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _chunks(model: ForecastModel, stream: Sequence[Sample]
-            ) -> Iterator[Tuple[Sequence[int], Sequence[np.ndarray], np.ndarray,
-                                NormStats]]:
-    """Each CHUNK of the stream, counted from step 0, as its origins, its
-    targets, its normalized windows (n x L x C) and their (n x C) stats, by
-    one normalize per chunk.
-
-    A WindowSplit is checked once, and each chunk is a slice of it, which
-    normalize reduces from views of its array. Any other sequence is
-    checked in stream order a chunk at a time (the shape check is
-    offline_train's too), and each chunk's windows are stacked. Both reduce
-    by the same body, so a chunk's bytes do not depend on its form.
-    """
-    if isinstance(stream, WindowSplit):
-        _check_split(model, stream)
-        for lo in range(0, len(stream), CHUNK):
-            chunk = stream[lo:lo + CHUNK]
-            yield range(chunk.start, chunk.stop), chunk.targets(), *normalize(chunk)
-        return
-    prev = channels = None
-    for lo in range(0, len(stream), CHUNK):
-        chunk = [stream[s] for s in range(lo, min(lo + CHUNK, len(stream)))]
-        for sample in chunk:
-            channels = _check_shape(model, sample, channels)
-            if prev is not None and sample.origin <= prev:
-                raise ValueError(
-                    f"out-of-order stream timestamps: {sample.origin} after {prev}")
-            prev = sample.origin
-        yield ([sample.origin for sample in chunk], [sample.y for sample in chunk],
-               *normalize(np.stack([sample.x for sample in chunk])))
-
-
 def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]:
-    """Each step of the stream as (origin, y, x_norm, z, stats), a chunk of
-    _chunks at a time. z is encoded when its step is drawn, so it sees the
-    model as it is then (ogd moves the blocks)."""
-    for origins, ys, x_norm, stats in _chunks(model, stream):
-        for i, origin in enumerate(origins):
+    """Each step of the stream as (origin, y, x_norm, z, stats), from one
+    normalize per CHUNK of windows. The samples and the order of their
+    origins are checked before step 0. z is encoded when its step is drawn,
+    so it sees the model as it is then (ogd moves the blocks)."""
+    draw, origins = _windows(model, stream)
+    for prev, origin in zip(origins, origins[1:]):
+        if origin <= prev:
+            raise ValueError(f"out-of-order stream timestamps: {origin} after {prev}")
+    for lo in range(0, len(origins), CHUNK):
+        x, ys = draw(slice(lo, lo + CHUNK))
+        x_norm, stats = normalize(x)
+        for i, origin in enumerate(origins[lo:lo + CHUNK]):
             yield (origin, ys[i], x_norm[i], encode(model, x_norm[i]),
                    NormStats(stats.mean[i], stats.std[i]))
 

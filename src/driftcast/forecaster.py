@@ -9,14 +9,18 @@ there and head_forward_with_tape resumes the rest of the pass.
 
 A WindowSplit is a split of the stream as the stride-1 windows of one
 array: a Sequence[Sample] that holds the array, not a Sample per window.
+_windows is the one place a split and any other sequence of samples part
+ways: it checks them against the model and draws any run of their windows
+as a lookback stack and a target stack, from views of a split's array or
+stacked from the samples. The stream loop and offline_train read their
+windows through it.
 
-normalize takes one window, a stack of them or a WindowSplit (the stack
-of its windows, read from a view of its array), byte-equal either way; a
-stack with more than one channel is reduced side by side, and its
-windows come back as strided views. Normalization is a step of its own:
-encode and predict_with_tape take a window normalize already made (the
-stream loop normalizes a chunk of windows at once), and predict is the
-one entry that takes a raw window.
+normalize takes one window or a stack of them (a split's windows are its
+lookbacks()), byte-equal either way; a stack with more than one channel
+is reduced side by side, and its windows come back as strided views.
+Normalization is a step of its own: encode and predict_with_tape take a
+window normalize already made (the stream loop normalizes a chunk of
+windows at once), and predict is the one entry that takes a raw window.
 
 encode runs blocks 0..tap only, in the block loop every pass shares, and
 returns z: the post-tap blocks and the head run once per prediction, in
@@ -31,17 +35,16 @@ Tail of their inputs and the head's input: while those blocks do not
 move, it fixes every part of z's pass that the head does not touch (the
 stream loop's hisgrad keeps those parts and reruns only the head).
 
-offline_train checks its samples as the stream loop does (_check_shape,
-once for a WindowSplit) and draws each batch when it needs it, a split's
-by one gather from its array, with one normalize of the batch's stack:
-the fit holds O(batch*L*C) of drawn data, never a copy of the train split.
+offline_train draws each batch through _windows when it needs it, with
+one normalize of the batch's stack: the fit holds O(batch*L*C) of drawn
+data, never a copy of the train split.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -98,40 +101,32 @@ def normalize(x) -> Tuple[np.ndarray, NormStats]:
     order, so the output is byte-equal to x.mean(axis=0) and x.std(axis=0)
     without their Python-level wrappers.
 
-    x is one window (L x C) or a stack of windows (n x L x C), reduced over
-    its lookback axis by the same calls, so each window's rows and (n x C)
-    stats are byte-equal to its own call. NumPy sums in memory order, so x
-    is made C-contiguous first (a no-op if it is): its bytes then depend on
-    its values only.
+    x is one window (L x C) or a stack of windows (n x L x C), such as a
+    split's lookbacks(), reduced over its lookback axis by the same calls,
+    so each window's rows and (n x C) stats are byte-equal to its own call.
+    NumPy sums in memory order, so x is read in C order: its bytes then
+    depend on its values only.
 
-    A stack with C > 1 is reduced side by side, as one C-contiguous
-    L x (n*C) copy: NumPy's inner loops run over n*C columns, not C, and
-    still add row by row down the lookback, as a window's own call does.
-    It comes back as an (n x L x C) view, each window with row stride n*C.
-    A one-channel window's call sums its column pairwise, so a C = 1 stack
-    is reduced stacked.
-
-    x may also be a WindowSplit, normalized as the stack of its lookbacks,
-    byte for byte, without the stack. With C > 1, row l of the side-by-side
-    matrix is the contiguous run of rows l .. l+n-1 of the windows' span,
-    so the L x (n*C) matrix is a strided view of the split's array and
-    neither a stack nor a transpose is copied.
+    A stack with C > 1 is reduced side by side, as one L x (n*C) matrix:
+    NumPy's inner loops run over n*C columns, not C, and still add row by
+    row down the lookback, as a window's own call does. The matrix is
+    x.transpose(1, 0, 2).reshape(L, n*C), a view where NumPy can make one
+    (a split's strided lookbacks give one), kept only when it reads as a
+    C-ordered matrix (unit column stride, larger row stride) and copied to
+    C order otherwise. It comes back as an (n x L x C) view, each window
+    with row stride n*C. A one-channel window's call sums its column
+    pairwise, so a C = 1 stack is reduced stacked.
     """
-    if isinstance(x, WindowSplit):
-        n, C = len(x), x.values.shape[1]
-        if C == 1:
-            return _standardize(np.ascontiguousarray(x.lookbacks()))
-        side = as_strided(x.values[x.start - x.L + 1:], (x.L, n * C),
-                          x.values.strides, writeable=False)
-        return _side_by_side(side, n, C)
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ValueError(f"x must be 2-D (L x C) or 3-D (n x L x C), got shape {x.shape}")
     if x.ndim == 3 and x.shape[2] > 1:
         n, L, C = x.shape
-        return _side_by_side(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(L, n * C),
-                             n, C)
-    return _standardize(x)
+        side = x.transpose(1, 0, 2).reshape(L, n * C)
+        if not side.strides[1] == side.itemsize < side.strides[0]:
+            side = np.ascontiguousarray(side)
+        return _side_by_side(side, n, C)
+    return _standardize(np.ascontiguousarray(x))
 
 
 class WindowSplit(Sequence[Sample]):
@@ -143,7 +138,7 @@ class WindowSplit(Sequence[Sample]):
     Indexing builds a Sample of views into the array, and a slice of step 1
     is another split over the same array (any other step gives a list).
     Every window is L x C and k x C and the origins rise by one, so a
-    split is checked once (_check_split), not window by window, and its
+    split is checked once (_windows), not window by window, and its
     lookbacks and targets are strided views of the array, copied only by a
     gather (offline_train) or a reduction (normalize).
     """
@@ -218,12 +213,33 @@ def _check_shape(model: ForecastModel, sample: Sample,
     return x.shape[1]
 
 
-def _check_split(model: ForecastModel, split: WindowSplit) -> None:
-    """Check a split against the model. Its windows share one shape, so
-    its first window's check (with _check_shape's error, naming that
-    window's origin) holds for every window."""
-    if len(split):
-        _check_shape(model, split[0], None)
+def _windows(model: ForecastModel, samples: Sequence[Sample]
+             ) -> Tuple[Callable[..., Tuple[np.ndarray, np.ndarray]], Sequence[int]]:
+    """Check samples against the model and return (draw, origins): draw(index)
+    gives the lookbacks and targets of the windows a slice or an index
+    array picks, stacked as (m x L x C) and (m x k x C), and origins each
+    window's origin.
+
+    A WindowSplit's windows share one shape, so its first window's check
+    holds for every window, and draw reads its lookbacks() and targets():
+    a view for a slice, one gather for an index array. Any other sequence
+    is checked sample by sample (_check_shape) and draw stacks only the
+    samples it picks, so a draw holds O(m*L*C) either way.
+    """
+    if isinstance(samples, WindowSplit):
+        if len(samples):
+            _check_shape(model, samples[0], None)
+        xs, ys = samples.lookbacks(), samples.targets()
+        return (lambda index: (xs[index], ys[index])), range(samples.start, samples.stop)
+    C = None
+    for s in samples:
+        C = _check_shape(model, s, C)
+
+    def draw(index) -> Tuple[np.ndarray, np.ndarray]:
+        rows = range(len(samples))[index] if isinstance(index, slice) else index
+        picked = [samples[j] for j in rows]
+        return np.stack([s.x for s in picked]), np.stack([s.y for s in picked])
+    return draw, [s.origin for s in samples]
 
 
 def denormalize(y_norm, stats: NormStats) -> np.ndarray:
@@ -466,15 +482,13 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
                   seed: int = 0) -> ForecastModel:
     """Mini-batch SGD on MSE over the shuffled train split; returns a clone.
 
-    The samples are checked first, as the stream loop checks them (x is
-    L x C and y is k x C, with one C across the split): a WindowSplit once,
-    any other sequence sample by sample. Each batch is drawn when it is
-    needed, straight from the split's array by one gather each for x and y
-    (by np.stack of the samples otherwise), and normalized by one normalize
-    of its stack, which gives each window the bytes of its own call;
-    nothing drawn outlives its batch, so the fit holds O(batch*L*C) on top
-    of the split. A batch of m samples with C channels runs as one
-    C-contiguous (m*C) x L matrix of channel rows per layer call.
+    The samples are checked first and each batch is drawn when it is
+    needed, by _windows, as the stream loop reads its windows; a batch is
+    normalized by one normalize of its stack, which gives each window the
+    bytes of its own call. Nothing drawn outlives its batch, so the fit
+    holds O(batch*L*C) on top of the samples. A batch of m samples with C
+    channels runs as one C-contiguous (m*C) x L matrix of channel rows per
+    layer call.
     """
     if not train_samples:
         raise ValueError("train_samples is empty")
@@ -482,20 +496,7 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
         raise ValueError(f"epochs must be >= 0 and batch >= 1, got {epochs}, {batch}")
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be >= 0 and finite, got {lr!r}")
-    if isinstance(train_samples, WindowSplit):
-        _check_split(model, train_samples)
-        xs, ys = train_samples.lookbacks(), train_samples.targets()
-
-        def draw(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return xs[idx], ys[idx]
-    else:
-        C = None
-        for s in train_samples:
-            C = _check_shape(model, s, C)
-
-        def draw(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return (np.stack([train_samples[j].x for j in idx]),
-                    np.stack([train_samples[j].y for j in idx]))
+    draw, _ = _windows(model, train_samples)
     out = model.clone()
     if epochs == 0:
         return out

@@ -606,7 +606,11 @@ class TestChunkedNormalization:
     @pytest.mark.parametrize("at", [engine.CHUNK - 1, engine.CHUNK,
                                     engine.CHUNK + 1])
     @pytest.mark.parametrize("bad", ["origin", "channels", "lookback", "x-1d"])
-    def test_bad_sample_error_unchanged_near_boundary(self, bad, at):
+    def test_bad_sample_error_unchanged_near_boundary(self, monkeypatch, bad, at):
+        # a list is checked before step 0, even past the first chunk
+        calls = []
+        monkeypatch.setattr(engine, "encode",
+                            lambda *args: calls.append(1) or encode(*args))
         stream = make_stream(self.N, L, K, C, seed=105)
         s = stream[at]
         o = s.origin
@@ -626,6 +630,15 @@ class TestChunkedNormalization:
             with pytest.raises(ValueError) as err:
                 run_method(method, small_model(), live_adapter(), stream, small_cfg())
             assert str(err.value) == want, method
+            assert calls == [], method
+
+    def test_shape_fault_reported_before_order_fault(self):
+        stream = make_stream(self.N, L, K, C, seed=108)
+        stream[5] = Sample(x=stream[5].x, y=stream[5].y, origin=stream[4].origin)
+        o = stream[engine.CHUNK + 1].origin
+        stream[engine.CHUNK + 1] = Sample(x=np.ones((L + 1, C)), y=stream[0].y, origin=o)
+        with pytest.raises(ValueError, match=f"sample at origin {o}: x rows"):
+            run_method("ori", small_model(), None, stream, small_cfg())
 
 
 def frame_splits(channels, seed, T=400):
@@ -716,7 +729,7 @@ class TestWindowSplitEquivalence:
         _, _, test = frame_splits(channels, seed=600 + channels)
         for lo in range(0, len(test), engine.CHUNK):
             chunk = test[lo:lo + engine.CHUNK]
-            xn, st = normalize(chunk)
+            xn, st = normalize(chunk.lookbacks())
             ref_xn, ref_st = normalize(np.stack([s.x for s in chunk]))
             assert xn.shape == ref_xn.shape
             assert np.ascontiguousarray(xn).tobytes() == \

@@ -11,8 +11,8 @@ from driftcast import (NormStats, Sample, build_model, normalize,
                        offline_train, predict)
 from driftcast.diffmath import AffineLayer, mse_with_grad
 from driftcast.engine import CHUNK
-from driftcast.forecaster import (STD_EPS, ForecastModel, _backward, _forward,
-                                  apply_param_step, denormalize, encode,
+from driftcast.forecaster import (STD_EPS, ForecastModel, WindowSplit, _backward,
+                                  _forward, apply_param_step, denormalize, encode,
                                   grad_wrt_feature, grad_wrt_last_layer,
                                   head_forward_with_tape, param_grads,
                                   predict_with_tape)
@@ -110,17 +110,28 @@ class TestNormalize:
         x = data.draw(reduction_inputs(rows=st.just(n * L), cols=st.just(C)))
         x = x.reshape(n, L, C)
         mixed = [np.asfortranarray(w) if data.draw(st.booleans()) else w for w in x]
+        # a split's lookbacks: overlapping windows, strided views of one series
+        series = data.draw(reduction_inputs(rows=st.just(n + L), cols=st.just(C)))
+        looks = WindowSplit(series, L, 1, L - 1, L - 1 + n).lookbacks()
+        stacks = [np.stack(mixed), np.asfortranarray(x),
+                  # an (n x C x L) C-ordered array seen as (n x L x C)
+                  np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1),
+                  looks, looks[data.draw(st.integers(0, n - 1)):]]
         with np.errstate(all="ignore"):
-            stacks = [normalize(np.stack(mixed)), normalize(np.asfortranarray(x))]
             for i, w in enumerate(x):              # x is C-ordered
                 w_norm, w_stats = normalize(w)
-                got = [normalize(mixed[i]), normalize(np.asfortranarray(w))]
-                got += [(xn[i], NormStats(stats.mean[i], stats.std[i]))
-                        for xn, stats in stacks]
-                for g_norm, g_stats in got:
+                for g_norm, g_stats in (normalize(mixed[i]),
+                                        normalize(np.asfortranarray(w))):
                     assert same_bytes(g_norm, w_norm), i
                     assert same_bytes(g_stats.mean, w_stats.mean), i
                     assert same_bytes(g_stats.std, w_stats.std), i
+            for j, stack in enumerate(stacks):
+                xn, stats = normalize(stack)
+                for i, w in enumerate(stack):
+                    w_norm, w_stats = normalize(np.ascontiguousarray(w))
+                    assert same_bytes(xn[i], w_norm), (j, i)
+                    assert same_bytes(stats.mean[i], w_stats.mean), (j, i)
+                    assert same_bytes(stats.std[i], w_stats.std), (j, i)
 
     @pytest.mark.parametrize("shape", [(4,), (1, 2, 3, 4)])
     def test_neither_window_nor_stack_rejected(self, shape):
