@@ -9,6 +9,8 @@ channel whose coefficients change at given points in time).
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -112,44 +114,71 @@ class DriftSpec:
 def load_csv(path: str) -> SeriesFrame:
     """Header row; first column is a timestamp/index and is dropped; the
     remaining columns must parse as finite reals (nan and inf are rejected
-    with their row and column). No reordering, no imputation."""
-    rows: List[List[str]] = []
+    with their row and column). No reordering, no imputation.
+
+    Each row is parsed as it is read, into one flat float64 array that
+    becomes the frame's values without a copy, so a load holds about 8 B
+    per cell and no cell's text outlives its row. The whole file is read
+    before any other error is raised, and the first error in this order
+    wins: a decode or csv error, with its row; an empty file, a header
+    with no data column, or no data row; the first ragged or unparsable
+    data row; the first non-finite cell in row-major order, with its text.
+    """
+    values = array("d")         # the data cells, row-major, as they parse
+    header: List[str] = []
+    rows = 0                    # records read, the header included
+    fault = None                # the first ragged or unparsable row's error
+    non_finite = None           # the first non-finite cell's error
     with open(path, "rb") as fh:
         # one line at a time, so a decode error stops at its row; bytes split
         # at \n, \r and \r\n only, the breaks text mode with newline="" makes
         lines = (part.decode("utf-8") for line in fh for part in line.splitlines(True))
         try:
-            rows.extend(csv.reader(lines))
+            for row in csv.reader(lines):
+                rows += 1
+                if rows == 1:
+                    header = row
+                elif fault is None and len(header) >= 2:
+                    if len(row) != len(header):
+                        fault = (f"ragged row {rows}: {len(row)} cells, "
+                                 f"expected {len(header)}")
+                        continue
+                    try:
+                        cells = list(map(float, row[1:]))
+                    except ValueError:
+                        fault = _unparsable(header, row, rows)
+                        continue
+                    values.extend(cells)
+                    # a sum of finite cells may overflow, so look cell by cell
+                    if non_finite is None and not math.isfinite(sum(cells)):
+                        for c, v in enumerate(cells, 1):
+                            if not math.isfinite(v):
+                                non_finite = (f"non-finite cell at row {rows}, "
+                                              f"column {header[c]!r}: {row[c]!r}")
+                                break
         except (UnicodeDecodeError, csv.Error) as exc:  # csv: a NUL before Python 3.11
-            raise ValueError(f"{path}: row {len(rows) + 1}: {exc}") from None
+            raise ValueError(f"{path}: row {rows + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = rows[0]
     if len(header) < 2:
         raise ValueError(f"{path}: need a timestamp column plus data columns")
-    data_rows = rows[1:]
-    if not data_rows:
+    if rows == 1:
         raise ValueError(f"{path}: no data rows (header only)")
-    ncol = len(header)
-    values = np.empty((len(data_rows), ncol - 1), dtype=np.float64)
-    for r, row in enumerate(data_rows):
-        if len(row) != ncol:
-            raise ValueError(
-                f"{path}: ragged row {r + 2}: {len(row)} cells, expected {ncol}")
-        for c in range(1, ncol):
-            try:
-                values[r, c - 1] = float(row[c])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: unparsable cell at row {r + 2}, "
-                    f"column {header[c]!r}: {row[c]!r}") from None
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        r, c = bad[0]
-        raise ValueError(
-            f"{path}: non-finite cell at row {r + 2}, "
-            f"column {header[c + 1]!r}: {data_rows[r][c + 1]!r}")
-    return SeriesFrame(values, header[1:])
+    for error in (fault, non_finite):
+        if error is not None:
+            raise ValueError(f"{path}: {error}")
+    return SeriesFrame(np.frombuffer(values).reshape(rows - 1, len(header) - 1),
+                       header[1:])
+
+
+def _unparsable(header: List[str], row: List[str], r: int) -> str:
+    """The error for the first cell of row r that float() refuses (load_csv
+    calls it only for a row where one does)."""
+    for c in range(1, len(row)):
+        try:
+            float(row[c])
+        except ValueError:
+            return f"unparsable cell at row {r}, column {header[c]!r}: {row[c]!r}"
 
 
 def write_csv(frame: SeriesFrame, path: str) -> None:
@@ -215,6 +244,19 @@ def chrono_split(frame: SeriesFrame, spec: SplitSpec, L: int, k: int
             window_range(b2, T - 1 - k))
 
 
+def _generated(spec: DriftSpec, values: np.ndarray, columns: List[str]) -> SeriesFrame:
+    """The generators' frame, or ValueError at the first row that overflowed:
+    the magnitudes (summed in mean_shift, multiplied in concept_drift) and
+    noise_std are what scale a series."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{spec.kind} series is not finite at row "
+                         f"{int(np.argmin(finite))}: magnitudes {spec.magnitudes!r} "
+                         f"with noise_std {spec.noise_std!r} overflow float64")
+    return SeriesFrame(values, columns)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # _generated names an overflow
 def gen_mean_shift(spec: DriftSpec) -> SeriesFrame:
     """AR(1) around a piecewise-constant mean that jumps at change points.
 
@@ -233,7 +275,7 @@ def gen_mean_shift(spec: DriftSpec) -> SeriesFrame:
     x[0] = mu[0] + spec.noise_std * eta[0]
     for t in range(1, T):
         x[t] = mu[t] + spec.ar_coeff * (x[t - 1] - mu[t - 1]) + spec.noise_std * eta[t]
-    return SeriesFrame(x, [f"ch{c}" for c in range(C)])
+    return _generated(spec, x, [f"ch{c}" for c in range(C)])
 
 
 def concept_coefficients(spec: DriftSpec, t: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -252,6 +294,7 @@ def concept_coefficients(spec: DriftSpec, t: int) -> Tuple[np.ndarray, np.ndarra
     return a1, a2
 
 
+@np.errstate(over="ignore", invalid="ignore")   # _generated names an overflow
 def gen_concept_drift(spec: DriftSpec) -> SeriesFrame:
     """Driver channels are AR(1); the last channel is a lagged linear map of
     the drivers whose coefficients change at the change points:
@@ -286,4 +329,4 @@ def gen_concept_drift(spec: DriftSpec) -> SeriesFrame:
                      + spec.noise_std * eps[t])
     values = np.column_stack([drivers, target])
     cols = [f"driver{c}" for c in range(n_drivers)] + ["target"]
-    return SeriesFrame(values, cols)
+    return _generated(spec, values, cols)

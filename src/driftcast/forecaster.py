@@ -213,7 +213,7 @@ def _check_shape(model: ForecastModel, sample: Sample,
     return x.shape[1]
 
 
-def _windows(model: ForecastModel, samples: Sequence[Sample]
+def _windows(model: ForecastModel, samples: Sequence[Sample], finite: bool = False
              ) -> Tuple[Callable[..., Tuple[np.ndarray, np.ndarray]], Sequence[int]]:
     """Check samples against the model and return (draw, origins): draw(index)
     gives the lookbacks and targets of the windows a slice or an index
@@ -225,15 +225,28 @@ def _windows(model: ForecastModel, samples: Sequence[Sample]
     a view for a slice, one gather for an index array. Any other sequence
     is checked sample by sample (_check_shape) and draw stacks only the
     samples it picks, so a draw holds O(m*L*C) either way.
+
+    With finite, a non-finite value in any window's x or y is refused and
+    the first such window's origin named: one isfinite over the rows a
+    split's windows cover, or one per sample.
     """
     if isinstance(samples, WindowSplit):
         if len(samples):
             _check_shape(model, samples[0], None)
+            if finite:
+                lo = samples.start - samples.L + 1
+                ok = np.isfinite(samples.values[lo:samples.stop + samples.k]).all(axis=1)
+                if not ok.all():
+                    # row lo + j lies in the windows of origins lo + j - k onwards
+                    origin = max(samples.start, lo + int(np.argmin(ok)) - samples.k)
+                    raise ValueError(f"sample at origin {origin}: non-finite x or y")
         xs, ys = samples.lookbacks(), samples.targets()
         return (lambda index: (xs[index], ys[index])), range(samples.start, samples.stop)
     C = None
     for s in samples:
         C = _check_shape(model, s, C)
+        if finite and not (np.isfinite(s.x).all() and np.isfinite(s.y).all()):
+            raise ValueError(f"sample at origin {s.origin}: non-finite x or y")
 
     def draw(index) -> Tuple[np.ndarray, np.ndarray]:
         rows = range(len(samples))[index] if isinstance(index, slice) else index
@@ -482,8 +495,9 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
                   seed: int = 0) -> ForecastModel:
     """Mini-batch SGD on MSE over the shuffled train split; returns a clone.
 
-    The samples are checked first and each batch is drawn when it is
-    needed, by _windows, as the stream loop reads its windows; a batch is
+    The samples are checked first, a window holding a non-finite value
+    refused by its origin, and each batch is drawn when it is needed, by
+    _windows, as the stream loop reads its windows; a batch is
     normalized by one normalize of its stack, which gives each window the
     bytes of its own call. Nothing drawn outlives its batch, so the fit
     holds O(batch*L*C) on top of the samples. A batch of m samples with C
@@ -496,7 +510,7 @@ def offline_train(model: ForecastModel, train_samples: Sequence[Sample],
         raise ValueError(f"epochs must be >= 0 and batch >= 1, got {epochs}, {batch}")
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be >= 0 and finite, got {lr!r}")
-    draw, _ = _windows(model, train_samples)
+    draw, _ = _windows(model, train_samples, finite=True)
     out = model.clone()
     if epochs == 0:
         return out

@@ -463,6 +463,23 @@ class TestPlumbing:
         assert "[ok] concept_drift ori" in out
         assert "hist_batch 200 is above the 118 records test releases" in err
 
+    @pytest.mark.parametrize("pretrain,name,released", [
+        (0, "test", 118), (1, "val", 34)])
+    def test_window_of_exactly_the_released_records_runs(self, tmp_path, capsys,
+                                                         pretrain, name, released):
+        # hist_batch equal to what a split releases fills the window once and
+        # steps once; one more than it is refused
+        base = ("length=420", "change_point=320", "magnitude=1.0", "lookback=16",
+                "horizon=4", "width=8", "blocks=2", "train_epochs=1",
+                f"pretrain_epochs={pretrain}", "method=adaptz")
+        for hist_batch, status in ((released, "ok"), (released + 1, "error")):
+            plan = parse_config(None, list(base) + [
+                f"hist_batch={hist_batch}", f"out_dir={tmp_path / str(hist_batch)}"])
+            results, _ = run_plan(plan)
+            assert [r.status for r in results] == [status], hist_batch
+        assert (f"hist_batch {released + 1} is above the {released} records "
+                f"{name} releases") in capsys.readouterr().err
+
     def test_results_rows_blank_mse_on_error(self):
         from driftcast.cli import RunResult
         rows = results_rows([RunResult("d", "ori", 1, 0, None, "error", "abc")])
@@ -514,6 +531,21 @@ class TestMainEntry:
         assert main(["gen", "--drift", spec, "--out", str(out)]) == 2
         assert "magnitude nan is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_stream_exit_two(self, tmp_path, capsys):
+        # two finite magnitudes whose sum overflows; refused before any run
+        text = ("kind=mean_shift\nlength=300\nchange_point=100\n"
+                "change_point=200\nmagnitude=1e308\nmagnitude=1e308\n")
+        named = "magnitudes [1e+308, 1e+308] with noise_std 0.1 overflow float64"
+        spec = write_cfg(tmp_path, text, name="drift.cfg")
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--drift", spec, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        cfg = write_cfg(tmp_path, text + f"out_dir={tmp_path / 'out'}\n")
+        assert main(["run", "--config", cfg]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_stream_over_max_cells_exit_two(self, tmp_path, capsys):
         # refused while parsing, before a cell is generated

@@ -93,6 +93,49 @@ class TestCsvIO:
                 f"{path}: row 3: 'utf-8' codec can't decode byte 0xff")):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("data,msg", [
+        # reading runs to the end of the file, so a decode error anywhere wins
+        (b"timestamp,a,b\n0,1.0\n1,2.\xff5,3.0\n",
+         "row 3: 'utf-8' codec can't decode byte 0xff in position 4: "
+         "invalid start byte"),
+        # a ragged or unparsable row anywhere wins over any non-finite cell
+        (b"timestamp,a\n0,nan\n1,oops\n",
+         "unparsable cell at row 3, column 'a': 'oops'"),
+        (b"timestamp,a,b\n0,inf,1.0\n1,2.0\n",
+         "ragged row 3: 2 cells, expected 3"),
+        # the header is checked before any data row
+        (b"timestamp\n0,1.0,2.0\n1\n",
+         "need a timestamp column plus data columns"),
+        # the first non-finite cell in row-major order, with its own text
+        (b"timestamp,a,b\n0,1.0,NaN\n1,1e999,2.0\n",
+         "non-finite cell at row 2, column 'b': 'NaN'"),
+        (b"timestamp,a,b\n0,1.0,2.0\n1,1e999,NaN\n",
+         "non-finite cell at row 3, column 'a': '1e999'"),
+    ], ids=["decode-over-ragged", "unparsable-over-nan", "ragged-over-inf",
+            "header-over-ragged", "nan-then-1e999", "1e999-then-nan"])
+    def test_error_precedence_with_two_defects(self, tmp_path, data, msg):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_csv(str(path))
+        assert str(err.value) == f"{path}: {msg}"
+
+    def test_load_holds_under_24_bytes_per_cell(self, tmp_path):
+        # the bench's wide-channels shape: 6,000 rows of 16 channels
+        frame = gen_mean_shift(DriftSpec(kind="mean_shift", length=6000,
+                                         channels=16, change_points=[3000],
+                                         magnitudes=[2.0], seed=1))
+        path = str(tmp_path / "wide.csv")
+        write_csv(frame, path)
+        tracemalloc.start()
+        try:
+            back = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == frame.values.tobytes()
+        assert peak / frame.values.size <= 24, peak / frame.values.size
+
     @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 3)),
                   elements=st.floats(allow_nan=False, allow_infinity=False)),
            st.data())
@@ -338,6 +381,29 @@ class TestDriftSpecValidation:
             DriftSpec(length=100, change_points=[100], magnitudes=[1.0])
         with pytest.raises(ValueError):
             DriftSpec(length=100, change_points=[50], magnitudes=[1.0, 2.0])
+
+
+class TestGeneratorOverflow:
+    # pytest turns warnings into errors, so these also pin that no
+    # RuntimeWarning escapes the overflow
+    @pytest.mark.parametrize("kind,row", [("mean_shift", 200),
+                                          ("concept_drift", 100)])
+    def test_overflowing_magnitudes_refused(self, kind, row):
+        spec = DriftSpec(kind=kind, length=300, change_points=[100, 200],
+                         magnitudes=[1e308, 1e308])
+        gen = gen_mean_shift if kind == "mean_shift" else gen_concept_drift
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} series is not finite at row {row}: magnitudes "
+                "[1e+308, 1e+308] with noise_std 0.1 overflow float64")):
+            gen(spec)
+
+    @pytest.mark.parametrize("kind", ["mean_shift", "concept_drift"])
+    def test_overflowing_noise_refused(self, kind):
+        spec = DriftSpec(kind=kind, length=300, noise_std=1e308)
+        gen = gen_mean_shift if kind == "mean_shift" else gen_concept_drift
+        with pytest.raises(ValueError, match=r"at row \d+: magnitudes \[\] with "
+                                             r"noise_std 1e\+308 overflow"):
+            gen(spec)
 
 
 class TestMeanShift:

@@ -521,3 +521,33 @@ class TestOfflineTrain:
         good = self._one_sample(88)
         bad = Sample(x=good.x, y=np.ones((3, 2)), origin=13)
         self._fit_rejects([good, bad], "sample at origin 13: y shape (3, 2) != (2, 2)")
+
+    @pytest.mark.parametrize("row,col,bad", [
+        (0, 0, np.nan),      # the first row the windows cover: a lookback only
+        (150, 1, np.nan),    # the middle: lookbacks and targets
+        (150, 0, np.inf),
+        (299, 1, -np.inf),   # the last row: one window's target only
+    ])
+    def test_non_finite_window_refused_by_its_origin(self, row, col, bad):
+        # one bad cell of a 300 x 2 frame, L=16 and k=4; the split and the
+        # list of its samples name the same, first window that holds it
+        series = np.random.default_rng(3).standard_normal((300, 2))
+        series[row, col] = bad
+        split = WindowSplit(series, L=16, k=4, start=15, stop=296)
+        origin = next(s.origin for s in split
+                      if not (np.isfinite(s.x).all() and np.isfinite(s.y).all()))
+        assert origin == max(15, row - 4)
+        model = build_model(L=16, k=4, d=8, n_blocks=2, seed=4)
+        for samples in (split, list(split)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sample at origin {origin}: non-finite x or y")):
+                offline_train(model, samples, epochs=1, lr=1e-3, batch=32, seed=1)
+
+    def test_non_finite_row_no_window_covers_is_fitted(self):
+        series = np.random.default_rng(3).standard_normal((300, 2))
+        series[:10, 0] = np.nan          # before the first lookback
+        series[-3:, 1] = np.inf          # after the last target
+        split = WindowSplit(series, L=16, k=4, start=25, stop=293)
+        model = build_model(L=16, k=4, d=8, n_blocks=2, seed=4)
+        out = offline_train(model, split, epochs=1, lr=1e-3, batch=32, seed=1)
+        assert all(np.isfinite(a).all() for _, a in out.named_params())
