@@ -76,7 +76,11 @@ class Layered:
 def descend(net: Layered, grads: Dict[str, np.ndarray], lr: float) -> None:
     """theta <- theta - lr * g into new arrays (tapes keep the old) for each
     parameter named in grads; the others stay. A name the net lacks or a
-    rate outside [0, inf) raises ValueError before anything moves."""
+    rate outside [0, inf) raises ValueError before anything moves.
+
+    Each step builds one array: g * -lr, then theta added in place, which is
+    theta - lr * g byte for byte; at rate 1.0 it is theta - g, since 1.0 * g
+    is g."""
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be >= 0 and finite, got {lr!r}")
     steps = [(layer, field, g)
@@ -88,7 +92,13 @@ def descend(net: Layered, grads: Dict[str, np.ndarray], lr: float) -> None:
     if lr == 0.0:
         return
     for layer, field, g in steps:
-        setattr(layer, field, getattr(layer, field) - lr * np.asarray(g, float))
+        p, g = getattr(layer, field), np.asarray(g, float)
+        if lr == 1.0:
+            step = p - g
+        else:
+            step = g * -lr
+            step += p
+        setattr(layer, field, step)
 
 
 def affine_apply(weight: np.ndarray, bias: np.ndarray, inp: np.ndarray) -> np.ndarray:

@@ -21,14 +21,15 @@ out. It scores each prediction once, and the loss gradient g_y rides on
 the record: fogd and adaptz step on it, as delayed OGD does.
 
 adaptz keeps its own window of the last b released records, placed by one
-release count n: record i sits in slot i % b. Its window gradient is a sum
-of per-record shares, each keyed by parameter name. A share depends only
-on what its record holds (its tapes with their weight snapshots and its
-g_y), and each record is handed over once, so each record is
-backpropagated once, when its label is released. The window sum slides,
-name by name: each window adds its newest share and subtracts the one its
-slot held, and it is re-summed exactly whenever n % b == 0, when slots
-0..b-1 hold the window in order. The hisgrad window is read as one slice
+release count n: record i sits in slot i % b. Its window step is a sum of
+per-record shares, each keyed by parameter name and scaled by its path's
+rate over b, so the head and the adapter step down the sum at rate 1.0.
+A share depends only on what its record holds (its tapes with their
+weight snapshots and its g_y), and each record is handed over once, so
+each record is backpropagated once, when its label is released. The
+window sum slides, name by name: each window adds its newest share and
+subtracts the one its slot held, and it is re-summed exactly whenever
+n % b == 0, when slots 0..b-1 hold the window in order. The hisgrad window is read as one slice
 of a ring that holds each released record's hisgrad_terms twice, so
 neither per-step cost grows with b. In adaptz only the head and the
 adapter move, so a record's pass through the blocks past the tap is fixed
@@ -51,11 +52,13 @@ that window without normalizing again. Each step's z comes from encode,
 on the step's normalized window; encode stops at the tap, and the loop's
 one head_forward_with_tape is the only run of the blocks past it. In
 pretraining only the adapter moves, so pretrain_adapter draws val's
-steps once, before the first epoch, and its later epochs replay the
-first epoch's hisgrad sequence (byte-equal, and kept only for that one
-call). The steps it holds keep each origin, y, z and stats but not the
-normalized window, which only ogd reads: a window is a view that would
-keep its whole chunk alive.
+steps once, before the first epoch. The frozen head also fixes each
+released record's feature gradient, so it makes them once too, in one
+stacked pass per CHUNK of records, and every epoch reads the hisgrad
+sequence of their window means (kept only for that one call). The steps
+it holds keep each origin, y, z and stats but not the normalized window,
+which only ogd reads: a window is a view that would keep its whole chunk
+alive.
 """
 
 from __future__ import annotations
@@ -153,12 +156,14 @@ def write_trace_csv(trace: MetricsTrace, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _front_end(model: ForecastModel, stream: Sequence[Sample]) -> Iterator[Step]:
+def _front_end(model: ForecastModel, stream: Sequence[Sample],
+               finite: bool = False) -> Iterator[Step]:
     """Each step of the stream as (origin, y, x_norm, z, stats), from one
-    normalize per CHUNK of windows. The samples and the order of their
-    origins are checked before step 0. z is encoded when its step is drawn,
-    so it sees the model as it is then (ogd moves the blocks)."""
-    draw, origins = _windows(model, stream)
+    normalize per CHUNK of windows. The samples (with finite, also their
+    values, as _windows checks them) and the order of their origins are
+    checked before step 0. z is encoded when its step is drawn, so it sees
+    the model as it is then (ogd moves the blocks)."""
+    draw, origins = _windows(model, stream, finite)
     for prev, origin in zip(origins, origins[1:]):
         if origin <= prev:
             raise ValueError(f"out-of-order stream timestamps: {origin} after {prev}")
@@ -176,32 +181,35 @@ def hisgrad_terms(model: ForecastModel, rec: StepRecord) -> Tuple[np.ndarray, ..
     the record's post-tap pass (tail_forward of its z), a = 2*std**2/(k*C)
     (C x 1), c = 2*std*(mean - y)/(k*C) (C x k) and each post-tap block's
     ReLU mask as float64 0/1. The record's loss gradient in normalized
-    units is y_norm * a + c, y_norm (C x k) the head's output on head_in."""
-    tail = tail_forward(model, rec.z)
-    k, C = rec.y.shape
+    units is y_norm * a + c, y_norm (C x k) the head's output on head_in.
+
+    rec may also hold m records on a leading axis (z m x C x d, y m x k x C,
+    stats m x C); every term then has that axis too, and the post-tap pass
+    runs as one (m*C)-row stack.
+    """
+    *lead, d = rec.z.shape
+    k, C = rec.y.shape[-2:]
+    tail = tail_forward(model, rec.z.reshape(-1, d))
     scale = 2.0 * rec.stats.std / (k * C)
-    return (tail.head_in, (scale * rec.stats.std)[:, None],
-            scale[:, None] * (rec.stats.mean[:, None] - rec.y.T),
-            *((h > 0.0).astype(np.float64) for h in tail.ins))
+    return (tail.head_in.reshape(*lead, -1), (scale * rec.stats.std)[..., None],
+            scale[..., None] * (rec.stats.mean[..., None] - np.swapaxes(rec.y, -1, -2)),
+            *((h > 0.0).astype(np.float64).reshape(*lead, -1) for h in tail.ins))
 
 
-def compute_hisgrad(model: ForecastModel, head_in: np.ndarray, a: np.ndarray,
-                    c: np.ndarray, *masks: np.ndarray) -> np.ndarray:
-    """Average over b released records of the per-sample gradient of the
-    squared forecast error with respect to the record's feature, evaluated
-    under the model's current parameters.
-
-    It takes the records' hisgrad_terms stacked on a leading axis of b,
-    each C-contiguous, and runs them as one (b*C)-row pass: the model is
-    channel independent. Only the head runs, on the stored head inputs;
-    in place, its bias, a and c make the loss gradient in normalized units.
-    No ReLU sits between the last block and the head, so one GEMM through
+def _hisgrad_rows(model: ForecastModel, head_in: np.ndarray, a: np.ndarray,
+                  c: np.ndarray, *masks: np.ndarray) -> np.ndarray:
+    """Each record's own feature gradient (m x C x d), under the model's
+    current parameters, from m records' hisgrad_terms stacked on a leading
+    axis, each C-contiguous: one (m*C)-row pass, since the model is channel
+    independent. Only the head runs, on the stored head inputs; in place,
+    its bias, a and c make the loss gradient in normalized units. No ReLU
+    sits between the last block and the head, so one GEMM through
     H @ W_last and that block's mask reach its input, and each earlier
     post-tap block takes a GEMM and its mask (with the tap at the last
     block, one GEMM through H).
     """
-    b, C, _ = head_in.shape
-    rows, H = b * C, model.head.weight
+    m, C, _ = head_in.shape
+    rows, H = m * C, model.head.weight
     # a C-ordered copy of H.T: BLAS runs this narrow product faster from it
     g = head_in.reshape(rows, -1) @ np.ascontiguousarray(H.T)
     g += model.head.bias
@@ -216,35 +224,81 @@ def compute_hisgrad(model: ForecastModel, head_in: np.ndarray, a: np.ndarray,
         for j in range(len(masks) - 2, -1, -1):
             g = g @ model.blocks[start + j].weight
             g *= masks[j].reshape(rows, -1)
-    return np.add.reduce(g.reshape(b, C, model.d), axis=0) / b
+    return g.reshape(m, C, model.d)
+
+
+def _window_mean(rows: np.ndarray) -> np.ndarray:
+    """The mean of a window's per-record rows (b x C x d) over its b records."""
+    return np.add.reduce(rows, axis=0) / len(rows)
+
+
+def compute_hisgrad(model: ForecastModel, head_in: np.ndarray, a: np.ndarray,
+                    c: np.ndarray, *masks: np.ndarray) -> np.ndarray:
+    """Average over b released records of the per-sample gradient of the
+    squared forecast error with respect to the record's feature, evaluated
+    under the model's current parameters: the window mean of _hisgrad_rows
+    of the records' hisgrad_terms, stacked on a leading axis of b.
+    """
+    return _window_mean(_hisgrad_rows(model, head_in, a, c, *masks))
+
+
+def _hisgrad_sequence(model: ForecastModel, steps: Sequence[Step],
+                      b: int) -> List[np.ndarray]:
+    """Pretraining's hisgrads while the head is frozen, in release order:
+    entry j is the window mean of the rows of released records j..j+b-1
+    (the first len(steps) - k steps are released; [] if fewer than b are).
+
+    A frozen head fixes each record's rows, so they are made once, from
+    hisgrad_terms and _hisgrad_rows of stacks of up to CHUNK records; past
+    its stack only a stack's last b - 1 rows are held, for the windows that
+    cross into the next.
+    """
+    released = len(steps) - model.k
+    seq: List[np.ndarray] = []
+    if released < b:
+        return seq
+    held = None
+    for lo in range(0, released, CHUNK):
+        _, ys, _, zs, stats = zip(*steps[lo:min(lo + CHUNK, released)])
+        stack = StepRecord(y=np.stack(ys), z=np.stack(zs),
+                           stats=NormStats(np.stack([st.mean for st in stats]),
+                                           np.stack([st.std for st in stats])))
+        rows = _hisgrad_rows(model, *hisgrad_terms(model, stack))
+        if held is not None:
+            rows = np.concatenate((held, rows))
+        seq.extend(_window_mean(rows[j:j + b]) for j in range(len(rows) - b + 1))
+        held = rows[max(len(rows) - b + 1, 0):]
+    return seq
 
 
 def _record_share(model: ForecastModel, rec: StepRecord, b: int,
                   cfg: EngineConfig) -> Dict[str, np.ndarray]:
-    """The record's term of the window-mean loss gradient, keyed by the names
-    of the parameters that can move ({} with both rates 0). Only the record's
-    own tapes and g_y are read, so it is the same in every window."""
-    g_y = rec.g_y / b                                       # window-mean loss
+    """The record's term of the window step, keyed by the names of the
+    parameters that can move ({} with both rates 0): its gradient of the
+    window-mean loss, scaled by lr_head/b on the head's path and by
+    lr_adapter/b on the adapter's, through g_y. Only the record's own
+    tapes and g_y are read, so it is the same in every window."""
     grads: Dict[str, np.ndarray] = {}
     if cfg.lr_head > 0:
         grads["head.weight"], grads["head.bias"] = \
-            grad_wrt_last_layer(model, rec.head_tape, g_y)
+            grad_wrt_last_layer(model, rec.head_tape, rec.g_y * (cfg.lr_head / b))
     if cfg.lr_adapter > 0:
-        g_z = grad_wrt_feature(model, rec.head_tape, g_y)
+        g_z = grad_wrt_feature(model, rec.head_tape, rec.g_y * (cfg.lr_adapter / b))
         grads.update(adapter_backward_tape(rec.adapter_tape, g_z))
     return grads
 
 
 def _window_update(model: ForecastModel, a: AdapterNet,
                    acc: Dict[str, np.ndarray], cfg: EngineConfig) -> None:
-    """Step the head (if lr_head > 0) and the adapter (if lr_adapter > 0) down
-    the window gradient acc, keyed by parameter name. The steps allocate new
-    parameters, so acc may later move in place."""
+    """Step the head (if lr_head > 0) and the adapter (if lr_adapter > 0) by
+    the window step acc, keyed by parameter name: its shares carry the
+    rates, so both step at rate 1.0. The steps allocate new parameters, so
+    acc may later move in place."""
     head = ("head.weight", "head.bias")
     if cfg.lr_head > 0:
-        descend(model, {n: acc[n] for n in head}, cfg.lr_head)
+        descend(model, {n: acc[n] for n in head}, 1.0)
     if cfg.lr_adapter > 0:
-        sgd_step(a, {n: g for n, g in acc.items() if n not in head}, cfg.lr_adapter)
+        sgd_step(a, {n: g for n, g in acc.items() if n not in head}, 1.0)
 
 
 def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
@@ -318,24 +372,25 @@ def run_adaptz(model: ForecastModel, adapter_net: AdapterNet,
 
 def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step],
             n_steps: int, cfg: EngineConfig,
-            hisgrads: Optional[List[np.ndarray]] = None) -> MetricsTrace:
+            hisgrads: Optional[Sequence[np.ndarray]] = None) -> MetricsTrace:
     """The adaptz loop over n_steps steps of an already deployed model.
 
     Released record i goes to slot i % b: its hisgrad_terms (made once on
     release; the post-tap blocks never move here) to the hisgrad ring
-    (slots j and j + b of 2b) and its share of the window gradient to a
-    b-slot list. Once b records are in, the window sum is taken left to
-    right, name by name, whenever the count n of released
-    records is a multiple of b; in between it gains the newest share and
-    loses the one whose slot that share took. Float addition is not
-    associative, so the periodic exact sum bounds the drift. A window over
-    the n_steps - k releases never fills: it gets no slot, ring or share.
+    (slots j and j + b of 2b) and its share of the window step to a b-slot
+    list. Each share carries its path's rate, so the window sum is the step
+    itself. Once b records are in, the sum is taken left to right, name by
+    name, whenever the count n of released records is a multiple of b; in
+    between it gains the newest share and loses the one whose slot that
+    share took. Float addition is not associative, so the periodic
+    exact sum bounds the drift. A window over the n_steps - k releases
+    never fills: it gets no slot, ring or share.
 
-    hisgrads is pretrain_adapter's, whose head is frozen: an empty list is
-    filled with each hisgrad the run computes, and a filled one is read in
-    their place, with no ring. Its runs keep no predictions.
+    hisgrads is pretrain_adapter's _hisgrad_sequence, made before its first
+    epoch while the head is frozen (None when deployed): after the n-th
+    release the next hisgrad is hisgrads[n - b], and no ring is kept. Its
+    runs keep no predictions.
     """
-    replayed = hisgrads if hisgrads else None
     a = adapter_net.clone()
     b = cfg.hist_batch
     fills = b <= n_steps - model.k
@@ -358,10 +413,7 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
             return
         j = n % b                               # this record's slot
         n += 1
-        if replayed is not None:
-            if n >= b:
-                hisgrad = replayed[n - b]
-        elif a.use_grad:
+        if a.use_grad and hisgrads is None:
             # each term written twice, at j and j + b, so the last b records
             # are one contiguous slice, oldest first, as compute_hisgrad takes them
             terms = hisgrad_terms(model, rec)
@@ -373,8 +425,8 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
                 # next step's hisgrad, evaluated before this step's update
                 hisgrad = compute_hisgrad(model, *(ring[n % b:n % b + b]
                                                    for ring in rings))
-                if hisgrads is not None:
-                    hisgrads.append(hisgrad)
+        elif a.use_grad and n >= b:
+            hisgrad = hisgrads[n - b]
         left, shares[j] = shares[j], _record_share(model, rec, b, cfg)
         if n < b:
             return
@@ -450,13 +502,16 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     Runs the adaptz loop over the split once per epoch from an empty window,
     carrying the adapter across epochs; the head stays frozen (it only
     moves during deployment). The replay is chronological and fully
-    deterministic, so `seed` is accepted for interface parity only.
+    deterministic, so `seed` is accepted for interface parity only. A
+    window of the split holding a non-finite value is refused before the
+    first epoch, by its origin, as offline_train refuses one.
 
     Only the adapter moves here, so the call deploys one copy of the model
-    and draws val's steps from it once, before the first epoch, and the
-    first epoch's hisgrad sequence holds for every epoch: the later epochs
-    replay it, byte for byte what they would compute. All three belong to
-    this call alone.
+    and draws val's steps from it once, before the first epoch. The frozen
+    head fixes each released record's feature gradient too, so the hisgrad
+    sequence is made once from them as well (_hisgrad_sequence, a stacked
+    pass per CHUNK of records), and every epoch reads it. All three belong
+    to this call alone.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -468,8 +523,9 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
                        seed=seed)
     model = _deployed_copy(model, cfg)
     # z and stats only: a step's x_norm would pin its whole chunk
-    steps = [(o, y, None, z, st) for o, y, _, z, st in _front_end(model, val_samples)]
-    hisgrads: List[np.ndarray] = []
+    steps = [(o, y, None, z, st)
+             for o, y, _, z, st in _front_end(model, val_samples, finite=True)]
+    hisgrads = _hisgrad_sequence(model, steps, hist_batch) if a.use_grad else []
     for _ in range(epochs):
         a = _adaptz(model, a, steps, len(steps), cfg, hisgrads).final_adapter
     return a

@@ -93,6 +93,21 @@ class TestDescend:
             else:
                 assert p is before[name], name
 
+    @pytest.mark.parametrize("lr", [1.0, 0.25, 3e-5, 1e-3 / 24])
+    def test_step_bytes_equal_theta_minus_lr_g(self, lr):
+        # one array per step (g * -lr, then theta added), or theta - g at
+        # rate 1.0: both give theta - lr * g, signed zeros included
+        model = build_model(L=5, k=2, d=3, n_blocks=2, seed=7)
+        rng = np.random.default_rng(8)
+        before = {n: p.copy() for n, p in model.named_params()}
+        grads = {n: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 8, p.shape)
+                 for n, p in before.items()}
+        grads["head.bias"][:] = [0.0, -0.0]
+        model.head.bias = before["head.bias"] = np.array([-0.0, 0.0])
+        descend(model, grads, lr)
+        for name, p in model.named_params():
+            assert same_bytes(p, before[name] - lr * grads[name]), name
+
     def test_zero_lr_keeps_same_arrays(self):
         a = build_adapter(d=3, seed=2)
         before = a.named_params()

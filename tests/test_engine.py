@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -219,13 +220,19 @@ def encoded_records(model, stream):
     return recs
 
 
-def replay_adaptz(model, adapter_net, stream, cfg, exact=False, rerun=False):
+def replay_adaptz(model, adapter_net, stream, cfg, exact=False, rerun=False,
+                  hisgrads=None, rate_after_sum=False):
     """Reference adaptz loop that backpropagates every record again in each
-    window it enters. It sums the gradients per parameter name by the
-    engine's schedule: left to right on window 0 and every b-th window, and
+    window it enters. Each record's gradient comes from its g_y scaled by
+    its path's rate over b, and the head and the adapter step at rate 1.0
+    down the sum. It sums the gradients per parameter name by the engine's
+    schedule: left to right on window 0 and every b-th window, and
     otherwise the previous sum plus the newest record's gradient minus that
     of the record that left. exact=True re-sums every window; rerun=True
-    takes each hisgrad from hisgrad_by_rerun."""
+    takes each hisgrad from hisgrad_by_rerun, and a hisgrads sequence (as
+    pretraining makes it) gives the hisgrad after the n-th release as
+    hisgrads[n - b]. rate_after_sum=True is the order before the rates
+    rode on the shares: g_y / b, and each path steps at its own rate."""
     m = model.clone()
     a = adapter_net.clone()
     k, b = m.k, cfg.hist_batch
@@ -247,17 +254,22 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False, rerun=False):
         if s < k + b - 1:                   # hisgrad stays zero until then
             continue
         window = [recs[i] for i in range(s - k - b + 1, s - k + 1)]
-        hisgrad = (hisgrad_by_rerun(m, window) if rerun
-                   else compute_hisgrad(m, *stack(m, window)))
+        if hisgrads is not None:
+            hisgrad = hisgrads[s - k - b + 1]
+        else:
+            hisgrad = (hisgrad_by_rerun(m, window) if rerun
+                       else compute_hisgrad(m, *stack(m, window)))
+
+        def scaled(g_y, lr):
+            return g_y / b if rate_after_sum else g_y * (lr / b)
 
         def grads(rec):
-            g_y = rec.g_y / b
             out = {}
             if cfg.lr_head > 0:
-                out["head.weight"], out["head.bias"] = \
-                    grad_wrt_last_layer(m, rec.head_tape, g_y)
+                out["head.weight"], out["head.bias"] = grad_wrt_last_layer(
+                    m, rec.head_tape, scaled(rec.g_y, cfg.lr_head))
             if cfg.lr_adapter > 0:
-                g_z = grad_wrt_feature(m, rec.head_tape, g_y)
+                g_z = grad_wrt_feature(m, rec.head_tape, scaled(rec.g_y, cfg.lr_adapter))
                 out.update(adapter_backward_tape(rec.adapter_tape, g_z))
             return out
 
@@ -269,13 +281,20 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False, rerun=False):
         else:
             new, old = grads(window[-1]), grads(recs[s - k - b])
             acc = {name: acc[name] + new[name] - old[name] for name in acc}
+        rate_head, rate_adapter = ((cfg.lr_head, cfg.lr_adapter) if rate_after_sum
+                                   else (1.0, 1.0))
         if cfg.lr_adapter > 0:
             sgd_step(a, {n: g for n, g in acc.items() if not n.startswith("head.")},
-                     cfg.lr_adapter)
+                     rate_adapter)
         if cfg.lr_head > 0:
-            m.head.weight = m.head.weight - cfg.lr_head * acc["head.weight"]
-            m.head.bias = m.head.bias - cfg.lr_head * acc["head.bias"]
+            m.head.weight = m.head.weight - rate_head * acc["head.weight"]
+            m.head.bias = m.head.bias - rate_head * acc["head.bias"]
     return np.asarray(mses), m, a
+
+
+def pretrain_sequence(model, samples, b):
+    """The hisgrad sequence pretrain_adapter makes for samples at window b."""
+    return engine._hisgrad_sequence(model, list(engine._front_end(model, samples)), b)
 
 
 def assert_same_bytes(ref_objs, objs):
@@ -358,15 +377,17 @@ class TestStoredShares:
         assert_same_bytes((m_ref, a_ref), (trace.final_model, trace.final_adapter))
 
     def test_pretrain_matches_rebackprop_replay(self, small_trained):
+        # every epoch reads the one hisgrad sequence made before the first
         trained, _, val, _ = small_trained
         a = build_adapter(trained.d, seed=8)
         out = pretrain_adapter(trained, a, val, epochs=2, lr=0.001, hist_batch=4)
         cfg = EngineConfig(method="adaptz", horizon=trained.k,
                            lookback=trained.L, hist_batch=4, lr_adapter=0.001,
                            lr_head=0.0).validated()
+        seq = pretrain_sequence(trained, val, 4)
         ref = a
         for _ in range(2):
-            _, _, ref = replay_adaptz(trained, ref, val, cfg)
+            _, _, ref = replay_adaptz(trained, ref, val, cfg, hisgrads=seq)
         assert_same_bytes((ref,), (out,))
 
     @pytest.mark.parametrize("flags", [{}, dict(use_grad=False)],
@@ -767,6 +788,25 @@ class TestSlidingSumProperties:
                           (trace.final_model, trace.final_adapter))
 
     @given(stream_shapes(windows=4))
+    @settings(max_examples=50, deadline=None)
+    def test_rates_on_shares_within_drift_of_rates_after_sum(self, shape):
+        # each share carries its path's rate and the window steps at 1.0;
+        # the old order took g_y / b and applied each rate to the sum, so
+        # the two agree to rounding only, and the run reruns to the byte
+        L, k, b, C, n = shape
+        model = build_model(L=L, k=k, d=D, n_blocks=3, seed=3)
+        a = live_adapter()
+        stream = make_stream(n, L, k, C, seed=n + 5)
+        cfg = small_cfg(horizon=k, lookback=L, hist_batch=b)
+        one, two = (run_adaptz(model, a, stream, cfg) for _ in range(2))
+        assert one.step_mse.tobytes() == two.step_mse.tobytes()
+        assert_same_bytes((one.final_model, one.final_adapter),
+                          (two.final_model, two.final_adapter))
+        mses, m_ref, a_ref = replay_adaptz(model, a, stream, cfg, rate_after_sum=True)
+        np.testing.assert_allclose(one.step_mse, mses, rtol=1e-12, atol=0)
+        assert_within_drift((m_ref, a_ref), (one.final_model, one.final_adapter))
+
+    @given(stream_shapes(windows=4))
     @settings(max_examples=25, deadline=None)
     def test_reruns_are_byte_identical(self, shape):
         L, k, b, C, n = shape
@@ -1079,6 +1119,42 @@ class TestHisgrad:
         assert rel_err(after, fd_grad(loss, z)) < 1e-5
 
 
+class TestHisgradSequence:
+    # pretraining's hisgrads from stacks of up to CHUNK records against the
+    # deployed route, one (b*C)-row compute_hisgrad per window: their GEMMs
+    # run over other row counts, so they agree to rounding only. Rounding
+    # follows the size of the records' own gradients, not of their mean,
+    # which can cancel, so each window is sized by its records' norms
+    N = 2 * engine.CHUNK + 3 + K            # 2 * CHUNK + 3 released records
+
+    @pytest.mark.parametrize("b", [1, 5, engine.CHUNK + 6])
+    @pytest.mark.parametrize("C", [1, 2, 16])
+    @pytest.mark.parametrize("tap", [2, 1, 0],
+                             ids=["0_post_tap", "1_post_tap", "2_post_tap"])
+    def test_within_drift_of_per_window_hisgrad(self, tap, C, b):
+        model = build_model(L=L, k=K, d=16, n_blocks=3, tap_index=tap, seed=7)
+        stream = make_stream(self.N, L, K, C, seed=97)
+        steps = list(engine._front_end(model, stream))
+        seq = engine._hisgrad_sequence(model, steps, b)
+        again = engine._hisgrad_sequence(model, steps, b)
+        recs = encoded_records(model, stream)[:self.N - K]
+        # windows j with j < CHUNK < j + b cross the first stack's end
+        assert len(seq) == len(recs) - b + 1
+        sizes = [np.linalg.norm(compute_hisgrad(model, *stack(model, [r])))
+                 for r in recs]
+        for j, hisgrad in enumerate(seq):
+            want = compute_hisgrad(model, *stack(model, recs[j:j + b]))
+            assert hisgrad.shape == want.shape == (C, 16)
+            assert np.linalg.norm(hisgrad - want) <= 1e-12 * np.mean(sizes[j:j + b]), j
+            assert hisgrad.tobytes() == again[j].tobytes(), j
+
+    def test_window_of_more_records_than_released_is_empty(self):
+        model = small_model()
+        steps = list(engine._front_end(model, make_stream(10, L, K, C, seed=98)))
+        assert engine._hisgrad_sequence(model, steps, 10 - K + 1) == []
+        assert len(engine._hisgrad_sequence(model, steps, 10 - K)) == 1
+
+
 class TestParameterDiscipline:
     def test_adaptz_touches_only_head_and_adapter(self):
         model = small_model()
@@ -1153,33 +1229,51 @@ class TestPretrain:
                                        dict(use_feat=False)],
                              ids=["full", "nograd", "nofeat"])
     def test_equals_chained_adaptz_passes(self, small_trained, flags, b):
-        # every epoch reads the encodings made before the first; later epochs
-        # replay the first epoch's hisgrads
+        # every epoch reads the encodings made before the first and the one
+        # hisgrad sequence: byte-equal to chained replays that read it too,
+        # and within drift of chained deployed passes, whose hisgrads come
+        # window by window from (b*C)-row passes, not CHUNK-record stacks
         trained, _, val, _ = small_trained
         a = build_adapter(trained.d, seed=8, **flags)
         out = pretrain_adapter(trained, a, val, epochs=3, lr=0.001, hist_batch=b)
         cfg = EngineConfig(method="adaptz", horizon=trained.k,
                            lookback=trained.L, hist_batch=b, lr_adapter=0.001,
                            lr_head=0.0).validated()
-        ref = a
+        seq = pretrain_sequence(trained, val, b)
+        ref = run = a
         for _ in range(3):
-            ref = run_adaptz(trained, ref, val, cfg).final_adapter
+            _, _, ref = replay_adaptz(trained, ref, val, cfg, hisgrads=seq)
+            run = run_adaptz(trained, run, val, cfg).final_adapter
         assert_same_bytes((ref,), (out,))
+        assert_within_drift((run,), (out,))
 
     def test_encodes_val_and_computes_hisgrads_once(self, monkeypatch,
                                                     small_trained):
+        # the sequence is made once, before the first epoch, from one
+        # hisgrad_terms and one _hisgrad_rows per CHUNK of released records;
+        # no step of any epoch calls compute_hisgrad or hisgrad_terms
         trained, _, val, _ = small_trained
-        calls = {"encode": 0, "hisgrad_terms": 0, "compute_hisgrad": 0}
-        for name in calls:
+        names = ("encode", "hisgrad_terms", "_hisgrad_rows", "compute_hisgrad",
+                 "_hisgrad_sequence")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             def counted(*args, _fn=getattr(engine, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(engine, name, counted)
-        b = 4
+        chunks = -(-(len(val) - trained.k) // engine.CHUNK)
+        assert chunks > 1
         pretrain_adapter(trained, build_adapter(trained.d, seed=8), val,
-                         epochs=3, hist_batch=b)
-        assert calls == {"encode": len(val), "hisgrad_terms": len(val) - trained.k,
-                         "compute_hisgrad": len(val) - trained.k - b + 1}
+                         epochs=3, hist_batch=4)
+        assert calls == {"encode": len(val), "hisgrad_terms": chunks,
+                         "_hisgrad_rows": chunks, "compute_hisgrad": 0,
+                         "_hisgrad_sequence": 1}
+        # with the grad path off, the adapter never reads a hisgrad
+        calls.update(dict.fromkeys(names, 0))
+        pretrain_adapter(trained, build_adapter(trained.d, seed=8, use_grad=False),
+                         val, epochs=3, hist_batch=4)
+        assert calls == {"encode": len(val), "hisgrad_terms": 0, "_hisgrad_rows": 0,
+                         "compute_hisgrad": 0, "_hisgrad_sequence": 0}
 
     def test_deploys_one_copy_for_every_epoch(self, monkeypatch, small_trained):
         trained, _, val, _ = small_trained
@@ -1208,6 +1302,42 @@ class TestPretrain:
         cfg = EngineConfig(horizon=trained.k, lookback=trained.L, hist_batch=4)
         assert len(run_adaptz(trained, build_adapter(trained.d, seed=8), test,
                               cfg).preds) == len(test)
+
+    @pytest.mark.parametrize("row,col,bad", [
+        (0, 0, np.nan),      # the first row the windows cover: a lookback only
+        (150, 1, np.nan),    # the middle: lookbacks and targets
+        (150, 0, np.inf),
+        (299, 1, -np.inf),   # the last row: one window's target only
+    ])
+    def test_non_finite_window_refused_by_its_origin(self, monkeypatch, row, col,
+                                                     bad):
+        # one bad cell of a 300 x 2 frame, L=16 and k=4; the split and the
+        # list of its samples name the same, first window that holds it,
+        # before any window is encoded
+        calls = []
+        monkeypatch.setattr(engine, "encode",
+                            lambda *args: calls.append(1) or encode(*args))
+        series = np.random.default_rng(3).standard_normal((300, 2))
+        series[row, col] = bad
+        split = WindowSplit(series, L=16, k=4, start=15, stop=296)
+        model = build_model(L=16, k=4, d=8, n_blocks=2, seed=4)
+        for samples in (split, list(split)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sample at origin {max(15, row - 4)}: non-finite x or y")):
+                pretrain_adapter(model, build_adapter(8, seed=1), samples,
+                                 epochs=2, hist_batch=4)
+        assert calls == []
+
+    def test_non_finite_row_no_window_covers_is_pretrained(self):
+        series = np.random.default_rng(3).standard_normal((300, 2))
+        series[:10, 0] = np.nan          # before the first lookback
+        series[-3:, 1] = np.inf          # after the last target
+        split = WindowSplit(series, L=16, k=4, start=25, stop=293)
+        model = build_model(L=16, k=4, d=8, n_blocks=2, seed=4)
+        for samples in (split, list(split)):
+            out = pretrain_adapter(model, live_adapter(d=8), samples, epochs=2,
+                                   hist_batch=4)
+            assert all(np.isfinite(p).all() for _, p in out.named_params())
 
     def test_base_model_stays_frozen(self, small_trained):
         trained, _, val, _ = small_trained

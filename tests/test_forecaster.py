@@ -53,6 +53,14 @@ class TestNormalize:
         assert np.all(stats.std == STD_EPS)
         np.testing.assert_array_equal(xn, np.zeros((5, 2)))
 
+    def test_clamp_sits_at_1e_minus_5(self):
+        # the clamp's value as a literal, since every oracle imports STD_EPS:
+        # a channel of std 5e-6 is clamped to exactly 1e-5, one of 2e-5 is not
+        x = np.array([[5e-6, 2e-5], [-5e-6, -2e-5]] * 3)
+        _, stats = normalize(x)
+        assert stats.std[0] == 1e-5
+        assert stats.std[1] == pytest.approx(2e-5, rel=1e-12)
+
     def test_short_window_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             normalize(np.ones((1, 3)))

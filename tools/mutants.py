@@ -88,26 +88,37 @@ MUTANTS = [
            "released < cfg.hist_batch", "released <= cfg.hist_batch"),
     Mutant("the delay one step short", "engine.py",
            "if len(pending) > model.k:", "if len(pending) >= model.k:"),
-    Mutant("hisgrad averaged over b + 1", "engine.py",
-           "return np.add.reduce(g.reshape(b, C, model.d), axis=0) / b",
-           "return np.add.reduce(g.reshape(b, C, model.d), axis=0) / (b + 1)"),
+    Mutant("the window mean over b + 1", "engine.py",
+           "return np.add.reduce(rows, axis=0) / len(rows)",
+           "return np.add.reduce(rows, axis=0) / (len(rows) + 1)"),
     Mutant("the sliding sum never subtracts", "engine.py",
            "                acc[name] += g\n                acc[name] -= left[name]\n",
            "                acc[name] += g\n"),
     Mutant("adaptz's window counted as never filling at exactly b releases",
            "engine.py", "fills = b <= n_steps - model.k", "fills = b < n_steps - model.k"),
-    Mutant("pretraining replays the first hisgrad", "engine.py",
-           "hisgrad = replayed[n - b]", "hisgrad = replayed[0]"),
+    Mutant("pretraining reads the first hisgrad of its sequence", "engine.py",
+           "hisgrad = hisgrads[n - b]", "hisgrad = hisgrads[0]"),
+    Mutant("pretraining's sequence read one record early", "engine.py",
+           "hisgrad = hisgrads[n - b]", "hisgrad = hisgrads[max(n - b - 1, 0)]"),
+    Mutant("the sequence carries one row too many past a stack", "engine.py",
+           "held = rows[max(len(rows) - b + 1, 0):]", "held = rows[max(len(rows) - b, 0):]"),
+    Mutant("pretraining reads a non-finite window", "engine.py",
+           "_front_end(model, val_samples, finite=True)", "_front_end(model, val_samples)"),
     Mutant("fogd at half its rate", "engine.py",
            "delta = delta - cfg.lr_fogd * g_delta",
            "delta = delta - 0.5 * cfg.lr_fogd * g_delta"),
     Mutant("the head stepped at the adapter's rate", "engine.py",
-           "descend(model, {n: acc[n] for n in head}, cfg.lr_head)",
+           "descend(model, {n: acc[n] for n in head}, 1.0)",
            "descend(model, {n: acc[n] for n in head}, cfg.lr_adapter)"),
+    Mutant("the head share scaled by lr_adapter", "engine.py",
+           "rec.g_y * (cfg.lr_head / b)", "rec.g_y * (cfg.lr_adapter / b)"),
+    Mutant("descend adds the gradient at rate 1.0", "diffmath.py",
+           "step = p - g", "step = p + g"),
     Mutant("duplicate origins accepted", "engine.py",
            "if origin <= prev:", "if origin < prev:"),
     Mutant("the std clamped at ten times STD_EPS", "forecaster.py",
            "/ L), STD_EPS)", "/ L), 10 * STD_EPS)"),
+    Mutant("STD_EPS = 1e-4", "forecaster.py", "STD_EPS = 1e-5", "STD_EPS = 1e-4"),
     Mutant("the backward pass skips block 1's mask", "forecaster.py",
            "g = (g @ tape.block_weights[j]) * (tape.ins[j] > 0.0)",
            "g = (g @ tape.block_weights[j]) * ((tape.ins[j] > 0.0) | (i == 1))"),
