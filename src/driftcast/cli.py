@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -82,17 +83,23 @@ class ExperimentPlan:
     out_dir: str = "runs"
 
 
+def _pair(text: str, error: str) -> Tuple[str, str]:
+    """(key, value) of one `key=value` text, each stripped; ValueError(error)
+    if it has no `=`."""
+    if "=" not in text:
+        raise ValueError(error)
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
+
+
 def read_kv_file(path: str) -> List[Tuple[str, str]]:
     pairs: List[Tuple[str, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            pairs.append((key.strip(), value.strip()))
+            if line and not line.startswith("#"):
+                pairs.append(_pair(line, f"{path}:{lineno}: expected key=value, "
+                                         f"got {line!r}"))
     return pairs
 
 
@@ -135,13 +142,7 @@ def _get_list(conf: Dict[str, List[str]], key: str, cast, default):
 
 
 def parse_overrides(sets: Sequence[str]) -> List[Tuple[str, str]]:
-    pairs = []
-    for item in sets:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-    return pairs
+    return [_pair(item, f"--set expects key=value, got {item!r}") for item in sets]
 
 
 def _given(conf: Dict[str, List[str]], keys: Dict[str, Tuple[str, Callable]]
@@ -287,66 +288,84 @@ class RunResult:
     imp: Optional[float] = None
 
 
+def _check_windows(plan: ExperimentPlan, cfg: EngineConfig, val: Sequence,
+                   test: Sequence) -> None:
+    """Refuse a cell whose test split is empty, or whose adaptz window
+    cannot fill once on a split it steps on: val when it pretrains, then
+    test."""
+    if not test:
+        raise ValueError("test split is empty")
+    stepped = [("test", test, "the deployed adapter")]
+    if plan.pretrain_epochs > 0:
+        stepped.insert(0, ("val", val, "pretraining"))
+    for name, split, what in stepped:
+        released = max(len(split) - cfg.horizon, 0)
+        if cfg.method == "adaptz" and released < cfg.hist_batch:
+            raise ValueError(
+                f"hist_batch {cfg.hist_batch} is above the {released} "
+                f"records {name} releases, so {what} cannot step")
+
+
+def _fit(plan: ExperimentPlan, cfg: EngineConfig, train: Sequence):
+    """The base model of one (horizon, seed), trained offline on train."""
+    model = build_model(cfg.lookback, cfg.horizon, d=plan.model_width,
+                        n_blocks=plan.model_blocks, tap_index=plan.tap_index,
+                        seed=cfg.seed)
+    return offline_train(model, train, plan.train_epochs, lr=plan.train_lr,
+                         batch=plan.train_batch, seed=cfg.seed + 1)
+
+
+def _adapter(plan: ExperimentPlan, cfg: EngineConfig, token: str, trained,
+             val: Sequence):
+    """The adaptz token's adapter, with its flags, pretrained on val."""
+    _, use_feat, use_grad = METHOD_TOKENS[token]
+    adapter_net = build_adapter(trained.d, use_feat=use_feat,
+                                use_grad=use_grad, seed=cfg.seed + 2)
+    return pretrain_adapter(trained, adapter_net, val, plan.pretrain_epochs,
+                            lr=plan.pretrain_lr, seed=cfg.seed,
+                            hist_batch=cfg.hist_batch)
+
+
 def execute_plan(plan: ExperimentPlan) -> List[RunResult]:
-    """Run the full grid in deterministic order; failures do not stop siblings."""
+    """Run the full grid in deterministic order; failures do not stop siblings.
+
+    Each (horizon, seed, token) cell is one row, an error row unless every
+    stage succeeds: the split (made once per horizon), _check_windows, the
+    fit (once per (horizon, seed)), the adaptz tokens' adapter, and the
+    deployment. A stage that raises is not kept, so each cell that needs it
+    tries it again and prints its own traceback. An ok row keeps of its
+    trace only what write_trace_csv reads: steps and step_mse.
+    """
     frame = load_plan_frame(plan)
-    splits: Dict[int, tuple] = {}
-    trained_models: Dict[Tuple[int, int], object] = {}
+    memo: Dict[tuple, object] = {}
+
+    def once(key: tuple, make: Callable[[], object]):
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
     results: List[RunResult] = []
-    for horizon in plan.horizons:
-        for seed in plan.seeds:
-            base_cfg = replace(plan.engine, horizon=horizon, seed=seed)
-            for token in plan.methods:
-                method, use_feat, use_grad = METHOD_TOKENS[token]
-                cfg = replace(base_cfg, method=method)
-                run_id = _run_id(_resolved_parts(plan, cfg, token))
-                try:
-                    if horizon not in splits:
-                        splits[horizon] = chrono_split(frame, plan.split,
-                                                       cfg.lookback, horizon)
-                    train, val, test = splits[horizon]
-                    if not test:
-                        raise ValueError("test split is empty")
-                    # each split an adaptz window steps on must fill it once
-                    stepped = [("test", test, "the deployed adapter")]
-                    if plan.pretrain_epochs > 0:
-                        stepped.insert(0, ("val", val, "pretraining"))
-                    for name, split, what in stepped:
-                        released = max(len(split) - horizon, 0)
-                        if method == "adaptz" and released < cfg.hist_batch:
-                            raise ValueError(
-                                f"hist_batch {cfg.hist_batch} is above the {released} "
-                                f"records {name} releases, so {what} cannot step")
-                    if (horizon, seed) not in trained_models:
-                        model = build_model(cfg.lookback, horizon,
-                                            d=plan.model_width,
-                                            n_blocks=plan.model_blocks,
-                                            tap_index=plan.tap_index, seed=seed)
-                        trained_models[(horizon, seed)] = offline_train(
-                            model, train, plan.train_epochs, lr=plan.train_lr,
-                            batch=plan.train_batch, seed=seed + 1)
-                    trained = trained_models[(horizon, seed)]
-                    adapter_net = None
-                    if method == "adaptz":
-                        adapter_net = build_adapter(trained.d,
-                                                    use_feat=use_feat,
-                                                    use_grad=use_grad,
-                                                    seed=seed + 2)
-                        if plan.pretrain_epochs > 0:
-                            adapter_net = pretrain_adapter(
-                                trained, adapter_net, val, plan.pretrain_epochs,
-                                lr=plan.pretrain_lr, seed=seed,
-                                hist_batch=cfg.hist_batch)
-                    trace = run_method(method, trained, adapter_net, test, cfg)
-                    if not math.isfinite(trace.mse):
-                        raise ValueError(f"non-finite mse {trace.mse!r}")
-                    results.append(RunResult(plan.dataset, token, horizon, seed,
-                                             trace.mse, "ok", run_id, trace))
-                    trace.preds = []    # write_trace_csv reads steps and step_mse
-                except Exception:
-                    traceback.print_exc(file=sys.stderr)
-                    results.append(RunResult(plan.dataset, token, horizon, seed,
-                                             None, "error", run_id))
+    for horizon, seed, token in itertools.product(plan.horizons, plan.seeds,
+                                                  plan.methods):
+        cfg = replace(plan.engine, method=METHOD_TOKENS[token][0],
+                      horizon=horizon, seed=seed)
+        row = RunResult(plan.dataset, token, horizon, seed, None, "error",
+                        _run_id(_resolved_parts(plan, cfg, token)))
+        results.append(row)
+        try:
+            train, val, test = once(("split", horizon), lambda: chrono_split(
+                frame, plan.split, cfg.lookback, horizon))
+            _check_windows(plan, cfg, val, test)
+            trained = once(("fit", horizon, seed), lambda: _fit(plan, cfg, train))
+            adapter_net = (_adapter(plan, cfg, token, trained, val)
+                           if cfg.method == "adaptz" else None)
+            trace = run_method(cfg.method, trained, adapter_net, test, cfg)
+            if not math.isfinite(trace.mse):
+                raise ValueError(f"non-finite mse {trace.mse!r}")
+            row.mse, row.status = trace.mse, "ok"
+            row.trace = MetricsTrace(trace.method, trace.steps, trace.step_mse, [])
+        except Exception:
+            traceback.print_exc(file=sys.stderr)
     by_key = {(r.dataset, r.horizon, r.seed, r.method): r for r in results}
     for r in results:
         if r.method == "adaptz" and r.status == "ok":

@@ -135,7 +135,8 @@ class MetricsTrace:
     steps: List[int]
     step_mse: np.ndarray
     preds: List[np.ndarray]
-    final_model: ForecastModel
+    # None where a trace is kept for its steps and step_mse alone
+    final_model: Optional[ForecastModel] = None
     final_adapter: Optional[AdapterNet] = None
     # (reader_step, read_step) of each record handed to learn, one per step
     cache_reads: List[Tuple[int, int]] = field(default_factory=list)
@@ -504,7 +505,8 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     moves during deployment). The replay is chronological and fully
     deterministic, so `seed` is accepted for interface parity only. A
     window of the split holding a non-finite value is refused before the
-    first epoch, by its origin, as offline_train refuses one.
+    first epoch, by its origin, as offline_train refuses one; at 0 epochs
+    too, where the split is only checked and the clone returned.
 
     Only the adapter moves here, so the call deploys one copy of the model
     and draws val's steps from it once, before the first epoch. The frozen
@@ -517,6 +519,7 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
         raise ValueError("epochs must be >= 0")
     a = adapter_net.clone()
     if epochs == 0 or not len(val_samples):
+        _windows(model, val_samples, finite=True)
         return a
     cfg = EngineConfig(method="adaptz", horizon=model.k, lookback=model.L,
                        hist_batch=hist_batch, lr_adapter=lr, lr_head=0.0,

@@ -350,7 +350,8 @@ class TestRunPlan:
         results2, _ = run_plan(plan2)
         assert [r.status for r in results2] == ["ok", "ok"]
         for r in results + results2:
-            assert r.trace.preds == []
+            assert r.trace.preds == [] and r.trace.cache_reads == []
+            assert r.trace.final_model is None and r.trace.final_adapter is None
         for r in results2:
             kept = tmp_path / f"trace_{r.run_id}.csv"
             assert kept.read_bytes() == full[r.method].read_bytes()
@@ -379,6 +380,38 @@ class TestPlumbing:
         execute_plan(plan)
         assert seen == [("adaptz", True, True), ("adaptz", True, False),
                         ("adaptz", False, True)]
+
+    def test_split_once_per_horizon_fit_once_per_horizon_and_seed(
+            self, tmp_path, monkeypatch, capsys):
+        # horizon 400 cannot be split out of 420 rows: a failed split is not
+        # kept, so each of its six cells tries it and prints its own traceback
+        calls = {"split": [], "fit": [], "pretrain": []}
+
+        def spy(name, real, key):
+            def counted(*args, **kw):
+                calls[name].append(key(*args, **kw))
+                return real(*args, **kw)
+            return counted
+
+        monkeypatch.setattr(cli, "chrono_split", spy(
+            "split", cli.chrono_split, lambda frame, spec, L, k: k))
+        monkeypatch.setattr(cli, "offline_train", spy(
+            "fit", cli.offline_train, lambda model, *a, seed, **kw: (model.k, seed - 1)))
+        monkeypatch.setattr(cli, "pretrain_adapter", spy(
+            "pretrain", cli.pretrain_adapter, lambda model, *a, seed, **kw: (model.k, seed)))
+        plan = parse_config(None, [
+            "length=420", "change_point=320", "magnitude=1.0", "lookback=16",
+            "hist_batch=4", "horizon=4", "horizon=400", "horizon=6", "seed=1",
+            "seed=2", "width=8", "blocks=2", "train_epochs=1",
+            "pretrain_epochs=1", "method=ori", "method=adaptz", "method=fogd",
+            f"out_dir={tmp_path}"])
+        results = execute_plan(plan)
+        assert [(r.horizon, r.status) for r in results] == (
+            [(4, "ok")] * 6 + [(400, "error")] * 6 + [(6, "ok")] * 6)
+        assert calls == {"split": [4] + [400] * 6 + [6],
+                         "fit": [(4, 1), (4, 2), (6, 1), (6, 2)],
+                         "pretrain": [(4, 1), (4, 2), (6, 1), (6, 2)]}
+        assert capsys.readouterr().err.count("Traceback") == 6
 
     def test_pretrain_epochs_reach_the_pretraining_call(self, tmp_path,
                                                         monkeypatch):

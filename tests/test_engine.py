@@ -1328,6 +1328,26 @@ class TestPretrain:
                                  epochs=2, hist_batch=4)
         assert calls == []
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_non_finite_window_refused_at_any_epoch_count(self, epochs):
+        # as offline_train refuses it, at 0 epochs too; an empty split of
+        # either kind still gives back a clone
+        series = np.random.default_rng(3).standard_normal((300, 2))
+        series[150, 0] = np.nan
+        split = WindowSplit(series, L=16, k=4, start=15, stop=296)
+        model = build_model(L=16, k=4, d=8, n_blocks=2, seed=4)
+        a = live_adapter(d=8)
+        for samples in (split, list(split)):
+            for fit in (lambda s: offline_train(model, s, epochs),
+                        lambda s: pretrain_adapter(model, a, s, epochs, hist_batch=4)):
+                with pytest.raises(ValueError, match=re.escape(
+                        "sample at origin 146: non-finite x or y")):
+                    fit(samples)
+        for empty in (split[:0], []):
+            out = pretrain_adapter(model, a, empty, epochs, hist_batch=4)
+            assert out is not a
+            assert_params_equal(params_of(a), out)
+
     def test_non_finite_row_no_window_covers_is_pretrained(self):
         series = np.random.default_rng(3).standard_normal((300, 2))
         series[:10, 0] = np.nan          # before the first lookback

@@ -8,10 +8,12 @@ Each mutant replaces one exact text in one file under src/driftcast/. The
 text must occur exactly once, so a mutant whose line has changed fails
 loudly, before anything runs, instead of testing nothing. For each mutant
 the tree is copied to a temporary directory, the mutant is applied there
-and Tier-1 runs with -x; the checkout itself is never written. A mutant is
-killed when a test fails (the first failing test is printed) and survives
-when the suite passes. The unmutated copy runs first, so a suite that
-already fails stops the run instead of killing every mutant.
+and Tier-1 runs with -x, less tests/test_mutants.py (it checks each text
+against the unmutated source, so it would kill every mutant); the checkout
+itself is never written. A mutant is killed when a test fails (the first
+failing test is printed) and survives when the suite passes. The unmutated
+copy runs first, so a suite that already fails stops the run instead of
+killing every mutant.
 
 Exit status: 0 if every mutant was killed, 1 if any survived or its run
 ended without a verdict, 2 if a mutant does not match exactly once or the
@@ -36,7 +38,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 TIMEOUT_S = 900
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                               ".bench_out", ".bench_build", "*.egg-info")
@@ -86,6 +88,11 @@ MUTANTS = [
            "if finite and not np.isfinite(s.x).all():"),
     Mutant("the CLI refuses a window of exactly hist_batch records", "cli.py",
            "released < cfg.hist_batch", "released <= cfg.hist_batch"),
+    Mutant("fit memoized by horizon alone", "cli.py",
+           'once(("fit", horizon, seed)', 'once(("fit", horizon)'),
+    Mutant("pretraining skips its check at 0 epochs", "engine.py",
+           "        _windows(model, val_samples, finite=True)\n        return a\n",
+           "        return a\n"),
     Mutant("the delay one step short", "engine.py",
            "if len(pending) > model.k:", "if len(pending) >= model.k:"),
     Mutant("the window mean over b + 1", "engine.py",
