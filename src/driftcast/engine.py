@@ -13,12 +13,15 @@ learns from one released record:
           feature and a batched historical feature-gradient; adapter and
           head are updated from a b-sample window of released predictions
 
-The loop also owns the delay and the score. correct never sees the step's
-target; at step s learn is handed the record of step s-k, once, and nothing
-else, so the first m predictions never depend on how much stream follows.
-The loop logs the (reader_step, read_step) pair of each record it hands
-out. It scores each prediction once, and the loss gradient g_y rides on
-the record: fogd and adaptz step on it, as delayed OGD does.
+The loop also owns the delay and the score. correct is handed the step's
+feature z alone, so it sees no target by construction, and returns the
+correction with the method's own tape. A step's record is what the loop
+holds for it: the step, the head's tape, the loss gradient g_y and the
+method's tape. At step s learn is handed the record of step s-k, once, and
+nothing else, so the first m predictions never depend on how much stream
+follows. The loop logs the (reader_step, read_step) pair of each record it
+hands out. It scores each prediction once, and g_y rides on the record:
+fogd and adaptz step on it, as delayed OGD does.
 
 adaptz keeps its own window of the last b released records, placed by one
 release count n: record i sits in slot i % b. Its window step is a sum of
@@ -114,25 +117,9 @@ class EngineConfig:
 
 
 @dataclass
-class StepRecord:
-    """A step's record, held until its release k steps later; y and g_y (the
-    loss gradient) come after correct runs, and only adaptz sets adapter_tape.
-    x_norm is the step's normalized window (L x C), None in pretraining, and
-    stats its NormStats."""
-
-    y: Optional[np.ndarray] = None
-    g_y: Optional[np.ndarray] = None
-    x_norm: Optional[np.ndarray] = None
-    z: Optional[np.ndarray] = None
-    stats: Optional[NormStats] = None
-    head_tape: Optional[Tape] = None
-    adapter_tape: Optional[AdapterTape] = None
-
-
-@dataclass
 class MetricsTrace:
     method: str
-    steps: List[int]
+    steps: np.ndarray       # each step's origin, int64
     step_mse: np.ndarray
     preds: List[np.ndarray]
     # None where a trace is kept for its steps and step_mse alone
@@ -151,7 +138,7 @@ class MetricsTrace:
 
 def write_trace_csv(trace: MetricsTrace, path: str) -> None:
     lines = ["t,step_mse,cum_mse"]
-    for t, sm, cm in zip(trace.steps, trace.step_mse, trace.cum_mse()):
+    for t, sm, cm in zip(trace.steps.tolist(), trace.step_mse, trace.cum_mse()):
         lines.append(f"{t},{repr(float(sm))},{repr(float(cm))}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -176,7 +163,8 @@ def _front_end(model: ForecastModel, stream: Sequence[Sample],
                    NormStats(stats.mean[i], stats.std[i]))
 
 
-def hisgrad_terms(model: ForecastModel, rec: StepRecord) -> Tuple[np.ndarray, ...]:
+def hisgrad_terms(model: ForecastModel, z: np.ndarray, y: np.ndarray,
+                  stats: NormStats) -> Tuple[np.ndarray, ...]:
     """The parts of a released record's hisgrad that the moving head cannot
     change, as (head_in, a, c, *masks): the head's input (C x width) from
     the record's post-tap pass (tail_forward of its z), a = 2*std**2/(k*C)
@@ -184,16 +172,16 @@ def hisgrad_terms(model: ForecastModel, rec: StepRecord) -> Tuple[np.ndarray, ..
     ReLU mask as float64 0/1. The record's loss gradient in normalized
     units is y_norm * a + c, y_norm (C x k) the head's output on head_in.
 
-    rec may also hold m records on a leading axis (z m x C x d, y m x k x C,
-    stats m x C); every term then has that axis too, and the post-tap pass
-    runs as one (m*C)-row stack.
+    z, y and stats may also stack m records on a leading axis (z m x C x d,
+    y m x k x C, stats m x C); every term then has that axis too, and the
+    post-tap pass runs as one (m*C)-row stack.
     """
-    *lead, d = rec.z.shape
-    k, C = rec.y.shape[-2:]
-    tail = tail_forward(model, rec.z.reshape(-1, d))
-    scale = 2.0 * rec.stats.std / (k * C)
-    return (tail.head_in.reshape(*lead, -1), (scale * rec.stats.std)[..., None],
-            scale[..., None] * (rec.stats.mean[..., None] - np.swapaxes(rec.y, -1, -2)),
+    *lead, d = z.shape
+    k, C = y.shape[-2:]
+    tail = tail_forward(model, z.reshape(-1, d))
+    scale = 2.0 * stats.std / (k * C)
+    return (tail.head_in.reshape(*lead, -1), (scale * stats.std)[..., None],
+            scale[..., None] * (stats.mean[..., None] - np.swapaxes(y, -1, -2)),
             *((h > 0.0).astype(np.float64).reshape(*lead, -1) for h in tail.ins))
 
 
@@ -261,10 +249,10 @@ def _hisgrad_sequence(model: ForecastModel, steps: Sequence[Step],
     held = None
     for lo in range(0, released, CHUNK):
         _, ys, _, zs, stats = zip(*steps[lo:min(lo + CHUNK, released)])
-        stack = StepRecord(y=np.stack(ys), z=np.stack(zs),
-                           stats=NormStats(np.stack([st.mean for st in stats]),
-                                           np.stack([st.std for st in stats])))
-        rows = _hisgrad_rows(model, *hisgrad_terms(model, stack))
+        rows = _hisgrad_rows(model, *hisgrad_terms(
+            model, np.stack(zs), np.stack(ys),
+            NormStats(np.stack([st.mean for st in stats]),
+                      np.stack([st.std for st in stats]))))
         if held is not None:
             rows = np.concatenate((held, rows))
         seq.extend(_window_mean(rows[j:j + b]) for j in range(len(rows) - b + 1))
@@ -272,20 +260,21 @@ def _hisgrad_sequence(model: ForecastModel, steps: Sequence[Step],
     return seq
 
 
-def _record_share(model: ForecastModel, rec: StepRecord, b: int,
+def _record_share(model: ForecastModel, head_tape: Tape, g_y: np.ndarray,
+                  adapter_tape: AdapterTape, b: int,
                   cfg: EngineConfig) -> Dict[str, np.ndarray]:
-    """The record's term of the window step, keyed by the names of the
-    parameters that can move ({} with both rates 0): its gradient of the
-    window-mean loss, scaled by lr_head/b on the head's path and by
+    """A released record's term of the window step, keyed by the names of
+    the parameters that can move ({} with both rates 0): its gradient of
+    the window-mean loss, scaled by lr_head/b on the head's path and by
     lr_adapter/b on the adapter's, through g_y. Only the record's own
     tapes and g_y are read, so it is the same in every window."""
     grads: Dict[str, np.ndarray] = {}
     if cfg.lr_head > 0:
         grads["head.weight"], grads["head.bias"] = \
-            grad_wrt_last_layer(model, rec.head_tape, rec.g_y * (cfg.lr_head / b))
+            grad_wrt_last_layer(model, head_tape, g_y * (cfg.lr_head / b))
     if cfg.lr_adapter > 0:
-        g_z = grad_wrt_feature(model, rec.head_tape, rec.g_y * (cfg.lr_adapter / b))
-        grads.update(adapter_backward_tape(rec.adapter_tape, g_z))
+        g_z = grad_wrt_feature(model, head_tape, g_y * (cfg.lr_adapter / b))
+        grads.update(adapter_backward_tape(adapter_tape, g_z))
     return grads
 
 
@@ -313,44 +302,46 @@ def _deployed_copy(model: ForecastModel, cfg: EngineConfig) -> ForecastModel:
 
 
 def _deploy(method: str, model: ForecastModel, steps: Iterable[Step],
-            correct: Optional[Callable[[np.ndarray, StepRecord], np.ndarray]],
-            learn: Optional[Callable[[StepRecord], None]],
+            correct: Optional[Callable[[np.ndarray], tuple]],
+            learn: Optional[Callable[..., None]],
             adapter_net: Optional[AdapterNet] = None,
             keep_preds: bool = True) -> MetricsTrace:
     """The one stream loop, owner of the prediction, the k-step delay and the
-    score: at step s it runs the head on z + correct(z, rec) (on z if correct
-    is None) for a record rec of the step's normalized window, z and stats,
-    writes head_tape to rec and scores yhat once. Unless learn is None, it
-    then adds the target y and the loss gradient g_y, holds rec back with the
-    k records before it and, from step k on, calls learn with the record of
-    step s-k alone.
+    score: at step s, correct(z) returns the feature correction and the
+    method's own tape (its backward record, or None); the loop runs the head
+    on z plus that correction (on z with no tape if correct is None) and
+    scores yhat once. correct is handed z alone, so it sees no target.
+    Unless learn is None, the loop then holds the step's record (step,
+    head_tape, g_y, tape), g_y the loss gradient, with the k records before
+    it and, from step k on, calls learn with the record of step s-k alone.
 
     steps is _front_end's, or pretraining's list of them, drawn once before
     the first epoch (valid while blocks 0..tap do not move). Pretraining
-    reads no prediction, so its trace keeps none (keep_preds=False)."""
-    pending: Deque[Tuple[int, StepRecord]] = deque()
+    reads no prediction, so its trace keeps none (keep_preds=False). The
+    trace's steps, each step's origin, become one int64 array on return."""
+    pending: Deque[Tuple[int, tuple]] = deque()
     reads: List[Tuple[int, int]] = []
     origins: List[int] = []
     mses: List[float] = []
     preds: List[np.ndarray] = []
-    for s, (origin, y, x_norm, z, stats) in enumerate(steps):
-        rec = StepRecord(x_norm=x_norm, z=z, stats=stats)   # views, no copy
-        z_in = z if correct is None else z + correct(z, rec)
-        yhat, rec.head_tape = head_forward_with_tape(model, z_in, stats)
+    for s, step in enumerate(steps):
+        origin, y, _, z, stats = step
+        delta, tape = (None, None) if correct is None else correct(z)
+        z_in = z if delta is None else z + delta
+        yhat, head_tape = head_forward_with_tape(model, z_in, stats)
         loss, g_y = mse_with_grad(yhat, y)
         origins.append(origin)
         mses.append(loss)
         if keep_preds:
             preds.append(yhat)
         if learn is not None:
-            rec.y, rec.g_y = y, g_y                 # released at step s + k
-            pending.append((s, rec))
+            pending.append((s, (step, head_tape, g_y, tape)))  # released at s + k
             if len(pending) > model.k:
                 t, released = pending.popleft()
                 reads.append((s, t))
-                learn(released)
-    return MetricsTrace(method, origins, np.asarray(mses), preds,
-                        final_model=model, final_adapter=adapter_net,
+                learn(*released)
+    return MetricsTrace(method, np.array(origins, dtype=np.int64), np.asarray(mses),
+                        preds, final_model=model, final_adapter=adapter_net,
                         cache_reads=reads)
 
 
@@ -375,6 +366,9 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
             n_steps: int, cfg: EngineConfig,
             hisgrads: Optional[Sequence[np.ndarray]] = None) -> MetricsTrace:
     """The adaptz loop over n_steps steps of an already deployed model.
+    correct runs the adapter on z and the current hisgrad and returns its
+    correction and tape; learn reads a released record's step (its z, y
+    and stats), its tapes and g_y.
 
     Released record i goes to slot i % b: its hisgrad_terms (made once on
     release; the post-tap blocks never move here) to the hisgrad ring
@@ -401,14 +395,13 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
     shares: List[Dict[str, np.ndarray]] = [{}] * b if fills else []
     acc: Dict[str, np.ndarray] = {}
 
-    def correct(z, rec):
+    def correct(z):
         nonlocal hisgrad
         if hisgrad is None:
             hisgrad = np.zeros_like(z)
-        delta, rec.adapter_tape = adapter_forward_with_tape(a, z, hisgrad)
-        return delta
+        return adapter_forward_with_tape(a, z, hisgrad)
 
-    def learn(rec):
+    def learn(step, head_tape, g_y, adapter_tape):
         nonlocal hisgrad, acc, n, rings
         if not fills:                           # no slot, ring or share to make
             return
@@ -417,7 +410,8 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
         if a.use_grad and hisgrads is None:
             # each term written twice, at j and j + b, so the last b records
             # are one contiguous slice, oldest first, as compute_hisgrad takes them
-            terms = hisgrad_terms(model, rec)
+            _, y, _, z, stats = step
+            terms = hisgrad_terms(model, z, y, stats)
             if not rings:
                 rings = [np.empty((2 * b,) + t.shape) for t in terms]
             for ring, value in zip(rings, terms):
@@ -428,7 +422,8 @@ def _adaptz(model: ForecastModel, adapter_net: AdapterNet, steps: Iterable[Step]
                                                    for ring in rings))
         elif a.use_grad and n >= b:
             hisgrad = hisgrads[n - b]
-        left, shares[j] = shares[j], _record_share(model, rec, b, cfg)
+        left, shares[j] = shares[j], _record_share(model, head_tape, g_y,
+                                                   adapter_tape, b, cfg)
         if n < b:
             return
         if n % b == 0:                          # slots 0..b-1 hold the window in order
@@ -452,15 +447,15 @@ def run_fogd(model: ForecastModel, stream: Sequence[Sample],
     model = _deployed_copy(model, cfg)
     delta: Optional[np.ndarray] = None
 
-    def correct(z, rec):
+    def correct(z):
         nonlocal delta
         if delta is None:
             delta = np.zeros_like(z)
-        return delta
+        return delta, None
 
-    def learn(rec):
+    def learn(step, head_tape, g_y, _):
         nonlocal delta
-        g_delta = grad_wrt_feature(model, rec.head_tape, rec.g_y)
+        g_delta = grad_wrt_feature(model, head_tape, g_y)
         delta = delta - cfg.lr_fogd * g_delta
 
     return _deploy("fogd", model, _front_end(model, stream), correct,
@@ -472,10 +467,11 @@ def run_ogd(model: ForecastModel, stream: Sequence[Sample],
     """Delayed single-sample gradient step on all model parameters."""
     model = _deployed_copy(model, cfg)
 
-    def learn(rec):
-        # the full pass from the record's window, already normalized
-        yh_d, ftape = predict_with_tape(model, rec.x_norm, rec.stats)
-        _, g_y = mse_with_grad(yh_d, rec.y)     # re-scored under current params
+    def learn(step, *_):
+        # the full pass from the step's window, already normalized
+        _, y, x_norm, _, stats = step
+        yh_d, ftape = predict_with_tape(model, x_norm, stats)
+        _, g_y = mse_with_grad(yh_d, y)         # re-scored under current params
         apply_param_step(model, param_grads(model, ftape, g_y), cfg.lr_ogd)
 
     return _deploy("ogd", model, _front_end(model, stream), None,
@@ -503,13 +499,14 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     Runs the adaptz loop over the split once per epoch from an empty window,
     carrying the adapter across epochs; the head stays frozen (it only
     moves during deployment). The replay is chronological and fully
-    deterministic, so `seed` is accepted for interface parity only. A
-    window of the split holding a non-finite value is refused before the
-    first epoch, by its origin, as offline_train refuses one; at 0 epochs
-    too, where the split is only checked and the clone returned.
+    deterministic, so `seed` is accepted for interface parity only.
 
     Only the adapter moves here, so the call deploys one copy of the model
-    and draws val's steps from it once, before the first epoch. The frozen
+    and draws val's steps from it once, before the first epoch, at every
+    epoch count (0 too): the settings are validated, and val passes the
+    front end's checks (shapes, finite values, rising origins; a non-finite
+    window is refused by its origin, as offline_train refuses one) before
+    anything is replayed. An empty split gives the clone. The frozen
     head fixes each released record's feature gradient too, so the hisgrad
     sequence is made once from them as well (_hisgrad_sequence, a stacked
     pass per CHUNK of records), and every epoch reads it. All three belong
@@ -518,9 +515,6 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     a = adapter_net.clone()
-    if epochs == 0 or not len(val_samples):
-        _windows(model, val_samples, finite=True)
-        return a
     cfg = EngineConfig(method="adaptz", horizon=model.k, lookback=model.L,
                        hist_batch=hist_batch, lr_adapter=lr, lr_head=0.0,
                        seed=seed)

@@ -31,7 +31,7 @@ MODULE_NAMES = {
                 "adapter_forward_with_tape", "sgd_step"],
     "datastream": ["CONCEPT_A1", "CONCEPT_A2", "concept_coefficients"],
     "diffmath": ["AffineLayer", "affine_apply", "mse_with_grad"],
-    "engine": ["StepRecord", "compute_hisgrad", "hisgrad_terms"],
+    "engine": ["compute_hisgrad", "hisgrad_terms"],
     "forecaster": ["STD_EPS", "Tail", "Tape", "denormalize", "encode",
                    "grad_wrt_feature", "grad_wrt_last_layer",
                    "head_forward_with_tape", "param_grads",

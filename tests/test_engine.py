@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from driftcast import (EngineConfig, SeriesFrame, SplitSpec, build_adapter,
                        run_adaptz, run_fogd, run_method, run_ogd, run_ori,
                        write_trace_csv)
 from driftcast import engine, forecaster
-from driftcast.engine import StepRecord, compute_hisgrad, hisgrad_terms
+from driftcast.engine import compute_hisgrad, hisgrad_terms
 from driftcast.adapter import adapter_backward_tape, adapter_forward_with_tape, sgd_step
 from driftcast.diffmath import mse_with_grad
 from driftcast.forecaster import (STD_EPS, NormStats, Sample, WindowSplit,
@@ -203,10 +204,23 @@ class TestSequencingOracles:
             np.testing.assert_array_equal(dict(m.named_params())[n], p, err_msg=n)
 
 
+@dataclass
+class Rec:
+    """What the reference loops below keep of a step: its target, feature and
+    stats, and once it is scored its loss gradient and tapes."""
+    y: np.ndarray
+    z: np.ndarray
+    stats: NormStats
+    g_y: np.ndarray = None
+    head_tape: object = None
+    adapter_tape: object = None
+
+
 def stack(model, recs):
     """The records' hisgrad_terms stacked as compute_hisgrad takes them, each
     made as the ring makes it on the record's release."""
-    return [np.stack(t) for t in zip(*(hisgrad_terms(model, r) for r in recs))]
+    return [np.stack(t) for t in
+            zip(*(hisgrad_terms(model, r.z, r.y, r.stats) for r in recs))]
 
 
 def encoded_records(model, stream):
@@ -216,7 +230,7 @@ def encoded_records(model, stream):
     for sample in stream:
         x_norm, stats = normalize(sample.x)
         z = encode(model, x_norm)
-        recs.append(StepRecord(y=sample.y, z=z, stats=stats))
+        recs.append(Rec(y=sample.y, z=z, stats=stats))
     return recs
 
 
@@ -249,8 +263,8 @@ def replay_adaptz(model, adapter_net, stream, cfg, exact=False, rerun=False,
         yhat, h_tape = head_forward_with_tape(m, z + delta, stats)
         loss, g_y = mse_with_grad(yhat, sample.y)
         mses.append(loss)
-        recs[s] = StepRecord(y=sample.y, g_y=g_y, z=z, stats=stats,
-                             head_tape=h_tape, adapter_tape=a_tape)
+        recs[s] = Rec(y=sample.y, g_y=g_y, z=z, stats=stats,
+                      head_tape=h_tape, adapter_tape=a_tape)
         if s < k + b - 1:                   # hisgrad stays zero until then
             continue
         window = [recs[i] for i in range(s - k - b + 1, s - k + 1)]
@@ -671,7 +685,8 @@ def frame_splits(channels, seed, T=400):
 
 
 def assert_same_trace(ref, tr):
-    assert tr.steps == ref.steps
+    assert tr.steps.dtype == ref.steps.dtype == np.int64
+    np.testing.assert_array_equal(tr.steps, ref.steps)
     assert tr.step_mse.tobytes() == ref.step_mse.tobytes()
     assert [p.tobytes() for p in tr.preds] == [p.tobytes() for p in ref.preds]
     assert tr.cache_reads == ref.cache_reads
@@ -902,9 +917,9 @@ class TestDelayOwnedByLoop:
                                                                 monkeypatch):
         seen, calls = [], []
 
-        def correct(z, rec):
-            seen.append((rec.y, rec.g_y))
-            return np.zeros_like(z)
+        def correct(*args):
+            seen.append(args)
+            return np.zeros_like(args[0]), None
 
         def counted(model, z_adj, stats):
             calls.append(1)
@@ -916,8 +931,12 @@ class TestDelayOwnedByLoop:
         monkeypatch.setattr(engine, "head_forward_with_tape", counted)
         probe = model.clone()
         trace = engine._deploy("probe", probe, engine._front_end(probe, stream),
-                               correct, lambda rec: None)
-        assert seen == [(None, None)] * len(stream) and len(calls) == len(stream)
+                               correct, lambda *record: None)
+        # correct is handed each step's z alone, once per step
+        zs = [z for _, _, _, z, _ in engine._front_end(model.clone(), stream)]
+        assert [len(args) for args in seen] == [1] * len(stream)
+        assert all(same_bytes(args[0], z) for args, z in zip(seen, zs))
+        assert len(calls) == len(stream)
         assert trace.step_mse.tobytes() == ori.step_mse.tobytes()
 
     def test_each_step_scored_once_and_only_ogd_rescores(self, monkeypatch,
@@ -1091,8 +1110,8 @@ class TestHisgrad:
         one = self._records(model, 1, seed=52)[0]
         b = 4
         single = compute_hisgrad(model, *stack(model, [one]))
-        window = compute_hisgrad(model, *stack(model, [StepRecord(y=one.y, z=one.z,
-                                                           stats=one.stats)] * b))
+        window = compute_hisgrad(model, *stack(model, [Rec(y=one.y, z=one.z,
+                                                    stats=one.stats)] * b))
         np.testing.assert_allclose(window, single, atol=1e-12)
 
     def test_general_window_is_mean_of_per_record_grads(self):
@@ -1347,6 +1366,25 @@ class TestPretrain:
             out = pretrain_adapter(model, a, empty, epochs, hist_batch=4)
             assert out is not a
             assert_params_equal(params_of(a), out)
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_repeated_origin_refused_at_any_epoch_count(self, epochs):
+        # val passes the front end's order check before any epoch, at 0 too
+        series = np.random.default_rng(3).standard_normal((300, 2))
+        samples = list(WindowSplit(series, L=16, k=4, start=15, stop=296))
+        twin = samples[100]
+        samples[100] = Sample(x=twin.x, y=twin.y, origin=samples[99].origin)
+        assert samples[99].origin == 114
+        model = build_model(L=16, k=4, d=8, n_blocks=2, seed=4)
+        with pytest.raises(ValueError, match=re.escape(
+                "out-of-order stream timestamps: 114 after 114")):
+            pretrain_adapter(model, live_adapter(d=8), samples, epochs, hist_batch=4)
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_settings_validated_at_any_epoch_count(self, small_trained, epochs):
+        trained, _, val, _ = small_trained
+        with pytest.raises(ValueError, match="hist_batch must be >= 1"):
+            pretrain_adapter(trained, live_adapter(), val, epochs, hist_batch=0)
 
     def test_non_finite_row_no_window_covers_is_pretrained(self):
         series = np.random.default_rng(3).standard_normal((300, 2))

@@ -91,8 +91,14 @@ MUTANTS = [
     Mutant("fit memoized by horizon alone", "cli.py",
            'once(("fit", horizon, seed)', 'once(("fit", horizon)'),
     Mutant("pretraining skips its check at 0 epochs", "engine.py",
-           "        _windows(model, val_samples, finite=True)\n        return a\n",
-           "        return a\n"),
+           "in _front_end(model, val_samples, finite=True)]",
+           "in (_front_end(model, val_samples, finite=True) if epochs else ())]"),
+    Mutant("pretraining checks no origin order at 0 epochs", "engine.py",
+           "        raise ValueError(\"epochs must be >= 0\")\n",
+           "        raise ValueError(\"epochs must be >= 0\")\n"
+           "    if epochs == 0:\n"
+           "        _windows(model, val_samples, finite=True)\n"
+           "        return adapter_net.clone()\n"),
     Mutant("the delay one step short", "engine.py",
            "if len(pending) > model.k:", "if len(pending) >= model.k:"),
     Mutant("the window mean over b + 1", "engine.py",
@@ -118,7 +124,7 @@ MUTANTS = [
            "descend(model, {n: acc[n] for n in head}, 1.0)",
            "descend(model, {n: acc[n] for n in head}, cfg.lr_adapter)"),
     Mutant("the head share scaled by lr_adapter", "engine.py",
-           "rec.g_y * (cfg.lr_head / b)", "rec.g_y * (cfg.lr_adapter / b)"),
+           "g_y * (cfg.lr_head / b)", "g_y * (cfg.lr_adapter / b)"),
     Mutant("descend adds the gradient at rate 1.0", "diffmath.py",
            "step = p - g", "step = p + g"),
     Mutant("duplicate origins accepted", "engine.py",
