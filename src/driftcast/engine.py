@@ -507,10 +507,10 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     front end's checks (shapes, finite values, rising origins; a non-finite
     window is refused by its origin, as offline_train refuses one) before
     anything is replayed. An empty split gives the clone. The frozen
-    head fixes each released record's feature gradient too, so the hisgrad
-    sequence is made once from them as well (_hisgrad_sequence, a stacked
-    pass per CHUNK of records), and every epoch reads it. All three belong
-    to this call alone.
+    head fixes each released record's feature gradient too, so when an
+    epoch will read it the hisgrad sequence is made once from them as well
+    (_hisgrad_sequence, a stacked pass per CHUNK of records), and every
+    epoch reads it. All three belong to this call alone.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -522,7 +522,7 @@ def pretrain_adapter(model: ForecastModel, adapter_net: AdapterNet,
     # z and stats only: a step's x_norm would pin its whole chunk
     steps = [(o, y, None, z, st)
              for o, y, _, z, st in _front_end(model, val_samples, finite=True)]
-    hisgrads = _hisgrad_sequence(model, steps, hist_batch) if a.use_grad else []
+    hisgrads = _hisgrad_sequence(model, steps, hist_batch) if a.use_grad and epochs else []
     for _ in range(epochs):
         a = _adaptz(model, a, steps, len(steps), cfg, hisgrads).final_adapter
     return a

@@ -1,7 +1,6 @@
-"""Print the size of each module under src/driftcast, two ways.
+"""Print the size of each module under src/driftcast, two ways:
 
-    python tools/size.py            # src/driftcast
-    python tools/size.py PATH...    # these files or directories
+    python tools/size.py
 
 For each module: its line count (as `wc -l` counts it) and its code lines,
 the lines holding a token other than a comment, less the lines of
@@ -15,13 +14,12 @@ Stdlib only; not part of Tier-1 (tests/test_size.py pins the count).
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import sys
 import tokenize
 from pathlib import Path
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -60,14 +58,8 @@ def sizes(paths: Iterable[Path]) -> List[Tuple[str, int, int]]:
     return sorted(rows, key=lambda row: (-row[2], row[0]))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("paths", nargs="*", type=Path,
-                   default=[ROOT / "src" / "driftcast"])
-    args = p.parse_args(argv)
-    files = sorted(f for path in args.paths
-                   for f in ([path] if path.is_file() else path.glob("*.py")))
-    rows = sizes(files)
+def main() -> int:
+    rows = sizes(sorted((ROOT / "src" / "driftcast").glob("*.py")))
     print(f"{'module':<12} {'lines':>6} {'code':>6}")
     for name, lines, code in rows:
         print(f"{name:<12} {lines:>6} {code:>6}")
